@@ -10,19 +10,22 @@ exact), "numeric" (a perturbation was involved; tolerance 1e-6), "partial"
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .foliation import ChartField, FoliationProblem, chart_field, chern_expectations
 from .residue import (
     DegenerateZero,
+    LocalData,
     NumericConfig,
-    PositiveDimensional,
     ResidueRecord,
     SingularPoint,
-    discover_zeros_exact_linear,
+    classify_point,
+    closed_form_residues,
+    discover_zeros_numeric,
+    linear_zeros,
+    local_data,
     perturbed_residue,
-    simple_residues,
 )
 
 NUMERIC_TOL = 1e-6
@@ -32,34 +35,65 @@ class IncompletePointSet(Warning):
     """The supplied points may not cover the whole singular set."""
 
 
-def _chart_fields(problem: FoliationProblem) -> list[ChartField]:
-    return [chart_field(problem, c) for c in range(problem.n + 1)]
+def _leading_index(values, exact: bool) -> int:
+    """Index of the first entry that is nonzero (beyond 1e-9 when inexact)."""
+    return next(j for j, v in enumerate(values) if (v != 0 if exact else abs(v) > 1e-9))
 
 
 def homogeneous_representative(problem: FoliationProblem, p: SingularPoint):
     """Homogeneous coordinates scaled so the first nonzero entry is 1."""
     coords = list(p.coords)
     hom = coords[: p.chart] + [Fraction(1) if p.exact else 1.0] + coords[p.chart :]
-    if p.exact:
-        first = next(v for v in hom if v != 0)
-        return tuple(v / first for v in hom)
-    first = next(v for v in hom if abs(v) > 1e-9)
+    first = hom[_leading_index(hom, p.exact)]
     return tuple(v / first for v in hom)
 
 
-def _attribute_to_chart(problem: FoliationProblem, hom) -> SingularPoint:
-    """Place a homogeneous point in its lowest-index containing chart."""
+def _attribute_to_chart(fields: list[ChartField], hom, found: SingularPoint | None) -> tuple:
+    """Place a homogeneous point in its lowest-index containing chart.  A
+    numeric zero keeps the flags it was ``found`` with: rescaled into a far
+    chart, its residual can exceed the absolute zero tolerance."""
     exact = isinstance(hom[0], (Fraction, int))
-    if exact:
-        chart = next(j for j, v in enumerate(hom) if v != 0)
-    else:
-        chart = next(j for j, v in enumerate(hom) if abs(v) > 1e-9)
+    chart = _leading_index(hom, exact)
     scaled = [v / hom[chart] for v in hom]
     coords = tuple(v for j, v in enumerate(scaled) if j != chart)
-    cf = chart_field(problem, chart)
-    from .residue import _classify  # classification shared with discovery
+    if found is not None:
+        return replace(found, chart=chart, coords=coords), fields[chart], None
+    point, ld = classify_point(fields[chart], coords, exact)
+    return point, fields[chart], ld
 
-    return _classify(cf, coords, exact)
+
+def _locate(
+    problem: FoliationProblem,
+    mode: str,
+    user_points: list[SingularPoint] | None,
+    box: tuple[float, float] | None,
+    cfg: NumericConfig,
+) -> list[tuple]:
+    """Deduplicated (point, chart field, local data) triples across all
+    charts; one chart field per chart, each point classified once in its
+    lowest chart.  Local data is None where the divisor is singular."""
+    fields = [chart_field(problem, c) for c in range(problem.n + 1)]
+    raw: list[SingularPoint] = []
+    if mode == "user":
+        if user_points is None:
+            raise ValueError("mode 'user' needs user_points")
+        raw = list(user_points)
+    elif mode == "exact_linear":
+        for cf in fields:
+            raw.extend(SingularPoint(cf.chart, x) for x in linear_zeros(cf))
+    elif mode == "numeric":
+        for cf in fields:
+            raw.extend(discover_zeros_numeric(cf, box, cfg))
+    else:
+        raise ValueError(f"unknown discovery mode {mode!r}")
+
+    seen: dict = {}
+    for p in raw:
+        hom = homogeneous_representative(problem, p)
+        key = tuple(hom) if p.exact else tuple(round(float(v), 6) for v in hom)
+        if key not in seen:
+            seen[key] = _attribute_to_chart(fields, hom, p if mode == "numeric" else None)
+    return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
 
 
 def enumerate_singularities(
@@ -75,29 +109,7 @@ def enumerate_singularities(
     "numeric" (multi-start Newton per chart; may be incomplete), "user"
     (ingest user-attested points).
     """
-    raw: list[SingularPoint] = []
-    if mode == "user":
-        if user_points is None:
-            raise ValueError("mode 'user' needs user_points")
-        raw = list(user_points)
-    elif mode == "exact_linear":
-        for cf in _chart_fields(problem):
-            raw.extend(discover_zeros_exact_linear(cf))
-    elif mode == "numeric":
-        from .residue import discover_zeros_numeric
-
-        for cf in _chart_fields(problem):
-            raw.extend(discover_zeros_numeric(cf, box, cfg))
-    else:
-        raise ValueError(f"unknown discovery mode {mode!r}")
-
-    seen: dict = {}
-    for p in raw:
-        hom = homogeneous_representative(problem, p)
-        key = tuple(hom) if p.exact else tuple(round(float(v), 6) for v in hom)
-        if key not in seen:
-            seen[key] = _attribute_to_chart(problem, hom)
-    return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
+    return [p for p, _, _ in _locate(problem, mode, user_points, box, cfg)]
 
 
 @dataclass
@@ -152,10 +164,10 @@ class GlobalReport:
 
 
 def _residue_record(
-    cf: ChartField, p: SingularPoint, i: int, cfg: NumericConfig
+    cf: ChartField, p: SingularPoint, ld: LocalData, i: int, cfg: NumericConfig
 ) -> ResidueRecord:
     try:
-        return simple_residues(cf, p, i)
+        return closed_form_residues(ld, p, i)
     except DegenerateZero:
         return perturbed_residue(cf, p, i, cfg)
 
@@ -182,22 +194,28 @@ def verify_identities(
     the identity on this instance.
     """
     if points is None:
-        points = enumerate_singularities(problem, "exact_linear")
-        complete = True if complete is None else complete
+        located = _locate(problem, "exact_linear", None, None, cfg)
     else:
-        complete = True if complete is None else complete
+        fields = {c: chart_field(problem, c) for c in dict.fromkeys(p.chart for p in points)}
+        located = [(p, fields[p.chart], None) for p in points]
+    complete = True if complete is None else complete
     if i_list is None:
         i_list = list(range(problem.n))
 
-    fields = {p.chart: chart_field(problem, p.chart) for p in points}
+    # One LocalData per point, shared by every i-level it enters.
+    located = [
+        (p, cf, ld if ld is not None else local_data(cf, p))
+        for p, cf, ld in located
+        if 0 in i_list or p.on_divisor
+    ]
     expect = chern_expectations(problem)
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
     any_numeric = False
 
     for i in i_list:
-        relevant = points if i == 0 else [p for p in points if p.on_divisor]
-        records = [_residue_record(fields[p.chart], p, i, cfg) for p in relevant]
+        records = [_residue_record(cf, p, ld, i, cfg)
+                   for p, cf, ld in located if i == 0 or p.on_divisor]
         any_numeric = any_numeric or any(r.method == "perturbation" for r in records)
         ordinary_available = all(r.ordinary is not None for r in records)
         if not ordinary_available:

@@ -3,7 +3,9 @@
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  Polynomials are sparse: a map from
 exponent tuples to nonzero rational coefficients.  Matrices carry exact
-rational entries; determinants use fraction-free (Bareiss) elimination.
+rational entries; one fraction-free (Bareiss) row echelon routine gives the
+determinant, the rank and exact linear solves.  ``DomainError`` is the base
+of every exception that reports input outside the supported mathematics.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -11,7 +13,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -19,7 +21,11 @@ Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
 
 
-class SingularMatrix(Exception):
+class DomainError(Exception):
+    """Well-formed input outside the supported mathematics (CLI exit code 2)."""
+
+
+class SingularMatrix(DomainError):
     """Raised when an exact linear solve meets a singular matrix."""
 
 
@@ -132,7 +138,11 @@ class MultiPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # Equal polynomials may differ in variable order and unused variables.
+        return hash(frozenset(
+            (frozenset((v, k) for v, k in zip(self.variables, e) if k), c)
+            for e, c in self.terms.items()
+        ))
 
     def __add__(self, other) -> "MultiPoly":
         a, b = align(self, self._coerce(other))
@@ -329,55 +339,39 @@ class RatMatrix:
         )
 
 
-def det_exact(m: RatMatrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination.
-
-    Row swaps flip the sign; every interior division is exact.
-    """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    a = [row[:] for row in m.entries]
+def echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form: the echelon rows, the pivot
+    column of each nonzero row, and the sign of the row permutation.  For a
+    square nonsingular matrix, sign times the last diagonal entry is the
+    determinant."""
+    a = [list(row) for row in rows]
+    n_rows, n_cols = len(a), len(a[0])
+    pivots: list[int] = []
     sign = 1
     prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
-    """Exact solution of m*x = rhs by Gaussian elimination with exact pivoting."""
-    if m.rows != m.cols:
-        raise ValueError("solve_linear needs a square matrix")
-    n = m.rows
-    if len(rhs) != n:
-        raise ValueError("right-hand side has the wrong length")
-    a = [row[:] + [_as_fraction(b)] for row, b in zip(m.entries, rhs)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
         if pivot_row is None:
-            raise SingularMatrix(f"no pivot in column {k}")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            factor = a[i][k] / piv
-            for j in range(k, n + 1):
-                a[i][j] -= factor * a[k][j]
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        piv = a[r][c]
+        for i in range(r + 1, n_rows):
+            for j in range(c + 1, n_cols):
+                a[i][j] = (a[i][j] * piv - a[i][c] * a[r][j]) / prev
+            a[i][c] = Fraction(0)
+        prev = piv
+        pivots.append(c)
+    return a, pivots, sign
+
+
+def back_substitute(a: Sequence[Sequence[Fraction]], n: int) -> list[Fraction]:
+    """Solution x of an echelon system whose first n columns carry the pivots
+    on the diagonal and whose column n is the right-hand side."""
     x = [Fraction(0)] * n
     for k in range(n - 1, -1, -1):
         s = a[k][n] - sum((a[k][j] * x[j] for j in range(k + 1, n)), Fraction(0))
@@ -385,22 +379,28 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
     return x
 
 
+def det_exact(m: RatMatrix) -> Fraction:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    a, pivots, sign = echelon(m.entries)
+    return sign * a[-1][-1] if len(pivots) == m.rows else Fraction(0)
+
+
+def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
+    """Exact solution of m*x = rhs by elimination of the augmented matrix."""
+    if m.rows != m.cols:
+        raise ValueError("solve_linear needs a square matrix")
+    n = m.rows
+    if len(rhs) != n:
+        raise ValueError("right-hand side has the wrong length")
+    a, pivots, _ = echelon([row + [_as_fraction(b)] for row, b in zip(m.entries, rhs)])
+    missing = next((k for k in range(n) if k not in pivots), None)
+    if missing is not None:
+        raise SingularMatrix(f"no pivot in column {missing}")
+    return back_substitute(a, n)
+
+
 def rank(m: RatMatrix) -> int:
-    """Rank over the rationals, by exact row reduction."""
-    a = [row[:] for row in m.entries]
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, m.rows):
-            if a[i][c] != 0:
-                factor = a[i][c] / piv
-                for j in range(c, m.cols):
-                    a[i][j] -= factor * a[r][j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    """Rank over the rationals: the number of echelon pivots."""
+    return len(echelon(m.entries)[1])

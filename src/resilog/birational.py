@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiPoly, RatMatrix, det_exact, solve_linear
+from .algebra import DomainError, MultiPoly, RatMatrix, det_exact, solve_linear
 from .foliation import ChartField
 from .residue import ResidueRecord, SingularPoint, simple_residues
 
 
-class NotNegativeDefinite(Exception):
+class NotNegativeDefinite(DomainError):
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"leading principal minor {k} violates negative definiteness")

@@ -18,15 +18,11 @@ import sys
 from fractions import Fraction
 
 from . import aggregate, birational
-from .algebra import RatMatrix
-from .foliation import NotTangent, verify_tangency
-from .parse import ParseError, SchemaError, parse_problem, parse_rational, print_poly, _raw_document
-from .residue import (
-    NonLinearField,
-    NumericConfig,
-    PositiveDimensional,
-    SingularPoint,
-)
+from .algebra import DomainError, RatMatrix
+from .foliation import NotTangent, chart_field, verify_tangency
+from .parse import (ParseError, SchemaError, parse_points, parse_problem, parse_rational,
+                    print_poly, raw_document)
+from .residue import NumericConfig, SingularPoint, classify_point
 
 SCHEMA = "resilog/1"
 
@@ -100,25 +96,14 @@ def _load_points(args, doc) -> list[SingularPoint] | None:
     entries = list(doc.points)
     if getattr(args, "points", None):
         with open(args.points, encoding="utf-8") as handle:
-            raw = _raw_document(handle.read())
+            raw = raw_document(handle.read())
         if "points" not in raw:
             raise SchemaError(f"{args.points}: no 'points' entry")
-        value, _ = raw["points"]
-        for entry in value:
-            entries.append({
-                "chart": int(entry["chart"]),
-                "coords": [parse_rational(str(c)) for c in entry["coords"]],
-            })
+        entries += parse_points(*raw["points"], doc.problem.n)
     if not entries:
         return None
-    from .foliation import chart_field
-    from .residue import _classify
-
-    points = []
-    for entry in entries:
-        cf = chart_field(doc.problem, entry["chart"])
-        points.append(_classify(cf, tuple(entry["coords"]), True))
-    return points
+    fields = {c: chart_field(doc.problem, c) for c in dict.fromkeys(e["chart"] for e in entries)}
+    return [classify_point(fields[e["chart"]], e["coords"], True)[0] for e in entries]
 
 
 def _parse_i_list(args, n: int) -> list[int]:
@@ -408,7 +393,7 @@ def main(argv=None) -> int:
     except (SchemaError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonLinearField, PositiveDimensional) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiPoly, exact_divide
+from .algebra import DomainError, MultiPoly, exact_divide
 from .parse import SchemaError
 
 
-class NotTangent(Exception):
+class NotTangent(DomainError):
     """The vector field does not preserve the divisor in some chart."""
 
     def __init__(self, chart: int, remainder_of: MultiPoly):
@@ -97,9 +97,7 @@ class ChernExpectations:
             raise ValueError(f"i must lie in 0..{self.n - 1}, got {i}")
 
 
-def make_problem(
-    variables, components, divisor: MultiPoly, check_reduced: bool = True
-) -> FoliationProblem:
+def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
     """Validate homogeneity and degrees and assemble a FoliationProblem."""
     variables = tuple(variables)
     components = tuple(components)
@@ -125,8 +123,7 @@ def make_problem(
     m = divisor.degree()
     if m < 1:
         raise SchemaError("divisor degree must be at least 1")
-    if check_reduced:
-        _warn_if_likely_nonreduced(variables, divisor)
+    _warn_if_likely_nonreduced(variables, divisor)
     return FoliationProblem(
         n=n, variables=variables, components=components, divisor=divisor, d=e, m=m
     )

@@ -264,7 +264,7 @@ def _parse_value(text: str, line: int):
     return text  # leave scalars as strings; consumers interpret them
 
 
-def _raw_document(src: str) -> dict[str, tuple[object, int]]:
+def raw_document(src: str) -> dict[str, tuple[object, int]]:
     doc: dict[str, tuple[object, int]] = {}
     for lineno, raw in enumerate(src.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -299,6 +299,24 @@ def _parse_numeric_scalar(key: str, text):
         raise SchemaError(f"bad numeric value for {key!r}: {text!r}") from None
 
 
+def parse_points(value, line: int, n: int) -> list[dict]:
+    """Validated {chart, coords} entries of a ``points`` value on P^n."""
+    if not isinstance(value, list):
+        raise ParseError(line, 1, "points must be a list of {chart, coords} objects")
+    points = []
+    for entry in value:
+        if not isinstance(entry, dict) or "chart" not in entry or "coords" not in entry:
+            raise SchemaError(f"point entry needs 'chart' and 'coords': {entry!r}")
+        chart = int(entry["chart"])
+        coords = [parse_rational(str(c)) for c in entry["coords"]]
+        if len(coords) != n:
+            raise SchemaError(
+                f"point in chart {chart} has {len(coords)} coordinates, expected {n}"
+            )
+        points.append({"chart": chart, "coords": coords})
+    return points
+
+
 def parse_problem(src: str) -> ProblemDocument:
     """Parse a problem file into a FoliationProblem plus optional blocks.
 
@@ -307,7 +325,7 @@ def parse_problem(src: str) -> ProblemDocument:
     """
     from .foliation import make_problem  # local import to avoid a cycle
 
-    doc = _raw_document(src)
+    doc = raw_document(src)
 
     def require(key: str):
         if key not in doc:
@@ -345,21 +363,7 @@ def parse_problem(src: str) -> ProblemDocument:
     divisor_text, divisor_line = require("divisor")
     divisor = parse_poly(str(divisor_text), variables, line0=divisor_line)
 
-    points: list[dict] = []
-    if "points" in doc:
-        pts_value, pts_line = doc["points"]
-        if not isinstance(pts_value, list):
-            raise ParseError(pts_line, 1, "points must be a list of {chart, coords} objects")
-        for entry in pts_value:
-            if not isinstance(entry, dict) or "chart" not in entry or "coords" not in entry:
-                raise SchemaError(f"point entry needs 'chart' and 'coords': {entry!r}")
-            chart = int(entry["chart"])
-            coords = [parse_rational(str(c)) for c in entry["coords"]]
-            if len(coords) != n:
-                raise SchemaError(
-                    f"point in chart {chart} has {len(coords)} coordinates, expected {n}"
-                )
-            points.append({"chart": chart, "coords": coords})
+    points = parse_points(*doc["points"], n) if "points" in doc else []
 
     numeric: dict = {}
     for key, (value, _line) in doc.items():

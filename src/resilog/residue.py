@@ -1,37 +1,40 @@
 """Local residues at singular points.
 
-At a simple zero everything is closed form: the ordinary residue is
-trJ^n/detJ, the residues twisted by the divisor use the induced trace
-trJ_D = trJ - k and the induced determinant det J_D, and the excess
-(variational) residue has the binomial numerator produced by
-``delta_numerator``.  Degenerate zeros go through a seeded perturbation
-engine that splits the zero into simple ones and Richardson-extrapolates
-the summed closed forms over two perturbation sizes.
+Everything exact about a zero comes from one pass, ``local_data``: the
+Jacobian trace trJ and determinant detJ, the cofactor value k(p), and on the
+divisor the induced trace trJ_D = trJ - k and determinant det J_D.  The
+same ``LocalData`` classifies the point (``classify_point``) and feeds the
+closed forms of every i-level (``closed_form_residues``): the ordinary
+residue is trJ^n/detJ, and the excess (variational) residue has the
+binomial numerator produced by ``delta_numerator``.  Degenerate zeros go
+through a seeded perturbation engine that splits the zero into simple ones
+and Richardson-extrapolates the summed closed forms over two perturbation
+sizes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import MultiPoly, RatMatrix, det_exact, rank, solve_linear
+from .algebra import DomainError, MultiPoly, RatMatrix, back_substitute, det_exact, echelon
 from .foliation import ChartField
 
 
-class NotAZero(Exception):
+class NotAZero(DomainError):
     """The point is not a zero of the chart field."""
 
 
-class DivisorSingularAt(Exception):
+class DivisorSingularAt(DomainError):
     """The point lies on the singular locus of the divisor (unsupported)."""
 
 
-class NotOnDivisor(Exception):
+class NotOnDivisor(DomainError):
     """A divisor-twisted residue (i >= 1) was requested off the divisor."""
 
 
@@ -39,27 +42,27 @@ class DegenerateZero(Exception):
     """The relevant Jacobian determinant vanishes; use the perturbation engine."""
 
 
-class NotSupported(Exception):
+class NotSupported(DomainError):
     """Degenerate zero on a divisor that is not coordinate-aligned."""
 
 
-class ZeroCountUnstable(Exception):
+class ZeroCountUnstable(DomainError):
     """Perturbed zero counts disagree between the two perturbation sizes."""
 
 
-class NewtonDivergence(Exception):
+class NewtonDivergence(DomainError):
     """No Newton start converged to a zero."""
 
 
-class BoundaryZero(Exception):
+class BoundaryZero(DomainError):
     """A perturbed zero sits on the search boundary; enlarge the radius."""
 
 
-class NonLinearField(Exception):
+class NonLinearField(DomainError):
     """exact_linear zero discovery requires affine-linear components."""
 
 
-class PositiveDimensional(Exception):
+class PositiveDimensional(DomainError):
     """The zero set is not isolated."""
 
     def __init__(self, dimension: int):
@@ -87,9 +90,6 @@ class SingularPoint:
     exact: bool = True
     on_divisor: bool = False
     simple: bool | None = None
-
-    def key(self) -> str:
-        return f"chart{self.chart}:" + ",".join(str(c) for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -129,35 +129,63 @@ def _det(rows, exact: bool):
     return complex(np.linalg.det(np.array(rows, dtype=complex))).real
 
 
+def _on_divisor(cf: ChartField, coords, exact: bool) -> bool:
+    return not cf.f.is_constant and _is_zero(cf.f.eval(coords), exact)
+
+
+def _divisor_gradient(cf: ChartField, coords, exact: bool):
+    """Gradient of f at a point of the divisor and the index s of its first
+    nonzero entry; raises DivisorSingularAt where the gradient vanishes."""
+    grad_f = [cf.f.partial(v).eval(coords) for v in cf.variables]
+    s = next((j for j, g in enumerate(grad_f) if not _is_zero(g, exact)), None)
+    if s is None:
+        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
+                                " residues there are unsupported")
+    return grad_f, s
+
+
+def _trace(field: Sequence[MultiPoly], variables) -> MultiPoly:
+    """Divergence sum_j d a_j / d x_j of a field as a polynomial."""
+    tr = MultiPoly.zero(variables)
+    for a_j, v in zip(field, variables):
+        tr = tr + a_j.partial(v)
+    return tr
+
+
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     """Traces, determinants, and cofactor value of the field at a zero of it."""
     n = cf.n
     coords = tuple(p.coords)
     exact = _coords_exact(coords)
-    values = [a.eval(coords) for a in cf.a]
-    if any(not _is_zero(v, exact) for v in values):
-        raise NotAZero(f"field does not vanish at {coords}")
+    if any(not _is_zero(a.eval(coords), exact) for a in cf.a):
+        raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
     jac = [[cf.a[r].partial(v).eval(coords) for v in cf.variables] for r in range(n)]
     trJ = sum(jac[j][j] for j in range(n))
     detJ = _det(jac, exact)
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
     trJD = trJ - k_at_p
-
-    f_at_p = cf.f.eval(coords)
-    on_divisor = (not cf.f.is_constant) and _is_zero(f_at_p, exact)
-    if not on_divisor:
+    if not _on_divisor(cf, coords, exact):
         return LocalData(trJ=trJ, detJ=detJ, k_at_p=k_at_p, trJD=trJD, detJD=None, s=None)
 
-    grad_f = [cf.f.partial(v).eval(coords) for v in cf.variables]
-    s = next((j for j, g in enumerate(grad_f) if not _is_zero(g, exact)), None)
-    if s is None:
-        raise DivisorSingularAt(
-            f"divisor is singular at {coords}; residues there are unsupported"
-        )
+    grad_f, s = _divisor_gradient(cf, coords, exact)
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
     return LocalData(trJ=trJ, detJ=detJ, k_at_p=k_at_p, trJD=trJD, detJD=detJD, s=s)
+
+
+def classify_point(cf: ChartField, coords, exact: bool) -> tuple[SingularPoint, LocalData | None]:
+    """The zero at ``coords`` flagged on/off the divisor and simple or not,
+    with its local data (None where the divisor is singular; simple is then
+    unknown)."""
+    coords = tuple(coords)
+    try:
+        ld = local_data(cf, SingularPoint(cf.chart, coords, exact))
+    except DivisorSingularAt:
+        return SingularPoint(cf.chart, coords, exact, True, None), None
+    on_divisor = ld.s is not None
+    simple = not _is_zero(ld.detJD if on_divisor else ld.detJ, exact)
+    return SingularPoint(cf.chart, coords, exact, on_divisor, simple), ld
 
 
 def delta_numerator(T, k, n: int, i: int):
@@ -182,8 +210,13 @@ def delta_numerator(T, k, n: int, i: int):
 
 def simple_residues(cf: ChartField, p: SingularPoint, i: int) -> ResidueRecord:
     """Closed-form ordinary/logarithmic/variational residues at a simple zero."""
-    n = cf.n
-    ld = local_data(cf, p)
+    return closed_form_residues(local_data(cf, p), p, i)
+
+
+def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueRecord:
+    """Residues at level i from the point's local data; raises DegenerateZero
+    where the relevant determinant vanishes."""
+    n = len(p.coords)
     exact = _coords_exact(p.coords)
     zero = Fraction(0) if exact else 0.0
 
@@ -373,16 +406,11 @@ def _restrict_to_divisor(cf: ChartField, s: int):
     induced = tuple(
         a.substitute_one(s_name, 0) for j, a in enumerate(cf.a) if j != s
     )
-    tr_ambient = MultiPoly.zero(cf.variables)
-    for a_j, v in zip(cf.a, cf.variables):
-        tr_ambient = tr_ambient + a_j.partial(v)
-    tr_ambient_on_D = tr_ambient.substitute_one(s_name, 0)
+    tr_ambient_on_D = _trace(cf.a, cf.variables).substitute_one(s_name, 0)
     k_on_D = (cf.k if cf.k is not None else MultiPoly.zero(cf.variables)).substitute_one(
         s_name, 0
     )
-    tr_induced = MultiPoly.zero(induced[0].variables)
-    for a_j, v in zip(induced, induced[0].variables):
-        tr_induced = tr_induced + a_j.partial(v)
+    tr_induced = _trace(induced, induced[0].variables)
     return induced, tr_ambient_on_D, tr_induced, k_on_D
 
 
@@ -399,30 +427,22 @@ def perturbed_residue(
     n = cf.n
     coords = tuple(p.coords)
     exact = _coords_exact(coords)
-    f_at_p = cf.f.eval(coords)
-    on_divisor = (not cf.f.is_constant) and _is_zero(f_at_p, exact)
+    on_divisor = _on_divisor(cf, coords, exact)
     if i != 0 and not on_divisor:
         raise NotOnDivisor(f"i={i} residues only exist on the divisor")
-    point_id = p.key()
+    point_id = f"chart{p.chart}:" + ",".join(str(c) for c in coords)
     center = _float_point(coords)
     point = replace(p, on_divisor=on_divisor, exact=False)
 
-    if i == 0 and not on_divisor:
-        def nums(perturbed):
-            tr = MultiPoly.zero(cf.variables)
-            for a_j, v in zip(perturbed, cf.variables):
-                tr = tr + a_j.partial(v)
-            trn = tr**n
-            return [trn.eval]
+    def ambient_nums(perturbed):
+        return [(_trace(perturbed, cf.variables) ** n).eval]
 
-        (ordinary,), err = _perturbation_sums(cf.a, nums, center, point_id, 0, cfg)
+    if i == 0 and not on_divisor:
+        (ordinary,), err = _perturbation_sums(cf.a, ambient_nums, center, point_id, 0, cfg)
         return ResidueRecord(point, 0, ordinary, ordinary, 0.0, "perturbation", err)
 
     # On the divisor: the induced field lives in the non-divisor coordinates.
-    grad_f = [cf.f.partial(v).eval(coords) for v in cf.variables]
-    s = next((j for j, g in enumerate(grad_f) if not _is_zero(g, exact)), None)
-    if s is None:
-        raise DivisorSingularAt(f"divisor is singular at {coords}")
+    _, s = _divisor_gradient(cf, coords, exact)
     induced, trA, trD, kD = _restrict_to_divisor(cf, s)
     induced_center = np.array([c for j, c in enumerate(center) if j != s])
     induced_id = point_id + "|induced"
@@ -432,16 +452,8 @@ def perturbed_residue(
         (var,), err_var = _perturbation_sums(
             induced, lambda _: [delta0.eval], induced_center, induced_id, 0, cfg
         )
-
-        def nums(perturbed):
-            tr = MultiPoly.zero(cf.variables)
-            for a_j, v in zip(perturbed, cf.variables):
-                tr = tr + a_j.partial(v)
-            trn = tr**n
-            return [trn.eval]
-
         (ordinary,), err_ord = _perturbation_sums(
-            cf.a, nums, center, point_id, 0, cfg
+            cf.a, ambient_nums, center, point_id, 0, cfg
         )
         err = max(err_var, err_ord)
         return ResidueRecord(point, 0, ordinary, ordinary - var, var, "perturbation", err)
@@ -462,59 +474,37 @@ def perturbed_residue(
 
 # -- zero discovery --------------------------------------------------------
 
-def _linear_parts(cf: ChartField):
-    """(A, b) with a(x) = A x + b, or NonLinearField."""
+def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
+    """Exact zeros of an affine-linear chart field a(x) = A x + b.
+
+    One elimination of the augmented matrix [A | -b]: a pivot in the last
+    column means no zero, fewer than n pivots a zero set of positive
+    dimension (PositiveDimensional), otherwise the unique zero.
+    """
     n = cf.n
-    A = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
+    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
     for r, a in enumerate(cf.a):
         for e, c in a.terms.items():
             total = sum(e)
             if total == 0:
-                b[r] = c
+                aug[r][n] = -c
             elif total == 1:
-                A[r][e.index(1)] = c
+                aug[r][e.index(1)] = c
             else:
                 raise NonLinearField(
                     f"component {r} has a degree-{total} term; use numeric discovery"
                 )
-    return A, b
-
-
-def _classify(cf: ChartField, coords, exact: bool) -> SingularPoint:
-    f_at = cf.f.eval(coords)
-    on_divisor = (not cf.f.is_constant) and _is_zero(f_at, exact)
-    jac = [[cf.a[r].partial(v).eval(coords) for v in cf.variables] for r in range(cf.n)]
-    detJ = _det(jac, exact)
-    if on_divisor:
-        try:
-            p0 = SingularPoint(cf.chart, tuple(coords), exact, on_divisor)
-            ld = local_data(cf, p0)
-            simple = not _is_zero(ld.detJD, exact)
-        except DivisorSingularAt:
-            simple = None
-    else:
-        simple = not _is_zero(detJ, exact)
-    return SingularPoint(cf.chart, tuple(coords), exact, on_divisor, simple)
+    rows, pivots, _ = echelon(aug)
+    if n in pivots:
+        return []
+    if len(pivots) < n:
+        raise PositiveDimensional(n - len(pivots))
+    return [tuple(back_substitute(rows, n))]
 
 
 def discover_zeros_exact_linear(cf: ChartField) -> list[SingularPoint]:
-    """Exact zeros of an affine-linear chart field.
-
-    Unique zero when the linear part is nonsingular; otherwise the solution
-    set is affine of positive dimension (or empty) and PositiveDimensional
-    is raised / an empty list returned.
-    """
-    A, b = _linear_parts(cf)
-    mat = RatMatrix(A) if cf.n else None
-    r = rank(mat)
-    if r < cf.n:
-        aug = RatMatrix([row + [-bv] for row, bv in zip(A, b)])
-        if rank(aug) > r:
-            return []
-        raise PositiveDimensional(cf.n - r)
-    x = solve_linear(mat, [-bv for bv in b])
-    return [_classify(cf, tuple(x), True)]
+    """The classified exact zeros of an affine-linear chart field."""
+    return [classify_point(cf, x, True)[0] for x in linear_zeros(cf)]
 
 
 def discover_zeros_numeric(
@@ -553,4 +543,4 @@ def discover_zeros_numeric(
             continue
         if all(max(abs(a - b) for a, b in zip(real, q)) > cfg.dedupe_radius for q in found):
             found.append(real)
-    return [_classify(cf, q, False) for q in sorted(found)]
+    return [classify_point(cf, q, False)[0] for q in sorted(found)]

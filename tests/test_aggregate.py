@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from resilog import aggregate, foliation, residue
 from resilog.aggregate import (
     IncompletePointSet,
     enumerate_singularities,
@@ -13,7 +16,10 @@ from resilog.aggregate import (
 )
 from resilog.algebra import MultiPoly
 from resilog.foliation import make_problem
+from resilog.parse import parse_problem
 from resilog.residue import SingularPoint
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 Z3 = ("z0", "z1", "z2")
 Z4 = ("z0", "z1", "z2", "z3")
@@ -158,3 +164,26 @@ def test_surface_totals_random_instances(seed):
     report = surface_report(problem)
     assert report.gsv_total == report.expected_gsv_total
     assert report.cs_total == report.expected_cs_total
+
+
+def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
+    problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
+    fields, data = Counter(), Counter()
+
+    def counted(fn, counter, key):
+        def wrapper(*args):
+            counter[key(*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    chart_field = counted(foliation.chart_field, fields, lambda _, chart: chart)
+    local_data = counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords))
+    for module in (foliation, aggregate):
+        monkeypatch.setattr(module, "chart_field", chart_field)
+    for module in (residue, aggregate):
+        monkeypatch.setattr(module, "local_data", local_data)
+
+    report = verify_identities(problem)
+    assert report.all_ok and len(report.checks[0].records) == 4
+    assert fields == {c: 1 for c in range(4)}
+    assert len(data) == 4 and set(data.values()) == {1}

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resilog.algebra import (
     MultiPoly,
@@ -91,6 +93,27 @@ def test_align_merges_variables():
     assert (a + b).eval((Fraction(2), Fraction(5))) == 7
 
 
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 2),
+        st.fractions(max_denominator=9).filter(lambda c: c != 0),
+        max_size=4,
+    ),
+    st.permutations(["x", "y", "z"]),
+)
+def test_hash_agrees_with_eq_across_variable_orders(terms, order):
+    # The same polynomial in x, y declared over permuted variables that also
+    # carry an unused one.
+    p = MultiPoly(("x", "y"), terms)
+    q = MultiPoly(order, {
+        tuple({"x": e[0], "y": e[1], "z": 0}[v] for v in order): c
+        for e, c in terms.items()
+    })
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
 def test_homogeneous_detection():
     p = MultiPoly(VARS, {(2, 0, 0): 1, (1, 1, 0): -3})
     assert p.is_homogeneous() and p.degree() == 2
@@ -175,3 +198,6 @@ def test_rank():
     assert rank(RatMatrix([[1, 0], [0, 1]])) == 2
     assert rank(RatMatrix([[0, 0], [0, 0]])) == 0
     assert rank(RatMatrix([[1, 2, 3], [4, 5, 6]])) == 2
+    # Columns without a pivot are skipped by the elimination.
+    assert rank(RatMatrix([[0, 1, 1], [0, 1, 2], [0, 3, 5]])) == 2
+    assert rank(RatMatrix([[0, 0, 1], [0, 0, 2]])) == 1

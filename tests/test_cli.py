@@ -39,6 +39,26 @@ def test_check_not_tangent_exit_2(capsys):
     assert "NOT TANGENT" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "zeros", "poincare", "surface"])
+def test_not_tangent_exit_2_without_traceback(capsys, command):
+    code, out, err = run(capsys, command, NOT_TANGENT)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: field is not tangent to the divisor in chart 0: "
+                   "v(f) is not divisible by f\n")
+
+
+@pytest.mark.parametrize("entry, code, message", [
+    ("{chart: 0, coords: [1, 1]}", 2, "field does not vanish at (1, 1)"),
+    ("{chart: 0}", 1, "point entry needs 'chart' and 'coords': {'chart': '0'}"),
+    ("{chart: 0, coords: [0, 0, 0]}", 1, "point in chart 0 has 3 coordinates, expected 2"),
+])
+def test_bad_points_file_exit_code_without_traceback(capsys, tmp_path, entry, code, message):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"points = [{entry}]\n")
+    assert run(capsys, "verify", P2, "--points", str(pts)) == (code, "", f"error: {message}\n")
+
+
 def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "check", MALFORMED)
     assert code == 1
