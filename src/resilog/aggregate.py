@@ -202,12 +202,9 @@ def verify_identities(
     if i_list is None:
         i_list = list(range(problem.n))
 
-    # One LocalData per point, shared by every i-level it enters.
-    located = [
-        (p, cf, ld if ld is not None else local_data(cf, p))
-        for p, cf, ld in located
-        if 0 in i_list or p.on_divisor
-    ]
+    # One LocalData per point, shared by every i-level it enters; the points
+    # on the divisor (the i >= 1 levels) are read off it, not off p.on_divisor.
+    located = [(p, cf, ld if ld is not None else local_data(cf, p)) for p, cf, ld in located]
     expect = chern_expectations(problem)
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
@@ -215,7 +212,7 @@ def verify_identities(
 
     for i in i_list:
         records = [_residue_record(cf, p, ld, i, cfg)
-                   for p, cf, ld in located if i == 0 or p.on_divisor]
+                   for p, cf, ld in located if i == 0 or ld.s is not None]
         any_numeric = any_numeric or any(r.method == "perturbation" for r in records)
         ordinary_available = all(r.ordinary is not None for r in records)
         if not ordinary_available:

@@ -9,7 +9,8 @@ residue is trJ^n/detJ, and the excess (variational) residue has the
 binomial numerator produced by ``delta_numerator``.  Degenerate zeros go
 through a seeded perturbation engine that splits the zero into simple ones
 and Richardson-extrapolates the summed closed forms over two perturbation
-sizes.
+sizes.  numpy is imported inside the numeric functions only, so the exact
+path (and every CLI call but ``zeros --numeric``) never pays for loading it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, back_substitute, det_exact, echelon
 from .foliation import ChartField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotAZero(DomainError):
@@ -126,6 +128,7 @@ def _is_zero(value, exact: bool, tol: float = 1e-9) -> bool:
 def _det(rows, exact: bool):
     if exact:
         return det_exact(RatMatrix(rows))
+    import numpy as np
     return complex(np.linalg.det(np.array(rows, dtype=complex))).real
 
 
@@ -256,8 +259,33 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueReco
 # -- numeric engine --------------------------------------------------------
 
 def _float_point(coords) -> np.ndarray:
+    import numpy as np
     return np.array([complex(float(c), 0.0) if not isinstance(c, complex) else c
                      for c in coords])
+
+
+def _newton(field: Sequence[MultiPoly], jac, x0, cfg: NumericConfig,
+            center: np.ndarray | None = None, escape: float = math.inf) -> np.ndarray | None:
+    """Complex Newton from one start: the zero reached, or None when the
+    Jacobian turns singular, the residual stays above ``cfg.newton_tol`` for
+    ``cfg.newton_max_iter`` steps, or an iterate leaves the L-inf ball of
+    radius ``escape`` about ``center``."""
+    import numpy as np
+    m = len(field)
+    x = np.array(x0, dtype=complex)
+    for _ in range(cfg.newton_max_iter):
+        fx = np.array([p.eval(x) for p in field], dtype=complex)
+        if np.max(np.abs(fx)) < cfg.newton_tol:
+            return x
+        J = np.array([[jac[r][c].eval(x) for c in range(m)] for r in range(m)],
+                     dtype=complex)
+        try:
+            x = x - np.linalg.solve(J, fx)
+        except np.linalg.LinAlgError:
+            return None
+        if center is not None and np.max(np.abs(x - center)) > escape:
+            return None
+    return None
 
 
 def _newton_multistart(
@@ -272,6 +300,7 @@ def _newton_multistart(
     circle of radius 0.6*radius; Newton runs in complex arithmetic so that
     conjugate zero pairs produced by perturbation are found too.
     """
+    import numpy as np
     m = len(field)
     variables = field[0].variables
     jac = [[field[r].partial(v) for v in variables] for r in range(m)]
@@ -282,33 +311,17 @@ def _newton_multistart(
                                math.sin(2 * math.pi * t / (g - 1)))
         for t in range(g - 1)
     ]
-    starts = [center.copy()]
-    # Cartesian product of per-axis offsets.
+    # The center, then the Cartesian product of per-axis offsets.
     stack = [[]]
     for _ in range(m):
         stack = [prefix + [off] for prefix in stack for off in ring]
-    starts += [center + np.array(offsets) for offsets in stack]
+    starts = [center] + [center + np.array(offsets) for offsets in stack]
 
     found: list[np.ndarray] = []
     converged_any = False
     for x0 in starts:
-        x = x0.copy()
-        ok = False
-        for _ in range(cfg.newton_max_iter):
-            fx = np.array([p.eval(x) for p in field], dtype=complex)
-            if np.max(np.abs(fx)) < cfg.newton_tol:
-                ok = True
-                break
-            J = np.array([[jac[r][c].eval(x) for c in range(m)] for r in range(m)],
-                         dtype=complex)
-            try:
-                step = np.linalg.solve(J, fx)
-            except np.linalg.LinAlgError:
-                break
-            x = x - step
-            if np.max(np.abs(x - center)) > 10 * radius:
-                break
-        if not ok:
+        x = _newton(field, jac, x0, cfg, center, 10 * radius)
+        if x is None:
             continue
         converged_any = True
         dist = float(np.max(np.abs(x - center)))
@@ -351,6 +364,7 @@ def _perturbation_sums(
     polynomials/callables; the return is one extrapolated value per
     numerator, plus the error estimate (two-level difference).
     """
+    import numpy as np
     variables = field[0].variables
     eps1, eps2 = cfg.eps_levels
     # One perturbation direction scaled by each eps: the leading error term
@@ -444,7 +458,7 @@ def perturbed_residue(
     # On the divisor: the induced field lives in the non-divisor coordinates.
     _, s = _divisor_gradient(cf, coords, exact)
     induced, trA, trD, kD = _restrict_to_divisor(cf, s)
-    induced_center = np.array([c for j, c in enumerate(center) if j != s])
+    induced_center = _float_point(coords[:s] + coords[s + 1:])
     induced_id = point_id + "|induced"
 
     if i == 0:
@@ -521,22 +535,8 @@ def discover_zeros_numeric(
         grids = [prefix + [x] for prefix in grids for x in axis]
     found: list[tuple] = []
     for start in grids:
-        x = np.array(start, dtype=complex)
-        ok = False
-        for _ in range(cfg.newton_max_iter):
-            fx = np.array([p.eval(x) for p in cf.a], dtype=complex)
-            if np.max(np.abs(fx)) < cfg.newton_tol:
-                ok = True
-                break
-            J = np.array([[jac[r][c].eval(x) for c in range(n)] for r in range(n)],
-                         dtype=complex)
-            try:
-                x = x - np.linalg.solve(J, fx)
-            except np.linalg.LinAlgError:
-                break
-        if not ok:
-            continue
-        if np.max(np.abs(x.imag)) > 1e-8:
+        x = _newton(cf.a, jac, start, cfg)
+        if x is None or max(abs(c.imag) for c in x) > 1e-8:
             continue
         real = tuple(float(c.real) for c in x)
         if any(not lo - 1e-9 <= c <= hi + 1e-9 for c in real):

@@ -113,6 +113,28 @@ def test_partial_point_set_warns_and_downgrades():
     assert not report.all_ok  # one point cannot reach the global totals
 
 
+def test_unflagged_point_on_divisor_enters_i1():
+    # (1:0:0) lies on the divisor z2 = 0; the caller did not say so.
+    pts = [SingularPoint(0, (Fraction(0), Fraction(0)))]
+    with pytest.warns(IncompletePointSet):
+        report = verify_identities(P2, points=pts, complete=False)
+    [record] = report.checks[1].records
+    assert record.point.on_divisor
+
+
+def test_unflagged_points_verify_like_classified_ones():
+    problem = parse_problem((FIXTURES / "p2_example.fol").read_text()).problem
+    found = enumerate_singularities(problem)
+    bare = [SingularPoint(p.chart, p.coords) for p in found]
+    classified, unflagged = verify_identities(problem, found), verify_identities(problem, bare)
+    assert len(unflagged.checks[1].records) == 2 and unflagged.all_ok
+    for i in (0, 1):
+        assert ([(r.point.coords, r.point.on_divisor, r.ordinary, r.log, r.var)
+                 for r in unflagged.checks[i].records]
+                == [(r.point.coords, r.point.on_divisor, r.ordinary, r.log, r.var)
+                    for r in classified.checks[i].records])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_identity_random_diagonal(seed):
     rng = random.Random(seed)

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_golden import CASES
 
 from resilog.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 P2 = str(FIXTURES / "p2_example.fol")
 P3 = str(FIXTURES / "p3_example.fol")
 A2 = str(FIXTURES / "a2_chain.json")
@@ -167,3 +172,33 @@ def test_numeric_discovery_flag(capsys):
     assert code == 0
     assert doc["mode"] == "numeric"
     assert len(doc["points"]) == 3
+
+
+LAZY_NUMPY = """
+import contextlib, io, sys
+from resilog.aggregate import verify_identities
+from resilog.cli import main
+from resilog.parse import parse_problem
+
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in {exact!r}:
+        main([*argv, "--format", "machine"])
+    loaded.append("numpy" in sys.modules)
+    verify_identities(parse_problem(open("fixtures/p3_example.fol").read()).problem)
+    loaded.append("numpy" in sys.modules)
+    main(["zeros", "--numeric", "fixtures/p2_example.fol"])
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_numpy_loads_only_on_the_numeric_path():
+    exact = [argv for argv in CASES.values() if "--numeric" not in argv]
+    assert len(exact) == 14
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY.format(exact=exact)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, check=True)
+    # Every exact golden case, then verify_identities, then zeros --numeric.
+    assert proc.stdout == "[False, False, True]\n"
