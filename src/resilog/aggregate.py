@@ -190,20 +190,22 @@ def verify_identities(
     """Check the global residue identities on this instance.
 
     With no points given, singularities are discovered exactly (affine-linear
-    charts only).  An exact zero discrepancy at every requested i certifies
-    the identity on this instance.
+    charts only); given points are classified here, whatever their flags.  An
+    exact zero discrepancy at every requested i certifies the identity on
+    this instance.
     """
     if points is None:
         located = _locate(problem, "exact_linear", None, None, cfg)
     else:
         fields = {c: chart_field(problem, c) for c in dict.fromkeys(p.chart for p in points)}
-        located = [(p, fields[p.chart], None) for p in points]
+        located = [(q, fields[p.chart], ld) for p in points
+                   for q, ld in [classify_point(fields[p.chart], p.coords, p.exact)]]
     complete = True if complete is None else complete
     if i_list is None:
         i_list = list(range(problem.n))
 
     # One LocalData per point, shared by every i-level it enters; the points
-    # on the divisor (the i >= 1 levels) are read off it, not off p.on_divisor.
+    # on the divisor (the i >= 1 levels) are read off it.
     located = [(p, cf, ld if ld is not None else local_data(cf, p)) for p, cf, ld in located]
     expect = chern_expectations(problem)
     checks: dict[int, IdentityCheck] = {}

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: check, zeros, residues, verify, poincare, surface,
-discrepancy, cyclic.  Output is either a human table or a machine-readable
-JSON document (schema "resilog/1"); both renderings are built from the same
-document, and all runs are deterministic for fixed inputs and flags.
+discrepancy, cyclic.  Each command returns its exit code, its document and
+its table lines; ``main`` turns the document into JSON with ``to_doc``, tags
+it with the schema "resilog/1" and the command, and prints either that
+(``--format machine``) or the table.  All runs are deterministic for fixed
+inputs and flags.
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain failure (not tangent,
 identity violated, matrix not negative definite, ...).
@@ -19,72 +21,37 @@ from fractions import Fraction
 
 from . import aggregate, birational
 from .algebra import DomainError, RatMatrix
-from .foliation import NotTangent, chart_field, verify_tangency
-from .parse import (ParseError, SchemaError, parse_points, parse_problem, parse_rational,
-                    print_poly, raw_document)
-from .residue import NumericConfig, SingularPoint, classify_point
+from .foliation import NotTangent, verify_tangency
+from .parse import (ParseError, SchemaError, numeric_value, parse_points, parse_problem,
+                    parse_rational, print_poly, raw_document)
+from .residue import NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
+KINDS = ("ordinary", "log", "var")
+Output = tuple[int, object, list[str]]  # exit code, document, table lines
 
 
-def fmt(value) -> object:
-    """JSON-safe rendering: exact rationals as 'p/q', floats as floats."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
+def to_doc(value):
+    """JSON-ready form of a result: a dataclass becomes an object of its fields
+    (``error`` left out while None), a dict an object, a list or tuple a list
+    and a Fraction "p/q"; every other value is left as it is."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if f.name != "error" or value.error is not None}
+    if isinstance(value, dict):
+        return {k: to_doc(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_doc(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return value
-    return str(value)
-
-
-def _point_doc(p: SingularPoint) -> dict:
-    return {
-        "chart": p.chart,
-        "coords": [fmt(c) for c in p.coords],
-        "exact": p.exact,
-        "on_divisor": p.on_divisor,
-        "simple": p.simple,
-    }
-
-
-def _record_doc(r) -> dict:
-    doc = {
-        "point": _point_doc(r.point),
-        "i": r.i,
-        "ordinary": fmt(r.ordinary),
-        "log": fmt(r.log),
-        "var": fmt(r.var),
-        "method": r.method,
-    }
-    if r.error is not None:
-        doc["error"] = r.error
-    return doc
-
-
-def _emit(doc: dict, fmt_name: str, lines: list[str]):
-    if fmt_name == "machine":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    return value
 
 
 def _numeric_config(args, file_numeric: dict) -> NumericConfig:
-    values = dict(file_numeric)
-    for key in ("seed", "newton_tol", "newton_max_iter", "dedupe_radius",
-                "search_radius", "grid_per_axis"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "eps_levels", None):
-        values["eps_levels"] = tuple(float(x) for x in args.eps_levels.split(","))
-    if "eps_levels" in values:
-        values["eps_levels"] = tuple(values["eps_levels"])
-    return NumericConfig(**values)
+    """The defaults, overridden by the file's numeric.* keys, then by the flags."""
+    flags = {f.name: numeric_value(f.name, getattr(args, f.name))
+             for f in dataclasses.fields(NumericConfig) if getattr(args, f.name) is not None}
+    return NumericConfig(**{**file_numeric, **flags})
 
 
 def _load_document(path: str):
@@ -93,136 +60,92 @@ def _load_document(path: str):
 
 
 def _load_points(args, doc) -> list[SingularPoint] | None:
+    """The user-attested points of the file and of ``--points``; verify_identities
+    classifies them."""
     entries = list(doc.points)
-    if getattr(args, "points", None):
+    if args.points:
         with open(args.points, encoding="utf-8") as handle:
             raw = raw_document(handle.read())
         if "points" not in raw:
             raise SchemaError(f"{args.points}: no 'points' entry")
         entries += parse_points(*raw["points"], doc.problem.n)
-    if not entries:
-        return None
-    fields = {c: chart_field(doc.problem, c) for c in dict.fromkeys(e["chart"] for e in entries)}
-    return [classify_point(fields[e["chart"]], e["coords"], True)[0] for e in entries]
+    return [SingularPoint(e["chart"], tuple(e["coords"])) for e in entries] or None
 
 
-def _parse_i_list(args, n: int) -> list[int]:
-    text = getattr(args, "i", None) or "all"
-    if text == "all":
-        return list(range(n))
-    return [int(part) for part in text.split(",")]
+def _hom(problem, p: SingularPoint) -> str:
+    return ":".join(str(c) for c in aggregate.homogeneous_representative(problem, p))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Output:
     doc = _load_document(args.problem)
     try:
         cofactors = verify_tangency(doc.problem)
     except NotTangent as exc:
-        _emit(
-            {"schema": SCHEMA, "command": "check", "tangent": False,
-             "chart": exc.chart, "remainder_of": print_poly(exc.applied)},
-            args.format,
-            [f"NOT TANGENT in chart {exc.chart}: v(f) = {print_poly(exc.applied)} "
-             "is not divisible by f"],
-        )
-        return 2
-    lines = ["tangent: yes"]
-    table = {}
-    for chart, k in sorted(cofactors.items()):
-        table[str(chart)] = print_poly(k)
-        lines.append(f"  chart {chart}: k = {print_poly(k)}")
-    _emit({"schema": SCHEMA, "command": "check", "tangent": True, "cofactors": table},
-          args.format, lines)
-    return 0
+        remainder = print_poly(exc.applied)
+        return 2, {"tangent": False, "chart": exc.chart, "remainder_of": remainder}, [
+            f"NOT TANGENT in chart {exc.chart}: v(f) = {remainder} is not divisible by f"]
+    table = {str(chart): print_poly(k) for chart, k in sorted(cofactors.items())}
+    lines = ["tangent: yes", *(f"  chart {chart}: k = {k}" for chart, k in table.items())]
+    return 0, {"tangent": True, "cofactors": table}, lines
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros(args) -> Output:
     doc = _load_document(args.problem)
     cfg = _numeric_config(args, doc.numeric)
     mode = "numeric" if args.numeric else "exact_linear"
     points = aggregate.enumerate_singularities(doc.problem, mode, cfg=cfg)
     lines = [f"{len(points)} singular point(s) ({mode} discovery)"]
-    for p in points:
-        hom = aggregate.homogeneous_representative(doc.problem, p)
-        lines.append(
-            f"  [{':'.join(str(fmt(c)) for c in hom)}]  chart {p.chart}, "
-            f"{'on' if p.on_divisor else 'off'} divisor, "
-            f"{'simple' if p.simple else 'degenerate'}"
-        )
-    _emit({"schema": SCHEMA, "command": "zeros", "mode": mode,
-           "points": [_point_doc(p) for p in points]}, args.format, lines)
-    return 0
+    lines += [f"  [{_hom(doc.problem, p)}]  chart {p.chart}, "
+              f"{'on' if p.on_divisor else 'off'} divisor, "
+              f"{'simple' if p.simple else 'degenerate'}" for p in points]
+    return 0, {"mode": mode, "points": points}, lines
 
 
-def cmd_residues(args) -> int:
+def _identities(args):
     doc = _load_document(args.problem)
     cfg = _numeric_config(args, doc.numeric)
     points = _load_points(args, doc)
-    i_list = _parse_i_list(args, doc.problem.n)
-    report = aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
-    lines = []
-    recs = []
-    for i, check in sorted(report.checks.items()):
-        for r in check.records:
-            recs.append(_record_doc(r))
-            hom = aggregate.homogeneous_representative(doc.problem, r.point)
-            lines.append(
-                f"i={i} [{':'.join(str(fmt(c)) for c in hom)}]  "
-                f"ordinary={fmt(r.ordinary)}  log={fmt(r.log)}  var={fmt(r.var)}  "
-                f"({r.method})"
-            )
-    _emit({"schema": SCHEMA, "command": "residues", "records": recs,
-           "level": report.level}, args.format, lines)
-    return 0
+    i_list = (list(range(doc.problem.n)) if args.i == "all"
+              else [int(part) for part in args.i.split(",")])
+    return doc.problem, aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
 
 
-def _check_doc(check: aggregate.IdentityCheck) -> dict:
-    return {
-        "i": check.i,
-        "records": [_record_doc(r) for r in check.records],
-        "totals": {"ordinary": fmt(check.ordinary_total),
-                   "log": fmt(check.log_total),
-                   "var": fmt(check.var_total)},
-        "expected": {"ordinary": check.expected_ordinary,
-                     "log": check.expected_log,
-                     "var": check.expected_var},
-        "ok": {"ordinary": check.ordinary_ok, "log": check.log_ok,
-               "var": check.var_ok},
-    }
+def cmd_residues(args) -> Output:
+    problem, report = _identities(args)
+    records = [r for _, check in sorted(report.checks.items()) for r in check.records]
+    lines = [f"i={r.i} [{_hom(problem, r.point)}]  ordinary={r.ordinary}  log={r.log}  "
+             f"var={r.var}  ({r.method})" for r in records]
+    return 0, {"records": records, "level": report.level}, lines
 
 
-def cmd_verify(args) -> int:
-    doc = _load_document(args.problem)
-    cfg = _numeric_config(args, doc.numeric)
-    points = _load_points(args, doc)
-    i_list = _parse_i_list(args, doc.problem.n)
-    report = aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
+def _check_doc(c: aggregate.IdentityCheck) -> dict:
+    return {"i": c.i, "records": c.records,
+            "totals": {k: getattr(c, f"{k}_total") for k in KINDS},
+            "expected": {k: getattr(c, f"expected_{k}") for k in KINDS},
+            "ok": {k: getattr(c, f"{k}_ok") for k in KINDS}}
+
+
+def cmd_verify(args) -> Output:
+    _, report = _identities(args)
+    checks = [_check_doc(c) for _, c in sorted(report.checks.items())]
     lines = [f"certification level: {report.level}"]
-    for i, check in sorted(report.checks.items()):
-        lines.append(
-            f"i={i}: ordinary {fmt(check.ordinary_total)} vs {check.expected_ordinary} "
-            f"[{'ok' if check.ordinary_ok else 'FAIL'}], "
-            f"log {fmt(check.log_total)} vs {check.expected_log} "
-            f"[{'ok' if check.log_ok else 'FAIL'}], "
-            f"var {fmt(check.var_total)} vs {check.expected_var} "
-            f"[{'ok' if check.var_ok else 'FAIL'}]"
-        )
+    for c in checks:
+        lines.append(f"i={c['i']}: " + ", ".join(
+            f"{k} {c['totals'][k]} vs {c['expected'][k]} [{'ok' if c['ok'][k] else 'FAIL'}]"
+            for k in KINDS))
     lines.extend(report.notes)
-    _emit({"schema": SCHEMA, "command": "verify", "level": report.level,
-           "complete": report.complete, "all_ok": report.all_ok,
-           "checks": [_check_doc(c) for _, c in sorted(report.checks.items())],
-           "notes": report.notes}, args.format, lines)
-    return 0 if report.all_ok else 2
+    doc = {"level": report.level, "complete": report.complete, "all_ok": report.all_ok,
+           "checks": checks, "notes": report.notes}
+    return 0 if report.all_ok else 2, doc, lines
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args) -> Output:
     doc = _load_document(args.problem)
     cfg = _numeric_config(args, doc.numeric)
-    points = _load_points(args, doc)
-    verdict = aggregate.poincare_check(doc.problem, points, cfg=cfg)
+    verdict = aggregate.poincare_check(doc.problem, _load_points(args, doc), cfg=cfg)
     lines = [
         f"i used: {verdict.i_used} (n - i odd)",
-        f"total logarithmic residue: {fmt(verdict.total_log_residue)}",
+        f"total logarithmic residue: {verdict.total_log_residue}",
         f"all local log residues non-negative: {verdict.all_local_nonnegative}",
     ]
     if verdict.nonnegative:
@@ -232,32 +155,17 @@ def cmd_poincare(args) -> int:
         )
     else:
         lines.append("total negative: the bound hypothesis fails, nothing asserted")
-    _emit({"schema": SCHEMA, "command": "poincare",
-           **{k: fmt(v) if k == "total_log_residue" else v
-              for k, v in dataclasses.asdict(verdict).items()}},
-          args.format, lines)
-    return 0 if verdict.nonnegative else 2
+    return 0 if verdict.nonnegative else 2, verdict, lines
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args) -> Output:
     doc = _load_document(args.problem)
     cfg = _numeric_config(args, doc.numeric)
-    points = _load_points(args, doc)
-    report = aggregate.surface_report(doc.problem, points, cfg=cfg)
-    lines = []
-    rows = []
-    for row in report.rows:
-        hom = aggregate.homogeneous_representative(doc.problem, row.point)
-        rows.append({"point": _point_doc(row.point), "gsv": fmt(row.gsv),
-                     "cs": fmt(row.cs), "ordinary": fmt(row.ordinary)})
-        lines.append(
-            f"[{':'.join(str(fmt(c)) for c in hom)}]  GSV={fmt(row.gsv)}  "
-            f"CS={fmt(row.cs)}  ordinary={fmt(row.ordinary)}"
-        )
-    lines.append(f"GSV total {fmt(report.gsv_total)} "
-                 f"(expected {report.expected_gsv_total}); "
-                 f"CS total {fmt(report.cs_total)} "
-                 f"(expected {report.expected_cs_total})")
+    report = aggregate.surface_report(doc.problem, _load_points(args, doc), cfg=cfg)
+    lines = [f"[{_hom(doc.problem, row.point)}]  GSV={row.gsv}  CS={row.cs}  "
+             f"ordinary={row.ordinary}" for row in report.rows]
+    lines.append(f"GSV total {report.gsv_total} (expected {report.expected_gsv_total}); "
+                 f"CS total {report.cs_total} (expected {report.expected_cs_total})")
     if report.all_gsv_nonnegative:
         lines.append(f"Carnicer bound asserted: m = {report.m} <= d + 2 = {report.d + 2}")
         if report.equality_flag:
@@ -265,31 +173,31 @@ def cmd_surface(args) -> int:
                          "equality case (not certified)")
     else:
         lines.append("a GSV index is negative: the bound hypothesis fails")
-    _emit({"schema": SCHEMA, "command": "surface", "rows": rows,
-           "gsv_total": fmt(report.gsv_total), "cs_total": fmt(report.cs_total),
-           "expected_gsv_total": report.expected_gsv_total,
-           "expected_cs_total": report.expected_cs_total,
-           "all_gsv_nonnegative": report.all_gsv_nonnegative,
-           "carnicer_bound_holds": report.carnicer_bound_holds,
-           "equality_flag": report.equality_flag}, args.format, lines)
-    return 0
+    # d and m are not part of the resilog/1 surface document.
+    return 0, {k: v for k, v in vars(report).items() if k not in ("d", "m")}, lines
 
 
-def cmd_discrepancy(args) -> int:
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def cmd_discrepancy(args) -> Output:
     with open(args.matrix, encoding="utf-8") as handle:
         data = json.load(handle)
-    M = RatMatrix(data["M"])
-    I = tuple(parse_rational(str(x)) for x in data["I"])
-    genera = tuple(int(g) for g in data["g"]) if "g" in data else None
+    if not isinstance(data, dict) or "M" not in data or "I" not in data:
+        raise SchemaError(f"{args.matrix}: expected a JSON object with 'M' and 'I'")
+    M = RatMatrix([[parse_rational(str(x)) for x in _json_list(row, "a row of M")]
+                   for row in _json_list(data["M"], "M")])
+    I = tuple(parse_rational(str(x)) for x in _json_list(data["I"], "I"))
+    genera = tuple(int(str(g)) for g in _json_list(data["g"], "g")) if "g" in data else None
     problem = birational.DiscrepancyProblem(M=M, I=I, genera=genera)
     try:
         result = birational.solve_discrepancies(problem)
     except birational.NotNegativeDefinite as exc:
-        _emit({"schema": SCHEMA, "command": "discrepancy",
-               "negative_definite": False, "violating_minor": exc.k},
-              args.format,
-              [f"matrix is not negative definite (minor {exc.k})"])
-        return 2
+        return 2, {"negative_definite": False, "violating_minor": exc.k}, [
+            f"matrix is not negative definite (minor {exc.k})"]
     lines = [
         f"b = ({', '.join(str(v) for v in result.b)})",
         f"a = ({', '.join(str(v) for v in result.a)})",
@@ -297,105 +205,94 @@ def cmd_discrepancy(args) -> int:
         "note: isolatedness and no-divisorial-zero hypotheses are attested "
         "by the input, not verified here",
     ]
-    _emit({"schema": SCHEMA, "command": "discrepancy", "negative_definite": True,
-           "b": [fmt(v) for v in result.b], "a": [fmt(v) for v in result.a],
-           "classification": result.classification}, args.format, lines)
-    return 0
+    return 0, {"negative_definite": True, **vars(result)}, lines
 
 
-def cmd_cyclic(args) -> int:
+def cmd_cyclic(args) -> Output:
     model = birational.cyclic_quotient_model(args.m)
     lines = [f"cyclic quotient of order {model.m}"]
     for cf, rec in zip(model.charts, model.point_residues):
         lines.append(
             f"  chart {cf.chart} vars {'/'.join(cf.variables)}: field "
             f"({', '.join(print_poly(a) for a in cf.a)}), divisor {print_poly(cf.f)}, "
-            f"log residue {fmt(rec.log)}"
+            f"log residue {rec.log}"
         )
     lines.append(f"I_E = {model.I_E}")
     lines.append(f"b = {model.result.b[0]}, a = {model.result.a[0]}, "
                  f"classification: {model.result.classification}")
-    _emit({"schema": SCHEMA, "command": "cyclic", "m": model.m,
-           "point_log_residues": [fmt(r.log) for r in model.point_residues],
-           "I_E": fmt(model.I_E), "b": fmt(model.result.b[0]),
-           "a": fmt(model.result.a[0]),
-           "classification": model.result.classification}, args.format, lines)
-    return 0
+    doc = {"m": model.m, "point_log_residues": [r.log for r in model.point_residues],
+           "I_E": model.I_E, "b": model.result.b[0], "a": model.result.a[0],
+           "classification": model.result.classification}
+    return 0, doc, lines
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like parse errors; argparse's 2 is the domain-failure code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="resilog",
-        description="Exact logarithmic and excess residues of foliations "
-                    "on projective space",
-    )
+    parser = _Parser(prog="resilog", description="Exact logarithmic and excess residues of "
+                                                 "foliations on projective space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True):
-        if problem:
-            p.add_argument("problem", help="problem file")
-            p.add_argument("--points", help="file with a user-attested point list")
+    def command(run, summary, *flags):
+        """The subcommand running ``run``, with ``--format`` and the named ``flags``:
+        the problem file, ``--points``, ``--i`` and the NumericConfig fields."""
+        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("table", "machine"), default="table")
-        p.add_argument("--numeric", action="store_true",
-                       help="use numeric zero discovery")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
-        p.add_argument("--newton-max-iter", dest="newton_max_iter", type=int,
-                       default=None)
-        p.add_argument("--dedupe-radius", dest="dedupe_radius", type=float,
-                       default=None)
-        p.add_argument("--search-radius", dest="search_radius", type=float,
-                       default=None)
-        p.add_argument("--eps-levels", dest="eps_levels", default=None,
-                       help="comma-separated perturbation sizes")
-        p.add_argument("--grid-per-axis", dest="grid_per_axis", type=int,
-                       default=None)
+        if "problem" in flags:
+            p.add_argument("problem", help="problem file")
+        if "points" in flags:
+            p.add_argument("--points", help="file with a user-attested point list")
+        if "i" in flags:
+            p.add_argument("--i", default="all", help="comma list of i values or 'all'")
+        if "numeric" in flags:
+            for f in dataclasses.fields(NumericConfig):
+                tuple_valued = isinstance(f.default, tuple)
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                               type=None if tuple_valued else type(f.default),
+                               help="comma-separated" if tuple_valued else None)
+        return p
 
-    common(sub.add_parser("check", help="tangency check with cofactor table"))
-    common(sub.add_parser("zeros", help="enumerate singular points"))
-    p = sub.add_parser("residues", help="per-point residue records")
-    common(p)
-    p.add_argument("--i", default="all", help="comma list of i values or 'all'")
-    p = sub.add_parser("verify", help="check the global residue identities")
-    common(p)
-    p.add_argument("--i", default="all")
-    common(sub.add_parser("poincare", help="degree bound check"))
-    common(sub.add_parser("surface", help="GSV / Camacho-Sad report (n = 2)"))
-    p = sub.add_parser("discrepancy", help="log discrepancies from (M, I)")
-    p.add_argument("matrix", help="JSON file with M, I, optional g")
-    p.add_argument("--format", choices=("table", "machine"), default="table")
-    p = sub.add_parser("cyclic", help="built-in cyclic quotient model")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=("table", "machine"), default="table")
+    command(cmd_check, "tangency check with cofactor table", "problem")
+    command(cmd_zeros, "enumerate singular points", "problem", "numeric").add_argument(
+        "--numeric", action="store_true", help="use numeric zero discovery")
+    command(cmd_residues, "per-point residue records", "problem", "points", "i", "numeric")
+    command(cmd_verify, "check the global residue identities", "problem", "points", "i",
+            "numeric")
+    command(cmd_poincare, "degree bound check", "problem", "points", "numeric")
+    command(cmd_surface, "GSV / Camacho-Sad report (n = 2)", "problem", "points", "numeric")
+    command(cmd_discrepancy, "log discrepancies from (M, I)").add_argument(
+        "matrix", help="JSON file with M, I, optional g")
+    command(cmd_cyclic, "built-in cyclic quotient model").add_argument(
+        "--m", type=int, required=True)
     return parser
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "zeros": cmd_zeros,
-    "residues": cmd_residues,
-    "verify": cmd_verify,
-    "poincare": cmd_poincare,
-    "surface": cmd_surface,
-    "discrepancy": cmd_discrepancy,
-    "cyclic": cmd_cyclic,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, doc, lines = args.run(args)
     except ParseError as exc:
         print(f"parse error at {exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
         return 1
-    except (SchemaError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "machine":
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **to_doc(doc)},
+                         indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

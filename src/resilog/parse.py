@@ -15,7 +15,7 @@ looser than "^", so "-x^2" is -(x^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -288,15 +288,24 @@ def parse_rational(text: str) -> Fraction:
         raise SchemaError(f"bad rational literal {text!r}: {exc}") from None
 
 
-def _parse_numeric_scalar(key: str, text):
-    if isinstance(text, list):
-        return [float(x) for x in text]
+def numeric_value(name: str, value):
+    """A ``numeric.<name>`` override typed like the NumericConfig field ``name``;
+    a tuple field takes a list or a comma-separated string of its length."""
+    from .residue import NumericConfig  # local import to avoid a cycle
+
+    defaults = {f.name: f.default for f in fields(NumericConfig)}
+    if name not in defaults:
+        raise SchemaError(f"unknown numeric option {name!r}")
+    default = defaults[name]
     try:
-        if key in ("seed", "newton_max_iter", "grid_per_axis"):
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise SchemaError(f"bad numeric value for {key!r}: {text!r}") from None
+        if not isinstance(default, tuple):
+            return type(default)(value)
+        parts = value.split(",") if isinstance(value, str) else value
+        if len(parts) == len(default):
+            return tuple(float(x) for x in parts)
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"bad numeric value for {name!r}: {value!r}")
 
 
 def parse_points(value, line: int, n: int) -> list[dict]:
@@ -369,7 +378,7 @@ def parse_problem(src: str) -> ProblemDocument:
     for key, (value, _line) in doc.items():
         if key.startswith("numeric."):
             name = key[len("numeric."):]
-            numeric[name] = _parse_numeric_scalar(name, value)
+            numeric[name] = numeric_value(name, value)
 
     problem = make_problem(variables, components, divisor)
     return ProblemDocument(problem=problem, points=points, numeric=numeric)

@@ -129,9 +129,9 @@ def test_unflagged_points_verify_like_classified_ones():
     classified, unflagged = verify_identities(problem, found), verify_identities(problem, bare)
     assert len(unflagged.checks[1].records) == 2 and unflagged.all_ok
     for i in (0, 1):
-        assert ([(r.point.coords, r.point.on_divisor, r.ordinary, r.log, r.var)
+        assert ([(r.point.coords, r.point.on_divisor, r.point.simple, r.ordinary, r.log, r.var)
                  for r in unflagged.checks[i].records]
-                == [(r.point.coords, r.point.on_divisor, r.ordinary, r.log, r.var)
+                == [(r.point.coords, r.point.on_divisor, r.point.simple, r.ordinary, r.log, r.var)
                     for r in classified.checks[i].records])
 
 
@@ -188,16 +188,17 @@ def test_surface_totals_random_instances(seed):
     assert report.cs_total == report.expected_cs_total
 
 
+def counted(fn, counter: Counter, key):
+    """``fn``, counting its calls in ``counter`` under ``key(*args)``."""
+    def wrapper(*args):
+        counter[key(*args)] += 1
+        return fn(*args)
+    return wrapper
+
+
 def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
     fields, data = Counter(), Counter()
-
-    def counted(fn, counter, key):
-        def wrapper(*args):
-            counter[key(*args)] += 1
-            return fn(*args)
-        return wrapper
-
     chart_field = counted(foliation.chart_field, fields, lambda _, chart: chart)
     local_data = counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords))
     for module in (foliation, aggregate):

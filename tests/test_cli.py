@@ -1,13 +1,23 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_aggregate import counted
 from test_golden import CASES
 
+from resilog import aggregate, cli, foliation, residue
 from resilog.cli import main
+from resilog.residue import NumericConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -62,6 +72,131 @@ def test_bad_points_file_exit_code_without_traceback(capsys, tmp_path, entry, co
     pts = tmp_path / "pts.txt"
     pts.write_text(f"points = [{entry}]\n")
     assert run(capsys, "verify", P2, "--points", str(pts)) == (code, "", f"error: {message}\n")
+
+
+def test_verify_points_file_builds_each_chart_field_and_local_data_once(
+        capsys, tmp_path, monkeypatch):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("points = [{chart: 0, coords: [0, 0]}, {chart: 1, coords: [0, 0]},"
+                   " {chart: 2, coords: [0, 0]}]\n")
+    fields, data = Counter(), Counter()
+    chart_field = counted(foliation.chart_field, fields, lambda _, chart: chart)
+    local_data = counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords))
+    # cli too, so that chart fields the command builds itself are counted.
+    for module in (foliation, aggregate, cli):
+        monkeypatch.setattr(module, "chart_field", chart_field, raising=False)
+    for module in (residue, aggregate):
+        monkeypatch.setattr(module, "local_data", local_data)
+
+    code, doc = machine(capsys, "verify", P2, "--points", str(pts))
+    assert code == 0 and doc["all_ok"]
+    assert fields == {c: 1 for c in range(3)}
+    assert len(data) == 3 and set(data.values()) == {1}
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    ("m.json", "[[-2]]", 1, "{path}: expected a JSON object with 'M' and 'I'"),
+    ("m.json", '{"I": ["1"]}', 1, "{path}: expected a JSON object with 'M' and 'I'"),
+    ("m.json", '{"M": [[-2]]}', 1, "{path}: expected a JSON object with 'M' and 'I'"),
+    ("m.json", '{"M": [-2], "I": ["1"]}', 1, "a row of M must be a list, got -2"),
+    ("m.json", '{"M": [[-2.0, 1], [1, "-2"]], "I": ["1", "1"]}', 0, None),
+    ("m.json", '{"M": [["x"]], "I": ["1"]}', 1,
+     "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+    ("p.fol", "numeric.bogus = 1", 1, "unknown numeric option 'bogus'"),
+    ("p.fol", "numeric.seed = [1, 2]", 1, "bad numeric value for 'seed': ['1', '2']"),
+    ("p.fol", "numeric.eps_levels = 0.001", 1, "bad numeric value for 'eps_levels': '0.001'"),
+    ("p.fol", "numeric.eps_levels = [1e-3, 1e-5]", 0, None),
+])
+def test_malformed_input_exits_without_traceback(capsys, tmp_path, name, text, code, message):
+    path = tmp_path / name
+    if name.endswith(".fol"):
+        text = Path(P2).read_text() + text
+    path.write_text(text + "\n")
+    argv = ["discrepancy", str(path)] if name.endswith(".json") else ["verify", str(path)]
+    got, _, err = run(capsys, *argv)
+    assert (got, err) == (code, f"error: {message.format(path=path)}\n" if message else "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", P2, "--bogus"),
+    ("cyclic", "--m", "x"),
+    ("verify", P2, "--numeric"),
+    ("check", P2, "--seed", "1"),
+    ("zeros", P2, "--points", P2),
+    ("poincare", P2, "--i", "1"),
+    ("zeros", P2, "--seed", "x"),
+])
+def test_usage_error_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help"), ("cyclic", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: resilog")
+
+
+def test_numeric_flags_override_the_file(capsys, tmp_path, monkeypatch):
+    fol = tmp_path / "p.fol"
+    fol.write_text(Path(P2).read_text() + "numeric.seed = 3\nnumeric.newton_tol = 1e-9\n")
+    seen = []
+    monkeypatch.setattr(aggregate, "enumerate_singularities",
+                        lambda problem, mode, cfg: seen.append(cfg) or [])
+    argv = ("zeros", str(fol), "--seed", "5", "--eps-levels", "1e-2,1e-3", "--grid-per-axis", "2")
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [NumericConfig(seed=5, newton_tol=1e-9, eps_levels=(1e-2, 1e-3),
+                                  grid_per_axis=2)]
+
+
+FUZZ_FILES = ("p2_example.fol", "p3_example.fol", "not_tangent.fol", "malformed.fol",
+              "a2_chain.json")
+FUZZ_TEXT = {name: (FIXTURES / name).read_text(encoding="utf-8") for name in FUZZ_FILES}
+TOKEN = re.compile(r"\w+|[^\w\s]")
+FUZZ_TOKENS = sorted({t for text in FUZZ_TEXT.values() for t in TOKEN.findall(text)})
+# A coarse start grid keeps numeric discovery on P^3 to a few ms.
+FOL_COMMANDS = (["check"], ["zeros"], ["zeros", "--numeric", "--grid-per-axis", "2"],
+                ["residues"], ["verify"], ["poincare"], ["surface"])
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text`` after one to three edits: a line dropped, duplicated or swapped
+    with another, or one token replaced by a token of the fixtures."""
+    lines = text.splitlines()  # five lines or more, so never emptied
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "token")))
+        j, k = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[j]
+        elif kind == "duplicate":
+            lines.insert(j, lines[j])
+        elif kind == "swap":
+            lines[j], lines[k] = lines[k], lines[j]
+        elif spans := [m.span() for m in TOKEN.finditer(lines[j])]:
+            a, b = draw(st.sampled_from(spans))
+            lines[j] = lines[j][:a] + draw(st.sampled_from(FUZZ_TOKENS)) + lines[j][b:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("name", FUZZ_FILES)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_fixtures_exit_without_traceback(name, data):
+    text = data.draw(mutated(FUZZ_TEXT[name]))
+    command = (["discrepancy"] if name.endswith(".json")
+               else data.draw(st.sampled_from(FOL_COMMANDS)))
+    fmt = data.draw(st.sampled_from(("table", "machine")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command[0], str(path), *command[1:], "--format", fmt]) in (0, 1, 2)
 
 
 def test_parse_error_exit_1(capsys):
