@@ -4,14 +4,16 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  Polynomials are sparse: a map from
 exponent tuples to nonzero rational coefficients.  Matrices carry exact
 rational entries; one fraction-free (Bareiss) row echelon routine gives the
-determinant, the rank and exact linear solves.  ``DomainError`` is the base
-of every exception that reports input outside the supported mathematics.
+determinant, the rank and exact linear solves; it clears each row's
+denominators and runs on Python ints.  ``DomainError`` is the base of every
+exception that reports input outside the supported mathematics.
 
 Everything here is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -339,37 +341,40 @@ class RatMatrix:
         )
 
 
-def echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int], int]:
-    """Fraction-free (Bareiss) row echelon form: the echelon rows, the pivot
-    column of each nonzero row, and the sign of the row permutation.  For a
-    square nonsingular matrix, sign times the last diagonal entry is the
-    determinant."""
-    a = [list(row) for row in rows]
+def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], Fraction]:
+    """Fraction-free (Bareiss) row echelon form over the integers: each row is
+    first multiplied by the lcm of its denominators, and each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  Returns the
+    integer echelon rows, the pivot column of each nonzero row, and the factor
+    sign / (product of the row lcms), sign being that of the row permutation.
+    For a square nonsingular matrix, factor times the last diagonal entry is
+    the determinant; scaling rows of [A | b] leaves its solutions unchanged."""
+    lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    a = [[x.numerator * (lcm // x.denominator) for x in row] for row, lcm in zip(rows, lcms)]
     n_rows, n_cols = len(a), len(a[0])
     pivots: list[int] = []
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for c in range(n_cols):
         r = len(pivots)
         if r == n_rows:
             break
-        pivot_row = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if a[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
             sign = -sign
-        piv = a[r][c]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                a[i][j] = (a[i][j] * piv - a[i][c] * a[r][j]) / prev
-            a[i][c] = Fraction(0)
+        piv, top = a[r][c], a[r][c + 1:]
+        for row in a[r + 1:]:
+            x, row[c] = row[c], 0
+            row[c + 1:] = [(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)]
         prev = piv
         pivots.append(c)
-    return a, pivots, sign
+    return a, pivots, Fraction(sign, math.prod(lcms))
 
 
-def back_substitute(a: Sequence[Sequence[Fraction]], n: int) -> list[Fraction]:
+def back_substitute(a: Sequence[Sequence[Scalar]], n: int) -> list[Fraction]:
     """Solution x of an echelon system whose first n columns carry the pivots
     on the diagonal and whose column n is the right-hand side."""
     x = [Fraction(0)] * n
@@ -383,8 +388,8 @@ def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    a, pivots, sign = echelon(m.entries)
-    return sign * a[-1][-1] if len(pivots) == m.rows else Fraction(0)
+    a, pivots, factor = echelon(m.entries)
+    return factor * a[-1][-1] if len(pivots) == m.rows else Fraction(0)
 
 
 def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:

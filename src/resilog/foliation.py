@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DomainError, MultiPoly, exact_divide
+from .algebra import DomainError, MultiPoly, align, exact_divide
 from .parse import SchemaError
 
 
@@ -100,7 +100,9 @@ class ChernExpectations:
 def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
     """Validate homogeneity and degrees and assemble a FoliationProblem."""
     variables = tuple(variables)
-    components = tuple(components)
+    zero = MultiPoly.zero(variables)  # charts read exponents by their place in variables
+    components = tuple(align(zero, c)[1] for c in components)
+    divisor = align(zero, divisor)[1]
     n = len(variables) - 1
     if len(components) != n + 1:
         raise SchemaError(
@@ -205,37 +207,34 @@ def _warn_if_likely_nonreduced(variables, divisor: MultiPoly, trials: int = 3):
 def dehomogenize_field(problem: FoliationProblem, chart: int) -> ChartField:
     """Affine chart data (without the cofactor).
 
-    In chart i, the affine components are a_j = V_{sigma(j)} - x_j * V_i
-    with the chart coordinate set to 1, where x_j runs over the non-chart
-    coordinates in index order.  Adding any multiple of the Euler field to
-    V leaves the result unchanged.
+    In chart c, the affine components are a_j = V_{sigma(j)} - x_j * V_c at
+    z_c = 1, x_j running over the non-chart coordinates in index order.  Each
+    a_j is read from the term dicts: every term drops its chart exponent, and
+    the terms of V_c also gain one in x_j's exponent and change sign.  The
+    divisor drops its chart exponent too.  Adding any multiple of the Euler
+    field to V leaves the result unchanged.
     """
     if not 0 <= chart <= problem.n:
         raise ValueError(f"chart must lie in 0..{problem.n}, got {chart}")
-    hom_vars = problem.variables
-    chart_name = hom_vars[chart]
-    affine_vars = tuple(v for j, v in enumerate(hom_vars) if j != chart)
+    affine_vars = problem.variables[:chart] + problem.variables[chart + 1 :]
+
+    def affine(p: MultiPoly) -> dict:
+        # p is homogeneous, so its terms keep distinct exponents at z_c = 1.
+        return {e[:chart] + e[chart + 1 :]: c for e, c in p.terms.items()}
+
+    v_c = affine(problem.components[chart]).items()
     components = []
-    for j, name in enumerate(hom_vars):
-        if j == chart:
-            continue
-        x_j = MultiPoly.variable(hom_vars, name)
-        a_hom = problem.components[j] - x_j * problem.components[chart]
-        a_aff = a_hom.substitute_one(chart_name, 1)
-        components.append(_reorder(a_aff, affine_vars))
-    f_aff = _reorder(problem.divisor.substitute_one(chart_name, 1), affine_vars)
+    for j in range(problem.n):
+        a_j = affine(problem.components[j + (j >= chart)])
+        for e, c in v_c:
+            e = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            a_j[e] = a_j.get(e, 0) - c
+        components.append(MultiPoly(affine_vars, a_j))
+    f_aff = MultiPoly(affine_vars, affine(problem.divisor))
     if f_aff.is_constant and not f_aff.is_zero:
         # D misses this chart's affine origin pattern entirely; normalize.
         f_aff = MultiPoly.const(affine_vars, 1)
     return ChartField(chart=chart, variables=affine_vars, a=tuple(components), f=f_aff)
-
-
-def _reorder(p: MultiPoly, variables: tuple[str, ...]) -> MultiPoly:
-    """Project p onto the given variable tuple (a permutation of p's)."""
-    if p.variables == variables:
-        return p
-    idx = [p.variables.index(v) for v in variables]
-    return MultiPoly(variables, {tuple(e[j] for j in idx): c for e, c in p.terms.items()})
 
 
 def chart_cofactor(cf: ChartField) -> MultiPoly:

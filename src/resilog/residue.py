@@ -74,7 +74,7 @@ class PositiveDimensional(DomainError):
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Knobs for the numeric engine; defaults give deterministic runs."""
+    """Knobs for the numeric engine; deterministic by default, ValueError if out of range."""
 
     seed: int = 0
     newton_tol: float = 1e-12
@@ -83,6 +83,18 @@ class NumericConfig:
     search_radius: float = 0.5
     eps_levels: tuple[float, float] = (1e-3, 1e-4)
     grid_per_axis: int = 5
+
+    def __post_init__(self):
+        eps = self.eps_levels
+        for name, ok, rule in (("newton_tol", self.newton_tol > 0, "> 0"),
+                               ("newton_max_iter", self.newton_max_iter >= 1, ">= 1"),
+                               ("dedupe_radius", self.dedupe_radius > 0, "> 0"),
+                               ("search_radius", self.search_radius > 0, "> 0"),
+                               ("grid_per_axis", self.grid_per_axis >= 2, ">= 2"),
+                               ("eps_levels", len(set(eps)) == len(eps) == 2 and min(eps) > 0,
+                                "two distinct values > 0")):
+            if not ok:
+                raise ValueError(f"numeric option {name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -305,7 +317,7 @@ def _newton_multistart(
     variables = field[0].variables
     jac = [[field[r].partial(v) for v in variables] for r in range(m)]
 
-    g = max(cfg.grid_per_axis, 2)
+    g = cfg.grid_per_axis
     ring = [0.0 + 0.0j] + [
         0.6 * radius * complex(math.cos(2 * math.pi * t / (g - 1)),
                                math.sin(2 * math.pi * t / (g - 1)))
@@ -528,7 +540,7 @@ def discover_zeros_numeric(
     lo, hi = box
     n = cf.n
     jac = [[cf.a[r].partial(v) for v in cf.variables] for r in range(n)]
-    g = max(cfg.grid_per_axis, 2)
+    g = cfg.grid_per_axis
     axis = [lo + (hi - lo) * t / (g - 1) for t in range(g)]
     grids = [[]]
     for _ in range(n):

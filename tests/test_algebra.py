@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilog.algebra import (
@@ -201,3 +202,89 @@ def test_rank():
     # Columns without a pivot are skipped by the elimination.
     assert rank(RatMatrix([[0, 1, 1], [0, 1, 2], [0, 3, 5]])) == 2
     assert rank(RatMatrix([[0, 0, 1], [0, 0, 2]])) == 1
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=True):
+    """Up to 5x5 rational matrices, denominators up to 1e9.  Rows are often
+    zero or rational combinations of earlier rows, so rank deficiency is
+    common; the rows are then shuffled."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = n_rows if square else draw(st.integers(1, 5))
+    m = []
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(("entries", "entries", "zero", "combination")))
+        if kind == "zero":
+            m.append([Fraction(0)] * n_cols)
+        elif kind == "combination" and m:
+            coeffs = [draw(ENTRIES) for _ in m]
+            m.append([sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
+                      for j in range(n_cols)])
+        else:
+            m.append([draw(ENTRIES) for _ in range(n_cols)])
+    return draw(st.permutations(m))
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term *= m[i][p]
+        total += term
+    return total
+
+
+def gauss_jordan_rank(m):
+    a = [list(row) for row in m]
+    r = 0
+    for c in range(len(a[0])):
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_det_exact_matches_leibniz(m):
+    d = det_exact(RatMatrix(m))
+    assert isinstance(d, Fraction)
+    assert d == leibniz_det(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=False))
+def test_rank_matches_gauss_jordan(m):
+    assert rank(RatMatrix(m)) == gauss_jordan_rank(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_linear_roundtrip_rational(m, data):
+    A = RatMatrix(m)
+    x = data.draw(st.lists(st.builds(Fraction, st.integers(-10**9, 10**9),
+                                     st.integers(2, 10**9)),
+                           min_size=len(m), max_size=len(m)))
+    if leibniz_det(m) == 0:
+        with pytest.raises(SingularMatrix):
+            solve_linear(A, A.mul_vector(x))
+        return
+    got = solve_linear(A, A.mul_vector(x))
+    assert all(isinstance(v, Fraction) for v in got)
+    assert got == x

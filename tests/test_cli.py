@@ -153,6 +153,52 @@ def test_numeric_flags_override_the_file(capsys, tmp_path, monkeypatch):
                                   grid_per_axis=2)]
 
 
+BAD_NUMERIC = [
+    ("newton_tol", "0", "> 0"),
+    ("newton_tol", "-1e-9", "> 0"),
+    ("newton_max_iter", "0", ">= 1"),
+    ("dedupe_radius", "0", "> 0"),
+    ("dedupe_radius", "-1", "> 0"),
+    ("search_radius", "0", "> 0"),
+    ("grid_per_axis", "0", ">= 2"),
+    ("grid_per_axis", "1", ">= 2"),
+    ("grid_per_axis", "-1", ">= 2"),
+    ("eps_levels", "1e-3,1e-3", "two distinct values > 0"),
+    ("eps_levels", "0,1e-3", "two distinct values > 0"),
+    ("eps_levels", "1e-3,-1e-4", "two distinct values > 0"),
+]
+
+
+@pytest.mark.parametrize("where", ["flag", "key"])
+@pytest.mark.parametrize("name, value, rule", BAD_NUMERIC)
+def test_bad_numeric_value_exits_1(capsys, tmp_path, where, name, value, rule):
+    fol = tmp_path / "p.fol"
+    text = Path(P2).read_text()
+    if where == "flag":
+        argv = ["zeros", str(fol), "--numeric", f"--{name.replace('_', '-')}={value}"]
+    else:
+        text += f"numeric.{name} = [{value}]\n" if "," in value else f"numeric.{name} = {value}\n"
+        argv = ["zeros", str(fol), "--numeric"]
+    fol.write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: numeric option {name} must be {rule}, got ")
+    assert err.count("\n") == 1
+
+
+def test_equal_eps_levels_exit_1_on_a_degenerate_zero(capsys, tmp_path):
+    # A Jordan block at [1:0:0] sends verify through the perturbation engine,
+    # whose Richardson step divides by eps1 - eps2.
+    fol = tmp_path / "jordan.fol"
+    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   "field.components = [z0 + z1, z1, 3*z2]\ndivisor = z2\n"
+                   "points = [{chart: 0, coords: [0, 0]}, {chart: 2, coords: [0, 0]}]\n")
+    assert run(capsys, "verify", str(fol))[0] == 0
+    assert run(capsys, "verify", str(fol), "--eps-levels", "0.001,0.001") == (
+        1, "", "error: numeric option eps_levels must be two distinct values > 0, "
+               "got (0.001, 0.001)\n")
+
+
 FUZZ_FILES = ("p2_example.fol", "p3_example.fol", "not_tangent.fol", "malformed.fol",
               "a2_chain.json")
 FUZZ_TEXT = {name: (FIXTURES / name).read_text(encoding="utf-8") for name in FUZZ_FILES}

@@ -1,7 +1,11 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilog.algebra import MultiPoly
 from resilog.foliation import (
@@ -70,6 +74,67 @@ def test_euler_shift_invariance():
         a = dehomogenize_field(p, chart)
         b = dehomogenize_field(shifted, chart)
         assert a.a == b.a and a.f == b.f
+
+
+COEFFS = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9))
+
+
+@st.composite
+def homogeneous(draw, variables, degree, min_terms=0):
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=len(variables))
+                 if sum(e) == degree]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=min_terms, max_size=4,
+                           unique=True))
+    return MultiPoly(variables, {e: draw(COEFFS) for e in chosen})
+
+
+@st.composite
+def problems(draw):
+    """A homogeneous field of degree 0-3 on P^1-P^4 with a divisor of degree 1-2,
+    and a homogeneous g of one degree less (zero for degree 0)."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    zs = tuple(f"z{i}" for i in range(n + 1))
+    comps = [draw(homogeneous(zs, d, min_terms=int(i == 0))) for i in range(n + 1)]
+    divisor = draw(homogeneous(zs, draw(st.integers(1, 2)), min_terms=1))
+    g = draw(homogeneous(zs, d - 1)) if d else MultiPoly.zero(zs)
+    return make_problem(zs, draw(st.permutations(comps)), divisor), g
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=100, deadline=None)
+@given(problems())
+def test_dehomogenize_matches_textbook_route(problem_and_g):
+    # a_j = (V_j - z_j V_c) at z_c = 1 by MultiPoly arithmetic, in every chart c,
+    # and the same chart fields after adding g times the Euler field.
+    p, g = problem_and_g
+    zs, v = p.variables, p.components
+    shifted = replace(p, components=tuple(c + g * zvar(z, zs) for c, z in zip(v, zs)))
+    for chart, name in enumerate(zs):
+        cf = dehomogenize_field(p, chart)
+        a = [(v[j] - zvar(zs[j], zs) * v[chart]).substitute_one(name, 1)
+             for j in range(len(zs)) if j != chart]
+        f = p.divisor.substitute_one(name, 1)
+        if f.is_constant:
+            f = MultiPoly.const(f.variables, 1)
+        assert cf.variables == tuple(z for z in zs if z != name)
+        assert all(x.variables == cf.variables for x in (*a, f, *cf.a, cf.f))
+        assert [x.terms for x in cf.a] == [x.terms for x in a]
+        assert cf.f.terms == f.terms
+        moved = dehomogenize_field(shifted, chart)
+        assert moved.a == cf.a and moved.f == cf.f
+
+
+def test_make_problem_reads_components_in_the_declared_order():
+    reversed_z = tuple(reversed(Z))
+    comps = [-3 * zvar("z0"), 2 * zvar("z1") + zvar("z0"), zvar("z2")]
+    p = make_problem(Z, comps, zvar("z2"))
+    permuted = [MultiPoly.zero(reversed_z) + c for c in comps[:2]]
+    assert all(c.variables == reversed_z for c in permuted)
+    q = make_problem(Z, permuted + [MultiPoly.variable(("z2",), "z2")], zvar("z2", reversed_z))
+    assert q.components == p.components and q.divisor == p.divisor
+    assert all(c.variables == Z for c in (*q.components, q.divisor))
+    for chart in range(3):
+        assert dehomogenize_field(q, chart) == dehomogenize_field(p, chart)
 
 
 def test_cofactor_and_tangency():
