@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .foliation import ChartField, FoliationProblem, chart_field, chern_expectations
 from .residue import (
-    DegenerateZero,
-    LocalData,
     NumericConfig,
     ResidueRecord,
     SingularPoint,
@@ -163,15 +161,6 @@ class GlobalReport:
         return all(c.all_ok for c in self.checks.values())
 
 
-def _residue_record(
-    cf: ChartField, p: SingularPoint, ld: LocalData, i: int, cfg: NumericConfig
-) -> ResidueRecord:
-    try:
-        return closed_form_residues(ld, p, i)
-    except DegenerateZero:
-        return perturbed_residue(cf, p, i, cfg)
-
-
 def _total(values):
     if any(v is None for v in values):
         return None
@@ -190,16 +179,13 @@ def verify_identities(
     """Check the global residue identities on this instance.
 
     With no points given, singularities are discovered exactly (affine-linear
-    charts only); given points are classified here, whatever their flags.  An
-    exact zero discrepancy at every requested i certifies the identity on
-    this instance.
+    charts only); given points are deduplicated and classified here, whatever
+    their flags.  Simple zeros take the closed forms, the others the
+    perturbation engine.  An exact zero discrepancy at every requested i
+    certifies the identity on this instance.
     """
-    if points is None:
-        located = _locate(problem, "exact_linear", None, None, cfg)
-    else:
-        fields = {c: chart_field(problem, c) for c in dict.fromkeys(p.chart for p in points)}
-        located = [(q, fields[p.chart], ld) for p in points
-                   for q, ld in [classify_point(fields[p.chart], p.coords, p.exact)]]
+    mode = "exact_linear" if points is None else "user"
+    located = _locate(problem, mode, points, None, cfg)
     complete = True if complete is None else complete
     if i_list is None:
         i_list = list(range(problem.n))
@@ -213,7 +199,7 @@ def verify_identities(
     any_numeric = False
 
     for i in i_list:
-        records = [_residue_record(cf, p, ld, i, cfg)
+        records = [closed_form_residues(ld, p, i) if p.simple else perturbed_residue(cf, p, i, cfg)
                    for p, cf, ld in located if i == 0 or ld.s is not None]
         any_numeric = any_numeric or any(r.method == "perturbation" for r in records)
         ordinary_available = all(r.ordinary is not None for r in records)

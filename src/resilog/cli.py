@@ -28,6 +28,8 @@ from .residue import NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
 KINDS = ("ordinary", "log", "var")
+# A zero where the divisor is singular has no simplicity (``simple`` is None).
+SIMPLICITY = {True: "simple", False: "degenerate", None: "divisor singular"}
 Output = tuple[int, object, list[str]]  # exit code, document, table lines
 
 
@@ -96,8 +98,8 @@ def cmd_zeros(args) -> Output:
     points = aggregate.enumerate_singularities(doc.problem, mode, cfg=cfg)
     lines = [f"{len(points)} singular point(s) ({mode} discovery)"]
     lines += [f"  [{_hom(doc.problem, p)}]  chart {p.chart}, "
-              f"{'on' if p.on_divisor else 'off'} divisor, "
-              f"{'simple' if p.simple else 'degenerate'}" for p in points]
+              f"{'on' if p.on_divisor else 'off'} divisor, {SIMPLICITY[p.simple]}"
+              for p in points]
     return 0, {"mode": mode, "points": points}, lines
 
 

@@ -6,20 +6,24 @@ divisor the induced trace trJ_D = trJ - k and determinant det J_D.  The
 same ``LocalData`` classifies the point (``classify_point``) and feeds the
 closed forms of every i-level (``closed_form_residues``): the ordinary
 residue is trJ^n/detJ, and the excess (variational) residue has the
-binomial numerator produced by ``delta_numerator``.  Degenerate zeros go
-through a seeded perturbation engine that splits the zero into simple ones
-and Richardson-extrapolates the summed closed forms over two perturbation
-sizes.  numpy is imported inside the numeric functions only, so the exact
-path (and every CLI call but ``zeros --numeric``) never pays for loading it.
+binomial numerator produced by ``delta_numerator``; these are the only
+copies of the residue formulas.  Degenerate zeros go through a seeded
+perturbation engine: it deforms the chart field along a random field tangent
+to the divisor (curved divisors included), so each nearby perturbed zero is
+simple with its own ``local_data``, and Richardson-extrapolates the summed
+closed forms over two perturbation sizes.  numpy is imported inside the
+numeric functions only, so the exact path (and every CLI call but
+``zeros --numeric``) never pays for loading it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, back_substitute, det_exact, echelon
 from .foliation import ChartField
@@ -40,12 +44,9 @@ class NotOnDivisor(DomainError):
     """A divisor-twisted residue (i >= 1) was requested off the divisor."""
 
 
-class DegenerateZero(Exception):
-    """The relevant Jacobian determinant vanishes; use the perturbation engine."""
-
-
-class NotSupported(DomainError):
-    """Degenerate zero on a divisor that is not coordinate-aligned."""
+class DegenerateZero(DomainError):
+    """The relevant Jacobian determinant vanishes; ``perturbed_residue`` takes
+    such zeros, and raises it where a perturbed zero is degenerate too."""
 
 
 class ZeroCountUnstable(DomainError):
@@ -141,7 +142,8 @@ def _det(rows, exact: bool):
     if exact:
         return det_exact(RatMatrix(rows))
     import numpy as np
-    return complex(np.linalg.det(np.array(rows, dtype=complex))).real
+    d = complex(np.linalg.det(np.array(rows, dtype=complex)))
+    return d if d.imag else d.real
 
 
 def _on_divisor(cf: ChartField, coords, exact: bool) -> bool:
@@ -157,14 +159,6 @@ def _divisor_gradient(cf: ChartField, coords, exact: bool):
         raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
                                 " residues there are unsupported")
     return grad_f, s
-
-
-def _trace(field: Sequence[MultiPoly], variables) -> MultiPoly:
-    """Divergence sum_j d a_j / d x_j of a field as a polynomial."""
-    tr = MultiPoly.zero(variables)
-    for a_j, v in zip(field, variables):
-        tr = tr + a_j.partial(v)
-    return tr
 
 
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
@@ -305,12 +299,14 @@ def _newton_multistart(
     center: np.ndarray,
     radius: float,
     cfg: NumericConfig,
+    fixed: int | None = None,
 ) -> list[np.ndarray]:
     """All zeros of the field within L-inf radius of center, deduped.
 
     Starts cover a polydisk: per axis, the center plus points on a complex
-    circle of radius 0.6*radius; Newton runs in complex arithmetic so that
-    conjugate zero pairs produced by perturbation are found too.
+    circle of radius 0.6*radius (the ``fixed`` axis keeps the center only);
+    Newton runs in complex arithmetic so that conjugate zero pairs produced
+    by perturbation are found too.
     """
     import numpy as np
     m = len(field)
@@ -324,10 +320,8 @@ def _newton_multistart(
         for t in range(g - 1)
     ]
     # The center, then the Cartesian product of per-axis offsets.
-    stack = [[]]
-    for _ in range(m):
-        stack = [prefix + [off] for prefix in stack for off in ring]
-    starts = [center] + [center + np.array(offsets) for offsets in stack]
+    grid = itertools.product(*([0j] if j == fixed else ring for j in range(m)))
+    starts = [center] + [center + np.array(offsets) for offsets in grid]
 
     found: list[np.ndarray] = []
     converged_any = False
@@ -350,94 +344,36 @@ def _newton_multistart(
     return found
 
 
+def _random_rational(rng: random.Random) -> Fraction:
+    """A rational drawn from the unit box in steps of 1/1000."""
+    return Fraction(rng.randint(-1000, 1000), 1000)
+
+
 def _random_affine(variables, rng: random.Random) -> MultiPoly:
-    """Affine polynomial with coefficients drawn from the rational unit box."""
-
-    def coeff():
-        return Fraction(rng.randint(-1000, 1000), 1000)
-
-    p = MultiPoly.const(variables, coeff())
+    """Affine polynomial with coefficients drawn by ``_random_rational``."""
+    p = MultiPoly.const(variables, _random_rational(rng))
     for v in variables:
-        p = p + coeff() * MultiPoly.variable(variables, v)
+        p = p + _random_rational(rng) * MultiPoly.variable(variables, v)
     return p
 
 
-def _perturbation_sums(
-    field: Sequence[MultiPoly],
-    numerators: Callable[[Sequence[MultiPoly]], list],
-    center: np.ndarray,
-    point_id: str,
-    i: int,
-    cfg: NumericConfig,
-) -> tuple[list[float], float]:
-    """Richardson-extrapolated residue sums over perturbed zeros.
+def _tangent_direction(cf: ChartField, rng: random.Random):
+    """A random field g tangent to the divisor and its cofactor h, g(f) = h*f.
 
-    ``numerators`` maps the perturbed field to the list of numerator
-    polynomials/callables; the return is one extrapolated value per
-    numerator, plus the error estimate (two-level difference).
+    g = f*r + sum_{a<b} c_ab (d_b f e_a - d_a f e_b) for a random affine field
+    r and random rationals c_ab; the second sum annihilates f, so
+    h = sum_j r_j d_j f.  Where f is constant, g = f*r.
     """
-    import numpy as np
-    variables = field[0].variables
-    eps1, eps2 = cfg.eps_levels
-    # One perturbation direction scaled by each eps: the leading error term
-    # then has the same coefficient at both levels and Richardson cancels it.
-    rng = random.Random(f"{cfg.seed}|{point_id}|{i}")
-    direction = [_random_affine(variables, rng) for _ in field]
-    per_level: list[list[complex]] = []
-    counts: list[int] = []
-    for eps in (eps1, eps2):
-        eps_frac = Fraction(eps).limit_denominator(10**12)
-        perturbed = [a + eps_frac * g for a, g in zip(field, direction)]
-        zeros = _newton_multistart(perturbed, center, cfg.search_radius, cfg)
-        counts.append(len(zeros))
-        nums = numerators(perturbed)
-        jac = [[p.partial(v) for v in variables] for p in perturbed]
-        sums = [0j] * len(nums)
-        for q in zeros:
-            J = np.array(
-                [[jac[r][c].eval(q) for c in range(len(variables))]
-                 for r in range(len(variables))],
-                dtype=complex,
-            )
-            det = complex(np.linalg.det(J))
-            for t, num in enumerate(nums):
-                sums[t] += num(q) / det
-        per_level.append(sums)
-    if counts[0] != counts[1]:
-        raise ZeroCountUnstable(
-            f"zero counts {counts[0]} vs {counts[1]} at eps levels {cfg.eps_levels}"
-        )
-    values = []
-    err = 0.0
-    for v1, v2 in zip(*per_level):
-        extrapolated = (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
-        values.append(extrapolated.real)
-        err = max(err, abs(v1 - v2))
-    return values, err
-
-
-def _restrict_to_divisor(cf: ChartField, s: int):
-    """Induced field and numerator data on a coordinate-aligned divisor.
-
-    Requires f = c * x_s; rejects curved divisors, where perturbing within
-    the hypersurface would need a parametrization this engine does not carry.
-    """
-    f = cf.f
-    x_s_exp = tuple(1 if j == s else 0 for j in range(cf.n))
-    if set(f.terms) != {x_s_exp}:
-        raise NotSupported(
-            "perturbation on the divisor needs a coordinate-aligned local equation"
-        )
-    s_name = cf.variables[s]
-    induced = tuple(
-        a.substitute_one(s_name, 0) for j, a in enumerate(cf.a) if j != s
-    )
-    tr_ambient_on_D = _trace(cf.a, cf.variables).substitute_one(s_name, 0)
-    k_on_D = (cf.k if cf.k is not None else MultiPoly.zero(cf.variables)).substitute_one(
-        s_name, 0
-    )
-    tr_induced = _trace(induced, induced[0].variables)
-    return induced, tr_ambient_on_D, tr_induced, k_on_D
+    variables = cf.variables
+    r = [_random_affine(variables, rng) for _ in variables]
+    grad = [cf.f.partial(v) for v in variables]
+    g = [cf.f * r_j for r_j in r]
+    for a, b in itertools.combinations(range(cf.n), 2):
+        c = _random_rational(rng)
+        g[a] = g[a] + c * grad[b]
+        g[b] = g[b] - c * grad[a]
+    h = sum((r_j * d_j for r_j, d_j in zip(r, grad)), MultiPoly.zero(variables))
+    return g, h
 
 
 def perturbed_residue(
@@ -445,57 +381,58 @@ def perturbed_residue(
 ) -> ResidueRecord:
     """Residues at a possibly degenerate isolated zero, numerically.
 
-    The field (ambient for i = 0, induced on the divisor otherwise) is
-    nudged by a seeded random affine field at two sizes; the closed-form
-    simple-zero residues of all nearby perturbed zeros are summed and
-    Richardson-extrapolated.
+    The chart field is nudged, at two sizes eps, by a seeded random field
+    tangent to the divisor, so the perturbed field is again a chart field.
+    Its zeros near p are simple; ``closed_form_residues`` at each of them
+    (all zeros for i = 0, those on the divisor otherwise) are summed and the
+    two sums Richardson-extrapolated to eps = 0.
     """
-    n = cf.n
     coords = tuple(p.coords)
     exact = _coords_exact(coords)
     on_divisor = _on_divisor(cf, coords, exact)
     if i != 0 and not on_divisor:
         raise NotOnDivisor(f"i={i} residues only exist on the divisor")
     point_id = f"chart{p.chart}:" + ",".join(str(c) for c in coords)
+    rng = random.Random(f"{cfg.seed}|{point_id}|{i}")
+    g, h = _tangent_direction(cf, rng)
+    k = cf.k if cf.k is not None else MultiPoly.zero(cf.variables)
+    # For i >= 1 the zeros on the divisor solve (a_j for j != s, f): by
+    # tangency a_s vanishes there too, and starts vary off the axis s only.
+    s = _divisor_gradient(cf, coords, exact)[1] if i else None
     center = _float_point(coords)
+    sums: list[list[complex]] = []
+    counts: list[int] = []
+    for eps in cfg.eps_levels:
+        e = Fraction(eps).limit_denominator(10**12)
+        perturbed = replace(cf, a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)), k=k + e * h)
+        system = perturbed.a if s is None else [
+            a for j, a in enumerate(perturbed.a) if j != s] + [cf.f]
+        zeros = _newton_multistart(system, center, cfg.search_radius, cfg, s)
+        counts.append(len(zeros))
+        total = [0j, 0j, 0j]
+        for z in zeros:
+            q = SingularPoint(p.chart, tuple(complex(c) for c in z), exact=False)
+            try:
+                rec = closed_form_residues(local_data(perturbed, q), q, i)
+            except DegenerateZero:
+                raise DegenerateZero(f"a perturbed zero near {point_id} is still degenerate "
+                                     f"at eps={eps:g}") from None
+            if rec.ordinary is None:
+                raise DegenerateZero(f"a perturbed zero near {point_id} has a vanishing "
+                                     f"cofactor at eps={eps:g}")
+            total = [t + v for t, v in zip(total, (rec.ordinary, rec.log, rec.var))]
+        sums.append(total)
+    if counts[0] != counts[1]:
+        raise ZeroCountUnstable(
+            f"zero counts {counts[0]} vs {counts[1]} at eps levels {cfg.eps_levels}"
+        )
+    # One direction scaled by each eps: the leading error term has the same
+    # coefficient at both levels and Richardson cancels it.
+    eps1, eps2 = cfg.eps_levels
+    values = [((eps1 * v2 - eps2 * v1) / (eps1 - eps2)).real for v1, v2 in zip(*sums)]
+    err = max(abs(v1 - v2) for v1, v2 in zip(*sums))
     point = replace(p, on_divisor=on_divisor, exact=False)
-
-    def ambient_nums(perturbed):
-        return [(_trace(perturbed, cf.variables) ** n).eval]
-
-    if i == 0 and not on_divisor:
-        (ordinary,), err = _perturbation_sums(cf.a, ambient_nums, center, point_id, 0, cfg)
-        return ResidueRecord(point, 0, ordinary, ordinary, 0.0, "perturbation", err)
-
-    # On the divisor: the induced field lives in the non-divisor coordinates.
-    _, s = _divisor_gradient(cf, coords, exact)
-    induced, trA, trD, kD = _restrict_to_divisor(cf, s)
-    induced_center = _float_point(coords[:s] + coords[s + 1:])
-    induced_id = point_id + "|induced"
-
-    if i == 0:
-        delta0 = delta_numerator(trD, kD, n, 0)
-        (var,), err_var = _perturbation_sums(
-            induced, lambda _: [delta0.eval], induced_center, induced_id, 0, cfg
-        )
-        (ordinary,), err_ord = _perturbation_sums(
-            cf.a, ambient_nums, center, point_id, 0, cfg
-        )
-        err = max(err_var, err_ord)
-        return ResidueRecord(point, 0, ordinary, ordinary - var, var, "perturbation", err)
-
-    num_ord = trA ** (n - i) * kD ** (i - 1)
-    num_log = trD ** (n - i) * kD ** (i - 1)
-    num_var = delta_numerator(trD, kD, n, i)
-    (ordinary, log, var), err = _perturbation_sums(
-        induced,
-        lambda _: [num_ord.eval, num_log.eval, num_var.eval],
-        induced_center,
-        induced_id,
-        i,
-        cfg,
-    )
-    return ResidueRecord(point, i, ordinary, log, var, "perturbation", err)
+    return ResidueRecord(point, i, *values, "perturbation", err)
 
 
 # -- zero discovery --------------------------------------------------------
@@ -542,11 +479,8 @@ def discover_zeros_numeric(
     jac = [[cf.a[r].partial(v) for v in cf.variables] for r in range(n)]
     g = cfg.grid_per_axis
     axis = [lo + (hi - lo) * t / (g - 1) for t in range(g)]
-    grids = [[]]
-    for _ in range(n):
-        grids = [prefix + [x] for prefix in grids for x in axis]
     found: list[tuple] = []
-    for start in grids:
+    for start in itertools.product(axis, repeat=n):
         x = _newton(cf.a, jac, start, cfg)
         if x is None or max(abs(c.imag) for c in x) > 1e-8:
             continue

@@ -290,6 +290,49 @@ def test_verify_with_explicit_points(capsys, tmp_path):
     assert code == 0 and doc["all_ok"]
 
 
+def test_duplicate_points_count_once(capsys, tmp_path):
+    # [1:0:0] twice: its residues must enter each total once.
+    pts = tmp_path / "pts.txt"
+    pts.write_text(
+        "points = [{chart: 0, coords: [0, 0]}, {chart: 0, coords: [0, 0]},"
+        " {chart: 1, coords: [0, 0]}, {chart: 2, coords: [0, 0]}]\n"
+    )
+    code, doc = machine(capsys, "verify", P2, "--points", str(pts))
+    assert code == 0 and doc["all_ok"] and doc["level"] == "proved-on-instance"
+    assert [c["totals"] for c in doc["checks"]] == [
+        {"ordinary": "9", "log": "4", "var": "5"}, {"ordinary": "3", "log": "2", "var": "1"}]
+    assert [len(c["records"]) for c in doc["checks"]] == [3, 2]
+
+
+def test_zeros_table_marks_a_singular_divisor(capsys, tmp_path):
+    # z0*z1 is singular at [0:0:1], where simplicity is unknown.
+    fol = tmp_path / "cross.fol"
+    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   "field.components = [-3*z0, 2*z1, z2]\ndivisor = z0*z1\n")
+    code, out, _ = run(capsys, "zeros", str(fol))
+    assert code == 0
+    assert "  [0:0:1]  chart 2, on divisor, divisor singular\n" in out
+    assert out.count("simple") == 2 and "degenerate" not in out
+    code, doc = machine(capsys, "zeros", str(fol))
+    assert [p["simple"] for p in doc["points"]] == [None, True, True]
+
+
+def test_degenerate_perturbed_zero_exits_2(capsys, tmp_path, monkeypatch):
+    # The Jordan block at [1:0:0] goes to the perturbation engine; a perturbed
+    # zero that is degenerate as well is a domain error, not a traceback.
+    fol = tmp_path / "jordan.fol"
+    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   "field.components = [z0 + z1, z1, 3*z2]\ndivisor = z2\n"
+                   "points = [{chart: 0, coords: [0, 0]}, {chart: 2, coords: [0, 0]}]\n")
+
+    def degenerate(ld, p, i):
+        raise residue.DegenerateZero("detJ = 0")
+
+    monkeypatch.setattr(residue, "closed_form_residues", degenerate)
+    assert run(capsys, "verify", str(fol)) == (
+        2, "", "error: a perturbed zero near chart0:0,0 is still degenerate at eps=0.001\n")
+
+
 def test_poincare(capsys):
     code, doc = machine(capsys, "poincare", P3)
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from resilog.aggregate import verify_identities
 from resilog.algebra import MultiPoly
 from resilog.foliation import ChartField, chart_field, make_problem
 from resilog.residue import (
@@ -206,6 +207,36 @@ class TestPerturbedResidue:
         assert r.log == pytest.approx(2.0, abs=1e-4)
         assert r.var == pytest.approx(0.0, abs=1e-4)
         assert r.ordinary == pytest.approx(2.0, abs=1e-4)
+
+    def test_degenerate_on_curved_divisor(self):
+        # (x, y) -> (x - y^2, y) maps this field to (3x', -y^2) with D = {x' = 0}:
+        # a double zero of the induced field -y^2 with cofactor 3.
+        x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
+        cf = plane_chart((3 * (x - y**2) - 2 * y**3, -(y**2)), x - y**2)
+        for i, expected in ((0, (4, 0, 4)), (1, (2, 2, 0))):
+            r = perturbed_residue(cf, ORIGIN2, i)
+            assert r.method == "perturbation" and r.point.on_divisor
+            assert (r.ordinary, r.log, r.var) == pytest.approx(expected, abs=1e-6)
+
+    def test_matches_exact_on_a_conic(self):
+        problem = make_problem(Z3, [zv("z0", Z3), 3 * zv("z1", Z3), -zv("z2", Z3)],
+                               zv("z0", Z3) ** 2 - zv("z1", Z3) * zv("z2", Z3))
+        report = verify_identities(problem)
+        assert report.level == "proved-on-instance"
+        assert [(c.ordinary_total, c.log_total, c.var_total)
+                for c in report.checks.values()] == [(9, 1, 8), (6, 2, 4)]
+        on_divisor = 0
+        for chart in range(3):
+            cf = chart_field(problem, chart)
+            for p in discover_zeros_exact_linear(cf):
+                on_divisor += p.on_divisor
+                for i in range(2 if p.on_divisor else 1):
+                    exact = simple_residues(cf, p, i)
+                    approx = perturbed_residue(cf, p, i)
+                    for name in ("ordinary", "log", "var"):
+                        e = float(getattr(exact, name))
+                        assert abs(getattr(approx, name) - e) <= 1e-6 * max(1.0, abs(e))
+        assert on_divisor == 2  # [0:1:0] and [0:0:1]; [1:0:0] lies off the conic
 
     def test_seeded_determinism(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
