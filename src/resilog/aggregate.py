@@ -3,8 +3,8 @@ identities against the expected Chern numbers, run the Poincare bound, and
 specialize to the surface (GSV / Camacho-Sad) report.
 
 Certification levels: "proved-on-instance" (complete point set, all values
-exact), "numeric" (a perturbation was involved; tolerance 1e-6), "partial"
-(point set not certified complete).
+exact), "numeric" (a point is inexact: perturbed, or given by floats;
+tolerance 1e-6), "partial" (point set not certified complete).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .foliation import ChartField, FoliationProblem, chart_field, chern_expectations
 from .residue import (
+    NonLinearField,
     NumericConfig,
     ResidueRecord,
     SingularPoint,
@@ -56,26 +57,28 @@ def _attribute_to_chart(fields: list[ChartField], hom, found: SingularPoint | No
     coords = tuple(v for j, v in enumerate(scaled) if j != chart)
     if found is not None:
         return replace(found, chart=chart, coords=coords), fields[chart], None
-    point, ld = classify_point(fields[chart], coords, exact)
+    point, ld = classify_point(fields[chart], coords)
     return point, fields[chart], ld
 
 
 def _locate(
     problem: FoliationProblem,
+    fields: list[ChartField],
     mode: str,
     user_points: list[SingularPoint] | None,
     box: tuple[float, float] | None,
     cfg: NumericConfig,
 ) -> list[tuple]:
     """Deduplicated (point, chart field, local data) triples across all
-    charts; one chart field per chart, each point classified once in its
-    lowest chart.  Local data is None where the divisor is singular."""
-    fields = [chart_field(problem, c) for c in range(problem.n + 1)]
+    charts of ``fields`` (one chart field per chart); each point classified
+    once in its lowest chart, a given point as exact as its coordinates.
+    Local data is None where the divisor is singular."""
     raw: list[SingularPoint] = []
     if mode == "user":
         if user_points is None:
             raise ValueError("mode 'user' needs user_points")
-        raw = list(user_points)
+        raw = [replace(p, exact=all(isinstance(c, (Fraction, int)) for c in p.coords))
+               for p in user_points]
     elif mode == "exact_linear":
         for cf in fields:
             raw.extend(SingularPoint(cf.chart, x) for x in linear_zeros(cf))
@@ -94,6 +97,22 @@ def _locate(
     return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
 
 
+def _covers_linear_zeros(problem: FoliationProblem, fields: list[ChartField],
+                         located: list[tuple]) -> bool:
+    """Whether the located points include every zero of the chart fields when
+    all of them are affine-linear; True otherwise, where nothing certifies
+    the zero set.  A zero set of positive dimension raises."""
+    try:
+        zeros = [SingularPoint(cf.chart, x) for cf in fields for x in linear_zeros(cf)]
+    except NonLinearField:
+        return True
+
+    def key(p):
+        return tuple(round(float(v), 6) for v in homogeneous_representative(problem, p))
+
+    return {key(z) for z in zeros} <= {key(p) for p, _, _ in located}
+
+
 def enumerate_singularities(
     problem: FoliationProblem,
     mode: str = "exact_linear",
@@ -107,7 +126,8 @@ def enumerate_singularities(
     "numeric" (multi-start Newton per chart; may be incomplete), "user"
     (ingest user-attested points).
     """
-    return [p for p, _, _ in _locate(problem, mode, user_points, box, cfg)]
+    fields = [chart_field(problem, c) for c in range(problem.n + 1)]
+    return [p for p, _, _ in _locate(problem, fields, mode, user_points, box, cfg)]
 
 
 @dataclass
@@ -180,13 +200,15 @@ def verify_identities(
 
     With no points given, singularities are discovered exactly (affine-linear
     charts only); given points are deduplicated and classified here, whatever
-    their flags.  Simple zeros take the closed forms, the others the
-    perturbation engine.  An exact zero discrepancy at every requested i
-    certifies the identity on this instance.
-    """
+    their flags, and are complete unless ``complete`` is False or the charts
+    are affine-linear and a zero is missing.  Simple zeros take the closed
+    forms, the others the perturbation engine.  An exact zero discrepancy at
+    every requested i certifies the identity on this instance."""
+    fields = [chart_field(problem, c) for c in range(problem.n + 1)]
     mode = "exact_linear" if points is None else "user"
-    located = _locate(problem, mode, points, None, cfg)
-    complete = True if complete is None else complete
+    located = _locate(problem, fields, mode, points, None, cfg)
+    if complete is None:
+        complete = points is None or _covers_linear_zeros(problem, fields, located)
     if i_list is None:
         i_list = list(range(problem.n))
 
@@ -201,7 +223,7 @@ def verify_identities(
     for i in i_list:
         records = [closed_form_residues(ld, p, i) if p.simple else perturbed_residue(cf, p, i, cfg)
                    for p, cf, ld in located if i == 0 or ld.s is not None]
-        any_numeric = any_numeric or any(r.method == "perturbation" for r in records)
+        any_numeric = any_numeric or any(not r.point.exact for r in records)
         ordinary_available = all(r.ordinary is not None for r in records)
         if not ordinary_available:
             notes.append(
@@ -321,18 +343,16 @@ def surface_report(
         SurfacePointRow(point=r.point, gsv=r.log, cs=r.var, ordinary=r.ordinary)
         for r in check.records
     ]
-    gsv_total = _total([r.gsv for r in rows])
-    cs_total = _total([r.cs for r in rows])
     all_nonneg = all(r.gsv is not None and r.gsv >= 0 for r in rows)
     return SurfaceReport(
         rows=rows,
-        gsv_total=gsv_total,
-        cs_total=cs_total,
-        expected_gsv_total=(problem.n + problem.d - problem.m) * problem.m,
-        expected_cs_total=problem.m**2,
+        gsv_total=check.log_total,
+        cs_total=check.var_total,
+        expected_gsv_total=check.expected_log,
+        expected_cs_total=check.expected_var,
         all_gsv_nonnegative=all_nonneg,
         carnicer_bound_holds=problem.m <= problem.d + 2 if all_nonneg else False,
-        equality_flag=gsv_total == 0,
+        equality_flag=check.log_total == 0,
         d=problem.d,
         m=problem.m,
     )

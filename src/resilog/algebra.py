@@ -203,10 +203,9 @@ class MultiPoly:
         return MultiPoly(self.variables, out)
 
     def eval(self, point: Sequence):
-        """Exact value at a point.
-
-        Accepts Fractions/ints for exact evaluation; floats or complex
-        values propagate through and give an approximate result.
+        """Value at a point: exact at Fractions or ints, approximate at floats
+        or complex values.  Polynomial coordinates compose: p.eval([q_1, ...])
+        is the polynomial p(q_1, ...) in the variables of the q_j.
         """
         if len(point) != len(self.variables):
             raise ValueError(

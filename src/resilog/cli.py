@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import aggregate, birational
@@ -277,18 +278,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; each warning it raises is printed as one stderr line."""
     args = build_parser().parse_args(argv)
-    try:
-        code, doc, lines = args.run(args)
-    except ParseError as exc:
-        print(f"parse error at {exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
-        return 1
-    except (SchemaError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, doc, lines = args.run(args)
+        except ParseError as exc:
+            print(f"parse error at {exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
+            return 1
+        except (SchemaError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     if args.format == "machine":
         print(json.dumps({"schema": SCHEMA, "command": args.command, **to_doc(doc)},
                          indent=2, sort_keys=True))

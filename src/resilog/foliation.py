@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import DomainError, MultiPoly, align, exact_divide
+from .algebra import DomainError, MultiPoly, RatMatrix, align, det_exact, exact_divide
 from .parse import SchemaError
 
 
@@ -125,77 +124,33 @@ def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
     m = divisor.degree()
     if m < 1:
         raise SchemaError("divisor degree must be at least 1")
-    _warn_if_likely_nonreduced(variables, divisor)
+    if m > 1:
+        _warn_if_likely_nonreduced(divisor, m)
     return FoliationProblem(
         n=n, variables=variables, components=components, divisor=divisor, d=e, m=m
     )
 
 
-def _univariate_coeffs(p: MultiPoly) -> list[Fraction]:
-    if len(p.variables) != 1:
-        raise ValueError("expected a univariate polynomial")
-    deg = max((e[0] for e in p.terms), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        out[e[0]] = c
-    return out
+def _warn_if_likely_nonreduced(divisor: MultiPoly, m: int, trials: int = 3):
+    """Warn unless a seeded rational line z = p + t*q proves D reduced.
 
-
-def _univariate_squarefree(coeffs: list[Fraction]) -> bool:
-    """Squarefreeness via gcd(g, g') by the Euclidean algorithm."""
-
-    def degree(c):
-        return len(c) - 1
-
-    def normalize(c):
-        while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        return c
-
-    def mod(a, b):
-        a = a[:]
-        while degree(a) >= degree(b) and any(x != 0 for x in a):
-            shift = degree(a) - degree(b)
-            factor = a[-1] / b[-1]
-            for j, bj in enumerate(b):
-                a[j + shift] -= factor * bj
-            a = normalize(a)
-        return a
-
-    g = normalize(coeffs)
-    if degree(g) <= 1:
-        return True
-    gp = normalize([c * j for j, c in enumerate(g)][1:] or [Fraction(0)])
-    a, b = g, gp
-    while any(x != 0 for x in b) and degree(b) > 0:
-        a, b = b, mod(a, b)
-    if any(x != 0 for x in b):
-        return True  # gcd is a nonzero constant
-    return degree(a) == 0
-
-
-def _warn_if_likely_nonreduced(variables, divisor: MultiPoly, trials: int = 3):
-    """Heuristic reducedness check: restrict to random rational lines.
-
-    A non-reduced divisor gives a non-squarefree restriction along every
-    line; a reduced one is squarefree along a random line outside a measure
-    zero set.  Full multivariate squarefreeness is out of scope.
-    """
+    Where D(q) != 0 the restriction g(t) has degree m, and a repeated factor
+    of D restricts to one of g; so Res(g, g') != 0, which says g is
+    squarefree (Cox-Little-O'Shea, ch. 3 sec. 6), proves D reduced."""
     rng = random.Random(20240817)
     t = MultiPoly.variable(("t",), "t")
     for _ in range(trials):
-        point = [Fraction(rng.randint(-9, 9)) for _ in variables]
-        direction = [Fraction(rng.randint(1, 9)) for _ in variables]
-        restricted = MultiPoly.zero(("t",))
-        for e, c in divisor.terms.items():
-            term = MultiPoly.const(("t",), c)
-            for (p0, q0), k in zip(zip(point, direction), e):
-                if k:
-                    term = term * (MultiPoly.const(("t",), p0) + q0 * t) ** k
-            restricted = restricted + term
-        if restricted.is_zero or restricted.degree() < 1:
+        point = [rng.randint(-9, 9) for _ in divisor.variables]
+        direction = [rng.randint(1, 9) for _ in divisor.variables]
+        g = divisor.eval([p + q * t for p, q in zip(point, direction)])
+        if g.degree() < m:
             continue
-        if _univariate_squarefree(_univariate_coeffs(restricted)):
+        # The (2m-1)x(2m-1) Sylvester matrix of g and g', leading coefficients first.
+        c = [g.terms.get((k,), 0) for k in range(m, -1, -1)]
+        dc = [k * x for k, x in zip(range(m, 0, -1), c)]
+        rows = [[0] * j + c + [0] * (m - 2 - j) for j in range(m - 1)]
+        rows += [[0] * j + dc + [0] * (m - 1 - j) for j in range(m)]
+        if det_exact(RatMatrix(rows)):
             return
     warnings.warn(
         "divisor looks non-reduced (restrictions along random lines are not "

@@ -183,11 +183,12 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     return LocalData(trJ=trJ, detJ=detJ, k_at_p=k_at_p, trJD=trJD, detJD=detJD, s=s)
 
 
-def classify_point(cf: ChartField, coords, exact: bool) -> tuple[SingularPoint, LocalData | None]:
-    """The zero at ``coords`` flagged on/off the divisor and simple or not,
-    with its local data (None where the divisor is singular; simple is then
-    unknown)."""
+def classify_point(cf: ChartField, coords) -> tuple[SingularPoint, LocalData | None]:
+    """The zero at ``coords``, exact when they are, flagged on/off the divisor
+    and simple or not, with its local data (None where the divisor is
+    singular; simple is then unknown)."""
     coords = tuple(coords)
+    exact = _coords_exact(coords)
     try:
         ld = local_data(cf, SingularPoint(cf.chart, coords, exact))
     except DivisorSingularAt:
@@ -467,7 +468,7 @@ def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
 
 def discover_zeros_exact_linear(cf: ChartField) -> list[SingularPoint]:
     """The classified exact zeros of an affine-linear chart field."""
-    return [classify_point(cf, x, True)[0] for x in linear_zeros(cf)]
+    return [classify_point(cf, x)[0] for x in linear_zeros(cf)]
 
 
 def discover_zeros_numeric(
@@ -489,4 +490,4 @@ def discover_zeros_numeric(
             continue
         if all(max(abs(a - b) for a, b in zip(real, q)) > cfg.dedupe_radius for q in found):
             found.append(real)
-    return [classify_point(cf, q, False)[0] for q in sorted(found)]
+    return [classify_point(cf, q)[0] for q in sorted(found)]

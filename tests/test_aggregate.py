@@ -17,7 +17,7 @@ from resilog.aggregate import (
 from resilog.algebra import MultiPoly
 from resilog.foliation import make_problem
 from resilog.parse import parse_problem
-from resilog.residue import SingularPoint
+from resilog.residue import PositiveDimensional, SingularPoint
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -111,6 +111,31 @@ def test_partial_point_set_warns_and_downgrades():
         report = verify_identities(P2, points=pts, complete=False)
     assert report.level == "partial"
     assert not report.all_ok  # one point cannot reach the global totals
+
+
+def test_partial_point_set_of_linear_charts_is_detected():
+    # Every chart of P2 is affine-linear, so its three zeros are known exactly.
+    pts = [SingularPoint(0, (Fraction(0), Fraction(0)))]
+    with pytest.warns(IncompletePointSet):
+        report = verify_identities(P2, points=pts)
+    assert not report.complete and report.level == "partial"
+    assert verify_identities(P2, points=enumerate_singularities(P2)).level == "proved-on-instance"
+
+
+def test_given_points_on_a_line_of_zeros_raise_like_discovery():
+    # diag(1, 1, 2): the line z2 = 0 is a line of zeros.
+    problem = diag_problem((1, 1, 2), Z3)
+    with pytest.raises(PositiveDimensional):
+        verify_identities(problem)
+    with pytest.raises(PositiveDimensional):
+        verify_identities(problem, points=[SingularPoint(2, (Fraction(0), Fraction(0)))])
+
+
+def test_float_coordinates_give_a_numeric_level():
+    report = verify_identities(P2, [SingularPoint(c, (0.0, 0.0)) for c in range(3)])
+    assert report.level == "numeric" and report.complete and report.all_ok
+    assert all(not r.point.exact for c in report.checks.values() for r in c.records)
+    assert report.checks[0].ordinary_total == pytest.approx(9)
 
 
 def test_unflagged_point_on_divisor_enters_i1():

@@ -245,6 +245,23 @@ def test_mutated_fixtures_exit_without_traceback(name, data):
             assert main([command[0], str(path), *command[1:], "--format", fmt]) in (0, 1, 2)
 
 
+def test_warnings_print_as_one_line_each(capsys, tmp_path):
+    problem = tmp_path / "square.fol"
+    problem.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                       "field.components = [z0, z1, 2*z2]\ndivisor = (z0 - z1)^2*z2\n")
+    code, out, err = run(capsys, "check", str(problem))
+    assert code == 0 and out.startswith("tangent: yes")
+    assert err == ("warning: divisor looks non-reduced (restrictions along random lines are "
+                   "not squarefree); residue output is only meaningful for reduced divisors\n")
+
+
+def test_partial_point_set_exits_2_with_one_warning(capsys):
+    code, out, err = run(capsys, "verify", str(FIXTURES / "p2_partial.fol"))
+    assert code == 2 and out.startswith("certification level: partial\n")
+    assert err == ("warning: point set not certified complete; identity totals may miss "
+                   "contributions\n")
+
+
 def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "check", MALFORMED)
     assert code == 1
@@ -419,7 +436,7 @@ print(loaded)
 
 def test_numpy_loads_only_on_the_numeric_path():
     exact = [argv for argv in CASES.values() if "--numeric" not in argv]
-    assert len(exact) == 14
+    assert len(exact) == 15
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY.format(exact=exact)], cwd=ROOT,

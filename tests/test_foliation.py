@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -52,6 +53,61 @@ def test_make_problem_rejects_bad_input():
 def test_nonreduced_divisor_warns():
     with pytest.warns(UserWarning, match="non-reduced"):
         make_problem(Z, [zvar("z0"), zvar("z1"), 2 * zvar("z2")], zvar("z2") ** 2)
+
+
+def warns_nonreduced(variables, divisor) -> bool:
+    """Whether make_problem warns that ``divisor`` looks non-reduced."""
+    if isinstance(divisor, str):
+        divisor = parse_poly(divisor, variables)
+    comps = [zvar(v, variables) for v in variables]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        make_problem(variables, comps, divisor)
+    return any("non-reduced" in str(w.message) for w in caught)
+
+
+def test_squared_line_warns_although_a_seeded_line_drops_degree():
+    # The second seeded line has direction (1, 6, 1), where (z0 - z2)^2 vanishes.
+    with pytest.warns(UserWarning, match="non-reduced"):
+        make_problem(Z, [zvar("z0"), zvar("z1"), zvar("z2")], parse_poly("(z0 - z2)^2*z1", Z))
+
+
+@pytest.mark.parametrize("variables, divisor", [
+    (("z0", "z1", "z2", "z3"), "-171*z0 + 385*z1 - 119*z2 + 215*z3"),
+    (Z, "z0^2 - z1*z2"),
+    (Z, "z0*z1*z2"),
+])
+def test_reduced_divisors_do_not_warn(variables, divisor):
+    assert not warns_nonreduced(variables, divisor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_square_factor_always_warns(data):
+    zs = tuple(f"z{i}" for i in range(data.draw(st.integers(3, 4))))
+    g = data.draw(homogeneous(zs, data.draw(st.integers(1, 2)), min_terms=1))
+    h = data.draw(homogeneous(zs, data.draw(st.integers(0, 2)), min_terms=1))
+    assert warns_nonreduced(zs, g * g * h)
+
+
+def test_binary_forms_warn_exactly_when_sympy_finds_a_square_factor():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240818)
+    zs = ("z0", "z1")
+    symbols = sympy.symbols(zs)
+    non_reduced = 0
+    for _ in range(200):
+        degree, divisor = rng.randint(2, 6), MultiPoly.const(zs, 1)
+        while divisor.degree() < degree:
+            k = min(rng.randint(1, 2), degree - divisor.degree())
+            f = MultiPoly(zs, {(j, k - j): rng.randint(-3, 3) or 1 for j in range(k + 1)})
+            square = rng.random() < 0.2 and divisor.degree() + 2 * k <= degree
+            divisor = divisor * f ** (2 if square else 1)
+        poly = sympy.Poly.from_dict({e: int(c) for e, c in divisor.terms.items()}, *symbols)
+        reduced = all(k == 1 for _, k in poly.sqf_list()[1])
+        assert warns_nonreduced(zs, divisor) != reduced, divisor
+        non_reduced += not reduced
+    assert 40 < non_reduced < 160  # both kinds are well represented
 
 
 def test_dehomogenize_known_chart():

@@ -20,6 +20,7 @@ CASES = {
 }
 CASES["discrepancy_a2_chain"] = ["discrepancy", "fixtures/a2_chain.json"]
 CASES["cyclic_m7"] = ["cyclic", "--m", "7"]
+CASES["verify_p2_partial"] = ["verify", "fixtures/p2_partial.fol"]
 
 
 def stdout_of(argv, capsys, monkeypatch) -> str:
