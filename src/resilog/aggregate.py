@@ -66,17 +66,20 @@ def _locate(
     fields: list[ChartField],
     mode: str,
     user_points: list[SingularPoint] | None,
-    box: tuple[float, float] | None,
     cfg: NumericConfig,
 ) -> list[tuple]:
     """Deduplicated (point, chart field, local data) triples across all
     charts of ``fields`` (one chart field per chart); each point classified
     once in its lowest chart, a given point as exact as its coordinates.
-    Local data is None where the divisor is singular."""
+    Local data is None where the divisor is singular.  A given point's chart
+    must lie in 0..n (ValueError otherwise)."""
     raw: list[SingularPoint] = []
     if mode == "user":
         if user_points is None:
             raise ValueError("mode 'user' needs user_points")
+        for p in user_points:
+            if not 0 <= p.chart <= problem.n:
+                raise ValueError(f"point chart {p.chart} is out of range 0..{problem.n}")
         raw = [replace(p, exact=all(isinstance(c, (Fraction, int)) for c in p.coords))
                for p in user_points]
     elif mode == "exact_linear":
@@ -84,7 +87,7 @@ def _locate(
             raw.extend(SingularPoint(cf.chart, x) for x in linear_zeros(cf))
     elif mode == "numeric":
         for cf in fields:
-            raw.extend(discover_zeros_numeric(cf, box, cfg))
+            raw.extend(discover_zeros_numeric(cf, cfg=cfg))
     else:
         raise ValueError(f"unknown discovery mode {mode!r}")
 
@@ -117,17 +120,16 @@ def enumerate_singularities(
     problem: FoliationProblem,
     mode: str = "exact_linear",
     user_points: list[SingularPoint] | None = None,
-    box: tuple[float, float] = (-2.0, 2.0),
     cfg: NumericConfig = NumericConfig(),
 ) -> list[SingularPoint]:
     """Deduplicated singular points across all charts.
 
     Modes: "exact_linear" (certified complete for affine-linear charts),
-    "numeric" (multi-start Newton per chart; may be incomplete), "user"
-    (ingest user-attested points).
+    "numeric" (multi-start Newton over the box [-2, 2]^n of each chart; may
+    be incomplete), "user" (ingest user-attested points).
     """
     fields = [chart_field(problem, c) for c in range(problem.n + 1)]
-    return [p for p, _, _ in _locate(problem, fields, mode, user_points, box, cfg)]
+    return [p for p, _, _ in _locate(problem, fields, mode, user_points, cfg)]
 
 
 @dataclass
@@ -206,7 +208,7 @@ def verify_identities(
     every requested i certifies the identity on this instance."""
     fields = [chart_field(problem, c) for c in range(problem.n + 1)]
     mode = "exact_linear" if points is None else "user"
-    located = _locate(problem, fields, mode, points, None, cfg)
+    located = _locate(problem, fields, mode, points, cfg)
     if complete is None:
         complete = points is None or _covers_linear_zeros(problem, fields, located)
     if i_list is None:

@@ -205,18 +205,23 @@ class MultiPoly:
     def eval(self, point: Sequence):
         """Value at a point: exact at Fractions or ints, approximate at floats
         or complex values.  Polynomial coordinates compose: p.eval([q_1, ...])
-        is the polynomial p(q_1, ...) in the variables of the q_j.
+        is the polynomial p(q_1, ...) in the variables of the q_j.  Each power
+        x_j**k is computed once per call.
         """
         if len(point) != len(self.variables):
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {len(self.variables)}"
             )
+        powers: dict[tuple[int, int], object] = {}
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
-            for x, k in zip(point, e):
+            for j, k in enumerate(e):
                 if k:
-                    term = term * x**k
+                    x_k = powers.get((j, k))
+                    if x_k is None:
+                        x_k = powers[j, k] = point[j] ** k
+                    term = term * x_k
             total = total + term
         return total
 

@@ -11,9 +11,11 @@ copies of the residue formulas.  Degenerate zeros go through a seeded
 perturbation engine: it deforms the chart field along a random field tangent
 to the divisor (curved divisors included), so each nearby perturbed zero is
 simple with its own ``local_data``, and Richardson-extrapolates the summed
-closed forms over two perturbation sizes.  numpy is imported inside the
-numeric functions only, so the exact path (and every CLI call but
-``zeros --numeric``) never pays for loading it.
+closed forms over two perturbation sizes.  One multi-start Newton search,
+``_newton_zeros``, finds those perturbed zeros (from a complex polydisk of
+starts) and the zeros of numeric discovery (from a real grid).  numpy is
+imported inside the numeric functions only, so the exact path never pays
+for loading it.
 """
 
 from __future__ import annotations
@@ -265,12 +267,6 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueReco
 
 # -- numeric engine --------------------------------------------------------
 
-def _float_point(coords) -> np.ndarray:
-    import numpy as np
-    return np.array([complex(float(c), 0.0) if not isinstance(c, complex) else c
-                     for c in coords])
-
-
 def _newton(field: Sequence[MultiPoly], jac, x0, cfg: NumericConfig,
             center: np.ndarray | None = None, escape: float = math.inf) -> np.ndarray | None:
     """Complex Newton from one start: the zero reached, or None when the
@@ -295,54 +291,52 @@ def _newton(field: Sequence[MultiPoly], jac, x0, cfg: NumericConfig,
     return None
 
 
-def _newton_multistart(
-    field: Sequence[MultiPoly],
-    center: np.ndarray,
-    radius: float,
-    cfg: NumericConfig,
-    fixed: int | None = None,
-) -> list[np.ndarray]:
-    """All zeros of the field within L-inf radius of center, deduped.
+def _newton_zeros(field: Sequence[MultiPoly], starts, cfg: NumericConfig,
+                  center: np.ndarray | None = None, escape: float = math.inf) -> list[np.ndarray]:
+    """The distinct zeros ``_newton`` reaches from ``starts``, in start order: a
+    zero is kept when it lies more than ``cfg.dedupe_radius`` (L-inf) from every
+    zero kept before it.  Numeric discovery and the perturbation engine both
+    search with it and differ only in their starts and filters."""
+    import numpy as np
+    jac = [[p.partial(v) for v in field[0].variables] for p in field]
+    found: list[np.ndarray] = []
+    for x0 in starts:
+        x = _newton(field, jac, x0, cfg, center, escape)
+        if x is not None and all(float(np.max(np.abs(x - q))) > cfg.dedupe_radius
+                                 for q in found):
+            found.append(x)
+    return found
 
-    Starts cover a polydisk: per axis, the center plus points on a complex
-    circle of radius 0.6*radius (the ``fixed`` axis keeps the center only);
-    Newton runs in complex arithmetic so that conjugate zero pairs produced
-    by perturbation are found too.
+
+def _zeros_near(field: Sequence[MultiPoly], coords, radius: float, cfg: NumericConfig,
+                fixed: int | None = None) -> list[np.ndarray]:
+    """All zeros of the field within L-inf radius of the point ``coords``.
+
+    Starts cover a polydisk: the center, then per axis the center plus points
+    on a complex circle of radius 0.6*radius (the ``fixed`` axis keeps the
+    center only); Newton runs in complex arithmetic so that conjugate zero
+    pairs produced by perturbation are found too.  Raises NewtonDivergence
+    when no start converges and BoundaryZero when a zero lies within
+    ``cfg.dedupe_radius`` inside the boundary.
     """
     import numpy as np
-    m = len(field)
-    variables = field[0].variables
-    jac = [[field[r].partial(v) for v in variables] for r in range(m)]
-
+    center = np.array([complex(c) for c in coords])
     g = cfg.grid_per_axis
     ring = [0.0 + 0.0j] + [
         0.6 * radius * complex(math.cos(2 * math.pi * t / (g - 1)),
                                math.sin(2 * math.pi * t / (g - 1)))
         for t in range(g - 1)
     ]
-    # The center, then the Cartesian product of per-axis offsets.
-    grid = itertools.product(*([0j] if j == fixed else ring for j in range(m)))
+    grid = itertools.product(*([0j] if j == fixed else ring for j in range(len(field))))
     starts = [center] + [center + np.array(offsets) for offsets in grid]
-
-    found: list[np.ndarray] = []
-    converged_any = False
-    for x0 in starts:
-        x = _newton(field, jac, x0, cfg, center, 10 * radius)
-        if x is None:
-            continue
-        converged_any = True
-        dist = float(np.max(np.abs(x - center)))
-        if dist > radius:
-            continue
-        if dist > radius - cfg.dedupe_radius:
-            raise BoundaryZero(
-                f"perturbed zero at distance {dist:.3g} of the search boundary"
-            )
-        if all(float(np.max(np.abs(x - q))) > cfg.dedupe_radius for q in found):
-            found.append(x)
-    if not converged_any:
+    zeros = _newton_zeros(field, starts, cfg, center, 10 * radius)
+    if not zeros:
         raise NewtonDivergence("no Newton start converged")
-    return found
+    dists = [float(np.max(np.abs(x - center))) for x in zeros]
+    for dist in dists:
+        if radius - cfg.dedupe_radius < dist <= radius:
+            raise BoundaryZero(f"perturbed zero at distance {dist:.3g} of the search boundary")
+    return [x for x, dist in zip(zeros, dists) if dist <= radius]
 
 
 def _random_rational(rng: random.Random) -> Fraction:
@@ -352,10 +346,9 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 def _random_affine(variables, rng: random.Random) -> MultiPoly:
     """Affine polynomial with coefficients drawn by ``_random_rational``."""
-    p = MultiPoly.const(variables, _random_rational(rng))
-    for v in variables:
-        p = p + _random_rational(rng) * MultiPoly.variable(variables, v)
-    return p
+    n = len(variables)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return MultiPoly(variables, {e: _random_rational(rng) for e in [(0,) * n, *units]})
 
 
 def _tangent_direction(cf: ChartField, rng: random.Random):
@@ -400,7 +393,6 @@ def perturbed_residue(
     # For i >= 1 the zeros on the divisor solve (a_j for j != s, f): by
     # tangency a_s vanishes there too, and starts vary off the axis s only.
     s = _divisor_gradient(cf, coords, exact)[1] if i else None
-    center = _float_point(coords)
     sums: list[list[complex]] = []
     counts: list[int] = []
     for eps in cfg.eps_levels:
@@ -408,7 +400,7 @@ def perturbed_residue(
         perturbed = replace(cf, a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)), k=k + e * h)
         system = perturbed.a if s is None else [
             a for j, a in enumerate(perturbed.a) if j != s] + [cf.f]
-        zeros = _newton_multistart(system, center, cfg.search_radius, cfg, s)
+        zeros = _zeros_near(system, coords, cfg.search_radius, cfg, s)
         counts.append(len(zeros))
         total = [0j, 0j, 0j]
         for z in zeros:
@@ -472,22 +464,13 @@ def discover_zeros_exact_linear(cf: ChartField) -> list[SingularPoint]:
 
 
 def discover_zeros_numeric(
-    cf: ChartField, box: tuple[float, float], cfg: NumericConfig = NumericConfig()
+    cf: ChartField, box: tuple[float, float] = (-2.0, 2.0), cfg: NumericConfig = NumericConfig()
 ) -> list[SingularPoint]:
-    """Real zeros inside a box by multi-start Newton; may miss some."""
+    """Real zeros inside a box by multi-start Newton from a grid; may miss some."""
     lo, hi = box
-    n = cf.n
-    jac = [[cf.a[r].partial(v) for v in cf.variables] for r in range(n)]
     g = cfg.grid_per_axis
     axis = [lo + (hi - lo) * t / (g - 1) for t in range(g)]
-    found: list[tuple] = []
-    for start in itertools.product(axis, repeat=n):
-        x = _newton(cf.a, jac, start, cfg)
-        if x is None or max(abs(c.imag) for c in x) > 1e-8:
-            continue
-        real = tuple(float(c.real) for c in x)
-        if any(not lo - 1e-9 <= c <= hi + 1e-9 for c in real):
-            continue
-        if all(max(abs(a - b) for a, b in zip(real, q)) > cfg.dedupe_radius for q in found):
-            found.append(real)
-    return [classify_point(cf, q)[0] for q in sorted(found)]
+    zeros = _newton_zeros(cf.a, itertools.product(axis, repeat=cf.n), cfg)
+    real = [tuple(float(c.real) for c in x) for x in zeros if max(abs(c.imag) for c in x) <= 1e-8]
+    inside = [q for q in real if all(lo - 1e-9 <= c <= hi + 1e-9 for c in q)]
+    return [classify_point(cf, q)[0] for q in sorted(inside)]

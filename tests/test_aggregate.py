@@ -41,6 +41,12 @@ P2 = diag_problem((-3, 2, 1), Z3)
 P3 = diag_problem((-4, 3, 2, -1), Z4)
 
 
+@pytest.mark.parametrize("chart", [3, -1, 7])
+def test_given_point_chart_out_of_range_raises(chart):
+    with pytest.raises(ValueError, match=f"point chart {chart} is out of range 0..2"):
+        verify_identities(P2, [SingularPoint(chart, (Fraction(0), Fraction(0)))])
+
+
 def test_homogeneous_representative():
     p = SingularPoint(1, (Fraction(0), Fraction(2)))
     assert homogeneous_representative(P2, p) == (Fraction(0), Fraction(1), Fraction(2))

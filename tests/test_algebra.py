@@ -79,6 +79,31 @@ def test_eval_exact_and_float():
     assert p.eval((2.0, 4.0, 0.0)) == pytest.approx(5.0)
 
 
+def termwise_eval(p, point):
+    """Reference value of p at point: every power recomputed for every term."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = c
+        for x, k in zip(point, e):
+            if k:
+                term = term * x**k
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eval_reuses_powers_without_changing_values(seed):
+    # Same operations in the same order: equal at Fraction points, bit-equal
+    # at complex points, equal at polynomial points.
+    rng = random.Random(seed)
+    p = random_poly(rng, max_terms=8, max_exp=4)
+    exact = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in VARS]
+    approx = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in VARS]
+    lines = [random_poly(rng, ("t",), max_terms=2, max_exp=1) for _ in VARS]
+    for point in (exact, approx, lines):
+        assert p.eval(point) == termwise_eval(p, point)
+
+
 def test_substitute_one_drops_variable():
     p = MultiPoly(VARS, {(1, 1, 0): 2, (0, 0, 2): 1})
     q = p.substitute_one("y", Fraction(3))

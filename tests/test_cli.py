@@ -26,6 +26,7 @@ P3 = str(FIXTURES / "p3_example.fol")
 A2 = str(FIXTURES / "a2_chain.json")
 NOT_TANGENT = str(FIXTURES / "not_tangent.fol")
 MALFORMED = str(FIXTURES / "malformed.fol")
+JORDAN = str(FIXTURES / "p2_jordan.fol")
 
 
 def run(capsys, *argv):
@@ -197,6 +198,47 @@ def test_equal_eps_levels_exit_1_on_a_degenerate_zero(capsys, tmp_path):
     assert run(capsys, "verify", str(fol), "--eps-levels", "0.001,0.001") == (
         1, "", "error: numeric option eps_levels must be two distinct values > 0, "
                "got (0.001, 0.001)\n")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--newton-max-iter 1", "no Newton start converged"),
+    ("--dedupe-radius 0.49", "perturbed zero at distance 0.0293 of the search boundary"),
+    ("--eps-levels 0.3,0.0001", "zero counts 0 vs 2 at eps levels (0.3, 0.0001)"),
+])
+def test_perturbation_engine_failures_exit_2(capsys, flag, message):
+    # Divergence, a zero on the search boundary, and unstable zero counts at
+    # the degenerate zero [1:0:0] each end in one error line.
+    assert run(capsys, "verify", JORDAN, *flag.split()) == (2, "", f"error: {message}\n")
+
+
+def test_residues_are_deterministic_across_hash_seeds():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+               "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "resilog.cli", "residues", JORDAN,
+                               "--format", "machine"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert '"method": "perturbation"' in outputs[0]
+
+
+@pytest.mark.parametrize("chart", [7, -1])
+@pytest.mark.parametrize("via", ["file", "--points"])
+def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
+    entry = f"{{chart: {chart}, coords: [0, 0]}}"
+    fol = tmp_path / "bad.fol"
+    text = (FIXTURES / "p2_example.fol").read_text(encoding="utf-8")
+    argv = ["verify", str(fol)]
+    if via == "file":
+        text += f"points = [{entry}, {{chart: 0, coords: [0, 0]}}]\n"
+    else:
+        (tmp_path / "pts.fol").write_text(f"points = [{entry}]\n")
+        argv += ["--points", str(tmp_path / "pts.fol")]
+    fol.write_text(text)
+    assert run(capsys, *argv) == (1, "", f"error: point chart {chart} is out of range 0..2\n")
 
 
 FUZZ_FILES = ("p2_example.fol", "p3_example.fol", "not_tangent.fol", "malformed.fol",
