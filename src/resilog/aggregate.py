@@ -40,10 +40,12 @@ def _leading_index(values, exact: bool) -> int:
 
 
 def homogeneous_representative(problem: FoliationProblem, p: SingularPoint):
-    """Homogeneous coordinates scaled so the first nonzero entry is 1."""
+    """Homogeneous coordinates scaled so the first nonzero entry is 1; exact
+    when the coordinates are, as at a perturbed zero given exactly."""
     coords = list(p.coords)
-    hom = coords[: p.chart] + [Fraction(1) if p.exact else 1.0] + coords[p.chart :]
-    first = hom[_leading_index(hom, p.exact)]
+    exact = all(isinstance(v, (Fraction, int)) for v in coords)
+    hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
+    first = hom[_leading_index(hom, exact)]
     return tuple(v / first for v in hom)
 
 

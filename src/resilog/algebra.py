@@ -5,8 +5,10 @@ terms with positive denominator).  Polynomials are sparse: a map from
 exponent tuples to nonzero rational coefficients.  Matrices carry exact
 rational entries; one fraction-free (Bareiss) row echelon routine gives the
 determinant, the rank and exact linear solves; it clears each row's
-denominators and runs on Python ints.  ``DomainError`` is the base of every
-exception that reports input outside the supported mathematics.
+denominators and runs on Python ints.  Solves stay integral: with d the last
+pivot, d*x is integral (Cramer), so back substitution divides exactly with
+``//``.  ``DomainError`` is the base of every exception that reports input
+outside the supported mathematics.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -225,6 +227,28 @@ class MultiPoly:
             total = total + term
         return total
 
+    def gradient(self, point: Sequence) -> list:
+        """All partial derivatives at a point in one pass over the terms, each
+        power x_i**k computed once.  Each value equals partial(v).eval(point)
+        bit for bit, at Fraction, float and complex points, as numeric local
+        data relies on: a term is c*e_j times its powers in variable order,
+        and the terms are summed from Fraction(0) in term order."""
+        grad: list = [Fraction(0)] * len(self.variables)
+        if len(point) != len(grad):
+            raise ValueError(f"point has {len(point)} coordinates, expected {len(grad)}")
+        powers: dict[tuple[int, int], object] = {}
+        for e, c in self.terms.items():
+            for j in (j for j, e_j in enumerate(e) if e_j):
+                term = c * e[j]
+                for i, k in enumerate(e):
+                    k -= i == j
+                    if k:
+                        if (i, k) not in powers:
+                            powers[i, k] = point[i] ** k
+                        term = term * powers[i, k]
+                grad[j] = grad[j] + term
+        return grad
+
     def substitute_one(self, name: str, value: Scalar) -> "MultiPoly":
         """Fix one variable to a rational constant; result drops that variable."""
         j = self.var_index(name)
@@ -378,14 +402,16 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
     return a, pivots, Fraction(sign, math.prod(lcms))
 
 
-def back_substitute(a: Sequence[Sequence[Scalar]], n: int) -> list[Fraction]:
-    """Solution x of an echelon system whose first n columns carry the pivots
-    on the diagonal and whose column n is the right-hand side."""
-    x = [Fraction(0)] * n
+def back_substitute(a: Sequence[Sequence[int]], n: int) -> list[Fraction]:
+    """Solution x of an integer echelon system from ``echelon`` whose first n
+    columns carry the pivots on the diagonal and whose column n is the
+    right-hand side.  The last pivot d is +-det of the row-scaled matrix, so
+    X = d*x is integral (Cramer) and each ``//`` below is exact."""
+    d = a[n - 1][n - 1]
+    X = [0] * n
     for k in range(n - 1, -1, -1):
-        s = a[k][n] - sum((a[k][j] * x[j] for j in range(k + 1, n)), Fraction(0))
-        x[k] = s / a[k][k]
-    return x
+        X[k] = (d * a[k][n] - sum(a[k][j] * X[j] for j in range(k + 1, n))) // a[k][k]
+    return [Fraction(v, d) for v in X]
 
 
 def det_exact(m: RatMatrix) -> Fraction:

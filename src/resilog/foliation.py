@@ -193,13 +193,19 @@ def dehomogenize_field(problem: FoliationProblem, chart: int) -> ChartField:
 
 
 def chart_cofactor(cf: ChartField) -> MultiPoly:
-    """Cofactor k with v(f) = k*f in this chart; raises NotTangent."""
-    vf = MultiPoly.zero(cf.variables)
-    for a_j, name in zip(cf.a, cf.variables):
-        vf = vf + a_j * cf.f.partial(name)
+    """Cofactor k with v(f) = k*f in this chart; raises NotTangent.  v(f) is
+    read into one term dict from the terms of the a_j and of f."""
     if cf.f.is_constant:
         # f was normalized to the unit 1 here; v(1) = 0 and k = 0.
         return MultiPoly.zero(cf.variables)
+    terms: dict = {}
+    for e, c in cf.f.terms.items():
+        for j in (j for j, e_j in enumerate(e) if e_j):
+            de, dc = e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j]  # a term of df/dx_j
+            for ea, ca in cf.a[j].terms.items():
+                prod = tuple(x + y for x, y in zip(ea, de))
+                terms[prod] = terms.get(prod, 0) + ca * dc
+    vf = MultiPoly(cf.variables, terms)
     k = exact_divide(vf, cf.f)
     if k is None:
         raise NotTangent(cf.chart, vf)

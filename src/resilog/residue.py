@@ -155,7 +155,7 @@ def _on_divisor(cf: ChartField, coords, exact: bool) -> bool:
 def _divisor_gradient(cf: ChartField, coords, exact: bool):
     """Gradient of f at a point of the divisor and the index s of its first
     nonzero entry; raises DivisorSingularAt where the gradient vanishes."""
-    grad_f = [cf.f.partial(v).eval(coords) for v in cf.variables]
+    grad_f = cf.f.gradient(coords)
     s = next((j for j, g in enumerate(grad_f) if not _is_zero(g, exact)), None)
     if s is None:
         raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
@@ -170,7 +170,7 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     exact = _coords_exact(coords)
     if any(not _is_zero(a.eval(coords), exact) for a in cf.a):
         raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
-    jac = [[cf.a[r].partial(v).eval(coords) for v in cf.variables] for r in range(n)]
+    jac = [a.gradient(coords) for a in cf.a]
     trJ = sum(jac[j][j] for j in range(n))
     detJ = _det(jac, exact)
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)

@@ -54,6 +54,15 @@ def test_homogeneous_representative():
     assert homogeneous_representative(P2, q) == (0, 0, 1)
 
 
+def test_homogeneous_representative_unit_follows_the_coordinates():
+    # A perturbed zero is inexact but keeps its exact given coordinates.
+    perturbed = SingularPoint(0, (Fraction(0), Fraction(0)), exact=False)
+    hom = homogeneous_representative(P2, perturbed)
+    assert hom == (1, 0, 0) and all(type(v) is Fraction for v in hom)
+    numeric = SingularPoint(0, (0.0, 0.5), exact=False)
+    assert [type(v) for v in homogeneous_representative(P2, numeric)] == [float] * 3
+
+
 def test_enumerate_exact_p2():
     pts = enumerate_singularities(P2)
     assert len(pts) == 3

@@ -104,6 +104,31 @@ def test_eval_reuses_powers_without_changing_values(seed):
         assert p.eval(point) == termwise_eval(p, point)
 
 
+@st.composite
+def polys_and_points(draw):
+    """A polynomial of degree <= 4 in 1-4 variables and a Fraction, a float
+    and a complex point for it."""
+    nv = draw(st.integers(1, 4))
+    monomials = [e for e in itertools.product(range(5), repeat=nv) if sum(e) <= 4]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=8, unique=True))
+    coeffs = st.fractions(-9, 9, max_denominator=9).filter(lambda c: c != 0)
+    p = MultiPoly([f"x{i}" for i in range(nv)], {e: draw(coeffs) for e in chosen})
+    points = (st.fractions(-3, 3, max_denominator=9), st.floats(-3, 3),
+              st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+    return p, [draw(st.lists(x, min_size=nv, max_size=nv)) for x in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_points())
+def test_gradient_matches_partial_eval_bit_for_bit(case):
+    p, points = case
+    for point in points:
+        want = [p.partial(v).eval(point) for v in p.variables]
+        got = p.gradient(point)
+        assert got == want
+        assert [(type(g), repr(g)) for g in got] == [(type(w), repr(w)) for w in want]
+
+
 def test_substitute_one_drops_variable():
     p = MultiPoly(VARS, {(1, 1, 0): 2, (0, 0, 2): 1})
     q = p.substitute_one("y", Fraction(3))

@@ -5,13 +5,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resilog.algebra import MultiPoly
 from resilog.foliation import (
     ChernExpectations,
     NotTangent,
+    chart_cofactor,
     chart_field,
     chern_expectations,
     dehomogenize_field,
@@ -207,6 +208,75 @@ def test_not_tangent_raises():
     with pytest.raises(NotTangent) as exc:
         verify_tangency(p)
     assert exc.value.chart == 0
+    assert exc.value.applied == reference_vf(dehomogenize_field(p, 0))
+
+
+def reference_vf(cf):
+    """v(f) = sum_j a_j * df/dx_j by MultiPoly arithmetic."""
+    return sum((a * cf.f.partial(v) for a, v in zip(cf.a, cf.variables)),
+               MultiPoly.zero(cf.variables))
+
+
+def cofactors_match_reference(p) -> bool:
+    """In every chart, k*f is the reference v(f), or NotTangent carries exactly
+    that v(f); True when every chart is tangent."""
+    tangent = True
+    for chart in range(p.n + 1):
+        cf = dehomogenize_field(p, chart)
+        want = reference_vf(cf)
+        try:
+            k = chart_cofactor(cf)
+        except NotTangent as exc:
+            assert exc.chart == chart and exc.applied == want
+            tangent = False
+        else:
+            assert k * cf.f == want
+    return tangent
+
+
+def test_cofactor_on_a_conic():
+    # V = [3*z0 + 2*z1, 3*z1 + z2, 3*z2] has V(F) = 6F for the conic F = z0*z2 - z1^2;
+    # adding z0 to V_1 breaks tangency.
+    conic = zvar("z0") * zvar("z2") - zvar("z1") ** 2
+    comps = [3 * zvar("z0") + 2 * zvar("z1"), 3 * zvar("z1") + zvar("z2"), 3 * zvar("z2")]
+    assert cofactors_match_reference(make_problem(Z, comps, conic))
+    comps[1] = comps[1] + zvar("z0")
+    assert not cofactors_match_reference(make_problem(Z, comps, conic))
+
+
+@st.composite
+def tangent_problems(draw):
+    """A field of degree d on P^1-P^3 tangent by construction to a divisor F
+    of degree m in 1..3: V_j = F*W_j + sum_i w_ij dF/dz_i + g*z_j with w
+    antisymmetric, so V(F) = (W(F) + m*g)*F.  With ``noisy`` a random field
+    is added, which usually breaks tangency."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d = draw(st.integers(max(m - 1, 1), m + 1))
+    zs = tuple(f"z{i}" for i in range(n + 1))
+    zero = MultiPoly.zero(zs)
+    F = draw(homogeneous(zs, m, min_terms=1))
+    W = [draw(homogeneous(zs, d - m)) if d >= m else zero for _ in zs]
+    w = {(i, j): draw(homogeneous(zs, d - m + 1))
+         for i, j in itertools.combinations(range(n + 1), 2)}
+    g = draw(homogeneous(zs, d - 1))
+    dF = [F.partial(z) for z in zs]
+    comps = [F * W[j] + g * zvar(zs[j], zs)
+             + sum((w[i, j] * dF[i] for i in range(j)), zero)
+             - sum((w[j, i] * dF[i] for i in range(j + 1, n + 1)), zero)
+             for j in range(n + 1)]
+    noisy = draw(st.booleans())
+    if noisy:
+        comps = [c + draw(homogeneous(zs, d)) for c in comps]
+    assume(any(not c.is_zero for c in comps))
+    return make_problem(zs, comps, F), noisy
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=150, deadline=None)
+@given(tangent_problems())
+def test_cofactor_matches_multipoly_arithmetic(case):
+    p, noisy = case
+    assert cofactors_match_reference(p) or noisy
 
 
 def test_nonlinear_tangent_divisor():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from resilog.aggregate import verify_identities
-from resilog.algebra import MultiPoly
+from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, solve_linear
 from resilog.foliation import ChartField, chart_field, make_problem
+from resilog.parse import parse_problem
 from resilog.residue import (
     DegenerateZero,
     NonLinearField,
@@ -88,6 +90,93 @@ class TestLocalData:
         r1 = simple_residues(cf1, ORIGIN2, 1)
         r2 = simple_residues(cf2, ORIGIN2, 1)
         assert (r1.ordinary, r1.log, r1.var) == (r2.ordinary, r2.log, r2.var)
+
+
+def conjugated_diagonal_problem(rng, n):
+    """V = T diag(eigs) T^-1 z on P^n for a random integer T, tangent to the
+    hyperplane L = (row k of T^-1) z since V(L) = eigs[k] * L.  The chart
+    fields are quadratic; the zeros are the columns of T."""
+    zs = tuple(f"z{i}" for i in range(n + 1))
+    eigs = [Fraction(e, rng.randint(1, 5)) for e in rng.sample(range(-20, 21), n + 1)]
+    while True:
+        T = RatMatrix([[rng.randint(-3, 3) for _ in zs] for _ in zs])
+        try:
+            inv_cols = [solve_linear(T, [int(i == j) for i in range(n + 1)]) for j in range(n + 1)]
+            break
+        except SingularMatrix:
+            continue
+
+    def linear(row):
+        return sum((c * zv(z, zs) for c, z in zip(row, zs)), MultiPoly.zero(zs))
+
+    comps = [linear([sum(T[i, l] * eigs[l] * inv_cols[j][l] for l in range(n + 1))
+                     for j in range(n + 1)]) for i in range(n + 1)]
+    k = rng.randrange(n + 1)
+    divisor = linear([col[k] for col in inv_cols])
+    zeros = [[T[i, j] for i in range(n + 1)] for j in range(n + 1)]
+    return make_problem(zs, comps, divisor), zeros
+
+
+def local_data_cases():
+    """(name, problem, homogeneous zeros) for the P^2 fixture and for diagonal
+    and conjugated diagonal fields on P^2-P^4."""
+    rng = random.Random(20261018)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "p2_example.fol"
+    units = [[int(i == j) for i in range(3)] for j in range(3)]
+    yield "p2_example", parse_problem(fixture.read_text(encoding="utf-8")).problem, units
+    for n in (2, 3, 4):
+        zs = tuple(f"z{i}" for i in range(n + 1))
+        eigs = [Fraction(e, rng.randint(1, 9)) for e in rng.sample(range(-40, 41), n + 1)]
+        comps = [e * zv(z, zs) for e, z in zip(eigs, zs)]
+        units = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
+        yield (f"diag_P{n}", make_problem(zs, comps, zv(zs[rng.randrange(n + 1)], zs)), units)
+        yield (f"conjugated_P{n}", *conjugated_diagonal_problem(rng, n))
+
+
+@pytest.mark.parametrize("name,problem,zeros", list(local_data_cases()))
+def test_local_data_matches_sympy_jacobian(name, problem, zeros):
+    # Second route: sympy differentiates the chart field and takes the
+    # determinants, in every chart that contains each zero; detJD puts the
+    # divisor gradient row in place of row s.
+    sympy = pytest.importorskip("sympy")
+
+    def rat(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def expr(p, xs):
+        return sum((rat(c) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    def frac(r):
+        r = sympy.Rational(r)
+        return Fraction(int(r.p), int(r.q))
+
+    on_divisor = 0
+    for chart in range(problem.n + 1):
+        cf = chart_field(problem, chart)
+        xs = sympy.symbols(cf.variables)
+        for h in (h for h in zeros if h[chart]):
+            x = tuple(Fraction(v) / h[chart] for j, v in enumerate(h) if j != chart)
+            at = dict(zip(xs, map(rat, x)))
+            J = sympy.Matrix([expr(a, xs) for a in cf.a]).jacobian(xs).subs(at)
+            k_at_p = expr(cf.k, xs).subs(at)
+            want = [J.trace(), J.det(), k_at_p, J.trace() - k_at_p, None]
+            s = None
+            f = expr(cf.f, xs)
+            if not cf.f.is_constant and f.subs(at) == 0:
+                grad = sympy.Matrix([f]).jacobian(xs).subs(at)
+                s = next(j for j in range(cf.n) if grad[j] != 0)
+                rows = J.copy()
+                rows.row_del(s)
+                sign = -1 if (cf.n - 1 - s) % 2 else 1
+                want[4] = sign * rows.col_join(grad).det() / grad[s]
+            ld = local_data(cf, SingularPoint(chart, x))
+            got = [ld.trJ, ld.detJ, ld.k_at_p, ld.trJD, ld.detJD]
+            assert all(isinstance(v, Fraction) for v in got if v is not None)
+            assert got == [None if v is None else frac(v) for v in want]
+            assert ld.s == s
+            on_divisor += s is not None
+    assert on_divisor  # every case has zeros on its divisor
 
 
 class TestDeltaNumerator:
