@@ -9,6 +9,7 @@ tolerance 1e-6), "partial" (point set not certified complete).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -39,7 +40,7 @@ def _leading_index(values, exact: bool) -> int:
     return next(j for j, v in enumerate(values) if (v != 0 if exact else abs(v) > 1e-9))
 
 
-def homogeneous_representative(problem: FoliationProblem, p: SingularPoint):
+def homogeneous_representative(p: SingularPoint):
     """Homogeneous coordinates scaled so the first nonzero entry is 1; exact
     when the coordinates are, as at a perturbed zero given exactly."""
     coords = list(p.coords)
@@ -95,15 +96,14 @@ def _locate(
 
     seen: dict = {}
     for p in raw:
-        hom = homogeneous_representative(problem, p)
+        hom = homogeneous_representative(p)
         key = tuple(hom) if p.exact else tuple(round(float(v), 6) for v in hom)
         if key not in seen:
             seen[key] = _attribute_to_chart(fields, hom, p if mode == "numeric" else None)
     return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
 
 
-def _covers_linear_zeros(problem: FoliationProblem, fields: list[ChartField],
-                         located: list[tuple]) -> bool:
+def _covers_linear_zeros(fields: list[ChartField], located: list[tuple]) -> bool:
     """Whether the located points include every zero of the chart fields when
     all of them are affine-linear; True otherwise, where nothing certifies
     the zero set.  A zero set of positive dimension raises."""
@@ -113,7 +113,7 @@ def _covers_linear_zeros(problem: FoliationProblem, fields: list[ChartField],
         return True
 
     def key(p):
-        return tuple(round(float(v), 6) for v in homogeneous_representative(problem, p))
+        return tuple(round(float(v), 6) for v in homogeneous_representative(p))
 
     return {key(z) for z in zeros} <= {key(p) for p, _, _ in located}
 
@@ -186,10 +186,13 @@ class GlobalReport:
 
 
 def _total(values):
+    """Sum of the values: None if any is None, a Fraction if all are exact
+    (summed as integers over the lcm of their denominators), else a float."""
     if any(v is None for v in values):
         return None
     if all(isinstance(v, (Fraction, int)) for v in values):
-        return sum(values, Fraction(0))
+        q = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (q // v.denominator) for v in values), q)
     return float(sum(float(v) for v in values))
 
 
@@ -212,7 +215,7 @@ def verify_identities(
     mode = "exact_linear" if points is None else "user"
     located = _locate(problem, fields, mode, points, cfg)
     if complete is None:
-        complete = points is None or _covers_linear_zeros(problem, fields, located)
+        complete = points is None or _covers_linear_zeros(fields, located)
     if i_list is None:
         i_list = list(range(problem.n))
 

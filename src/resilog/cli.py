@@ -75,8 +75,8 @@ def _load_points(args, doc) -> list[SingularPoint] | None:
     return [SingularPoint(e["chart"], tuple(e["coords"])) for e in entries] or None
 
 
-def _hom(problem, p: SingularPoint) -> str:
-    return ":".join(str(c) for c in aggregate.homogeneous_representative(problem, p))
+def _hom(p: SingularPoint) -> str:
+    return ":".join(str(c) for c in aggregate.homogeneous_representative(p))
 
 
 def cmd_check(args) -> Output:
@@ -98,7 +98,7 @@ def cmd_zeros(args) -> Output:
     mode = "numeric" if args.numeric else "exact_linear"
     points = aggregate.enumerate_singularities(doc.problem, mode, cfg=cfg)
     lines = [f"{len(points)} singular point(s) ({mode} discovery)"]
-    lines += [f"  [{_hom(doc.problem, p)}]  chart {p.chart}, "
+    lines += [f"  [{_hom(p)}]  chart {p.chart}, "
               f"{'on' if p.on_divisor else 'off'} divisor, {SIMPLICITY[p.simple]}"
               for p in points]
     return 0, {"mode": mode, "points": points}, lines
@@ -110,13 +110,13 @@ def _identities(args):
     points = _load_points(args, doc)
     i_list = (list(range(doc.problem.n)) if args.i == "all"
               else [int(part) for part in args.i.split(",")])
-    return doc.problem, aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
+    return aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
 
 
 def cmd_residues(args) -> Output:
-    problem, report = _identities(args)
+    report = _identities(args)
     records = [r for _, check in sorted(report.checks.items()) for r in check.records]
-    lines = [f"i={r.i} [{_hom(problem, r.point)}]  ordinary={r.ordinary}  log={r.log}  "
+    lines = [f"i={r.i} [{_hom(r.point)}]  ordinary={r.ordinary}  log={r.log}  "
              f"var={r.var}  ({r.method})" for r in records]
     return 0, {"records": records, "level": report.level}, lines
 
@@ -129,7 +129,7 @@ def _check_doc(c: aggregate.IdentityCheck) -> dict:
 
 
 def cmd_verify(args) -> Output:
-    _, report = _identities(args)
+    report = _identities(args)
     checks = [_check_doc(c) for _, c in sorted(report.checks.items())]
     lines = [f"certification level: {report.level}"]
     for c in checks:
@@ -165,7 +165,7 @@ def cmd_surface(args) -> Output:
     doc = _load_document(args.problem)
     cfg = _numeric_config(args, doc.numeric)
     report = aggregate.surface_report(doc.problem, _load_points(args, doc), cfg=cfg)
-    lines = [f"[{_hom(doc.problem, row.point)}]  GSV={row.gsv}  CS={row.cs}  "
+    lines = [f"[{_hom(row.point)}]  GSV={row.gsv}  CS={row.cs}  "
              f"ordinary={row.ordinary}" for row in report.rows]
     lines.append(f"GSV total {report.gsv_total} (expected {report.expected_gsv_total}); "
                  f"CS total {report.cs_total} (expected {report.expected_cs_total})")

@@ -7,15 +7,17 @@ same ``LocalData`` classifies the point (``classify_point``) and feeds the
 closed forms of every i-level (``closed_form_residues``): the ordinary
 residue is trJ^n/detJ, and the excess (variational) residue has the
 binomial numerator produced by ``delta_numerator``; these are the only
-copies of the residue formulas.  Degenerate zeros go through a seeded
-perturbation engine: it deforms the chart field along a random field tangent
-to the divisor (curved divisors included), so each nearby perturbed zero is
-simple with its own ``local_data``, and Richardson-extrapolates the summed
-closed forms over two perturbation sizes.  One multi-start Newton search,
-``_newton_zeros``, finds those perturbed zeros (from a complex polydisk of
-starts) and the zeros of numeric discovery (from a real grid).  numpy is
-imported inside the numeric functions only, so the exact path never pays
-for loading it.
+copies of the residue formulas.  On the divisor every numerator is
+homogeneous of degree n - 1 in (trJ, trJD, k), so exact values enter as
+integers over one denominator and each residue is a single division.
+Degenerate zeros go through a seeded perturbation engine: it deforms the
+chart field along a random field tangent to the divisor (curved divisors
+included), so each nearby perturbed zero is simple with its own
+``local_data``, and Richardson-extrapolates the summed closed forms over two
+perturbation sizes.  One multi-start Newton search, ``_newton_zeros``, finds
+those perturbed zeros (from a complex polydisk of starts) and the zeros of
+numeric discovery (from a real grid).  numpy is imported inside the numeric
+functions only, so the exact path never pays for loading it.
 """
 
 from __future__ import annotations
@@ -227,7 +229,11 @@ def simple_residues(cf: ChartField, p: SingularPoint, i: int) -> ResidueRecord:
 
 def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueRecord:
     """Residues at level i from the point's local data; raises DegenerateZero
-    where the relevant determinant vanishes."""
+    where the relevant determinant vanishes.  On the divisor the numerators
+    are homogeneous of degree n - 1 in (trJ, trJD, k): exact values go in as
+    integers a, t, c over q = lcm(den trJ, den k), so each residue is one
+    integer over q^(n-1)*detJD, not a chain of Fraction steps with a gcd
+    each.  Inexact values go in unscaled, through the same expressions."""
     n = len(p.coords)
     exact = _coords_exact(p.coords)
     zero = Fraction(0) if exact else 0.0
@@ -250,8 +256,14 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueReco
     if _is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
     point = replace(p, on_divisor=True)
+    if exact:
+        q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
+        a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
+        t, scale = a - c, q ** (n - 1) * ld.detJD
+    else:
+        a, t, c, scale = ld.trJ, ld.trJD, ld.k_at_p, ld.detJD
+    var = delta_numerator(t, c, n, i) / scale
     if i == 0:
-        var = delta_numerator(ld.trJD, ld.k_at_p, n, 0) / ld.detJD
         if _is_zero(ld.k_at_p, exact):
             # detJ = k*detJD vanishes; the ordinary/log split has no closed
             # form here, only the excess is defined.
@@ -259,9 +271,8 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueReco
         ordinary = ld.trJ**n / ld.detJ
         return ResidueRecord(point, 0, ordinary, ordinary - var, var, "closed_form")
 
-    ordinary = ld.trJ ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
-    log = ld.trJD ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
-    var = delta_numerator(ld.trJD, ld.k_at_p, n, i) / ld.detJD
+    ordinary = a ** (n - i) * c ** (i - 1) / scale
+    log = t ** (n - i) * c ** (i - 1) / scale
     return ResidueRecord(point, i, ordinary, log, var, "closed_form")
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilog import aggregate, foliation, residue
 from resilog.aggregate import (
@@ -49,24 +51,24 @@ def test_given_point_chart_out_of_range_raises(chart):
 
 def test_homogeneous_representative():
     p = SingularPoint(1, (Fraction(0), Fraction(2)))
-    assert homogeneous_representative(P2, p) == (Fraction(0), Fraction(1), Fraction(2))
+    assert homogeneous_representative(p) == (Fraction(0), Fraction(1), Fraction(2))
     q = SingularPoint(2, (Fraction(0), Fraction(0)))
-    assert homogeneous_representative(P2, q) == (0, 0, 1)
+    assert homogeneous_representative(q) == (0, 0, 1)
 
 
 def test_homogeneous_representative_unit_follows_the_coordinates():
     # A perturbed zero is inexact but keeps its exact given coordinates.
     perturbed = SingularPoint(0, (Fraction(0), Fraction(0)), exact=False)
-    hom = homogeneous_representative(P2, perturbed)
+    hom = homogeneous_representative(perturbed)
     assert hom == (1, 0, 0) and all(type(v) is Fraction for v in hom)
     numeric = SingularPoint(0, (0.0, 0.5), exact=False)
-    assert [type(v) for v in homogeneous_representative(P2, numeric)] == [float] * 3
+    assert [type(v) for v in homogeneous_representative(numeric)] == [float] * 3
 
 
 def test_enumerate_exact_p2():
     pts = enumerate_singularities(P2)
     assert len(pts) == 3
-    homs = {homogeneous_representative(P2, p) for p in pts}
+    homs = {homogeneous_representative(p) for p in pts}
     assert homs == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     on_d = [p for p in pts if p.on_divisor]
     assert len(on_d) == 2
@@ -95,10 +97,10 @@ def test_enumerate_numeric_matches_exact():
     numeric = enumerate_singularities(P2, "numeric")
     assert len(numeric) == len(exact)
     exact_homs = sorted(
-        tuple(float(c) for c in homogeneous_representative(P2, p)) for p in exact
+        tuple(float(c) for c in homogeneous_representative(p)) for p in exact
     )
     numeric_homs = sorted(
-        tuple(round(float(c), 6) for c in homogeneous_representative(P2, p))
+        tuple(round(float(c), 6) for c in homogeneous_representative(p))
         for p in numeric
     )
     assert numeric_homs == pytest.approx(exact_homs)
@@ -185,6 +187,24 @@ def test_identity_random_diagonal(seed):
     report = verify_identities(problem)
     assert report.level == "proved-on-instance"
     assert report.all_ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6),
+                          st.fractions(-100, 100, max_denominator=10**4)), max_size=12))
+def test_total_of_exact_values(values):
+    total = aggregate._total(values)
+    assert total == sum(values, Fraction(0))
+    assert type(total) is Fraction
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9), st.floats(-9, 9))))
+def test_total_of_none_or_float_values(values):
+    assert aggregate._total(values + [None]) is None
+    floats = values + [0.5]
+    assert aggregate._total(floats) == sum(map(float, floats))
+    assert type(aggregate._total(floats)) is float
 
 
 def test_poincare_p3():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilog.aggregate import verify_identities
 from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, solve_linear
@@ -10,12 +12,14 @@ from resilog.foliation import ChartField, chart_field, make_problem
 from resilog.parse import parse_problem
 from resilog.residue import (
     DegenerateZero,
+    LocalData,
     NonLinearField,
     NotAZero,
     NotOnDivisor,
     NumericConfig,
     PositiveDimensional,
     SingularPoint,
+    closed_form_residues,
     delta_numerator,
     discover_zeros_exact_linear,
     discover_zeros_numeric,
@@ -199,6 +203,91 @@ class TestDeltaNumerator:
     def test_rejects_out_of_range_i(self):
         with pytest.raises(ValueError):
             delta_numerator(Fraction(1), Fraction(1), 2, 2)
+
+
+RATIONALS = st.fractions(-40, 40, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-40, 40), RATIONALS), st.one_of(st.integers(-40, 40), RATIONALS),
+       st.integers(1, 30), st.integers(1, 8))
+def test_delta_numerator_is_homogeneous_of_degree_n_minus_1(T, k, q, n):
+    # closed_form_residues relies on this to feed it integer numerators.
+    for i in range(n):
+        assert delta_numerator(q * T, q * k, n, i) == q ** (n - 1) * delta_numerator(T, k, n, i)
+
+
+@st.composite
+def exact_local_data(draw):
+    """Exact local data at a point of P^1..P^7, on the divisor (detJ =
+    k*detJD, as a chart field gives) or off it; k = 0 included."""
+    n = draw(st.integers(1, 7))
+    trJ = draw(st.one_of(st.integers(-40, 40), RATIONALS))
+    k = draw(st.one_of(st.just(Fraction(0)), st.integers(-40, 40), RATIONALS))
+    nonzero = RATIONALS.filter(lambda v: v != 0)
+    point = SingularPoint(0, tuple(draw(st.lists(RATIONALS, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        detJD = draw(nonzero)
+        ld = LocalData(trJ, k * detJD, k, trJ - k, detJD, draw(st.integers(0, n - 1)))
+    else:
+        ld = LocalData(trJ, draw(nonzero), k, trJ - k, None, None)
+    return ld, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_local_data())
+def test_exact_closed_forms_match_the_textbook_formulas(case):
+    ld, p = case
+    n, trJ, k, trJD = len(p.coords), Fraction(ld.trJ), Fraction(ld.k_at_p), Fraction(ld.trJD)
+    for i in range(n if ld.s is not None else 1):
+        r = closed_form_residues(ld, p, i)
+        if ld.s is None:
+            ordinary = trJ**n / ld.detJ
+            want = (ordinary, ordinary, 0)
+        elif i == 0 and k == 0:
+            want = (None, None, n * trJD ** (n - 1) / ld.detJD)
+        elif i == 0:
+            want = (trJ**n / ld.detJ, trJD**n / ld.detJ, (trJ**n - trJD**n) / ld.detJ)
+        else:
+            twist = k ** (i - 1) / ld.detJD
+            want = (trJ ** (n - i) * twist, trJD ** (n - i) * twist,
+                    (trJ ** (n - i) - trJD ** (n - i)) * twist)
+        got = (r.ordinary, r.log, r.var)
+        assert got == want
+        # cli.to_doc prints an int as a JSON number, a Fraction as a string.
+        assert all(type(v) is Fraction for v in got if v is not None)
+
+
+def reference_closed_forms(ld, n, i):
+    """The on-divisor closed forms as written before exact values went in as
+    integer numerators; inexact records must keep these bits."""
+    if i == 0:
+        var = delta_numerator(ld.trJD, ld.k_at_p, n, 0) / ld.detJD
+        if abs(ld.k_at_p) < 1e-9:
+            return None, None, var
+        ordinary = ld.trJ**n / ld.detJ
+        return ordinary, ordinary - var, var
+    ordinary = ld.trJ ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
+    log = ld.trJD ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
+    var = delta_numerator(ld.trJD, ld.k_at_p, n, i) / ld.detJD
+    return ordinary, log, var
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.booleans(), st.data())
+def test_inexact_closed_forms_keep_their_bits(n, complex_values, data):
+    if complex_values:
+        scalar = st.complex_numbers(max_magnitude=40, allow_nan=False, allow_infinity=False)
+    else:
+        scalar = st.floats(-40, 40)
+    trJ, k = data.draw(scalar), data.draw(st.one_of(st.just(0.0), scalar))
+    detJD = data.draw(scalar.filter(lambda v: abs(v) > 1e-3))
+    detJ = data.draw(scalar.filter(lambda v: abs(v) > 1e-3))
+    point = SingularPoint(0, tuple(data.draw(st.lists(scalar, min_size=n, max_size=n))), False)
+    ld = LocalData(trJ, detJ, k, trJ - k, detJD, 0)
+    for i in range(n):
+        r = closed_form_residues(ld, point, i)
+        assert repr((r.ordinary, r.log, r.var)) == repr(reference_closed_forms(ld, n, i))
 
 
 class TestSimpleResidues:
