@@ -35,33 +35,22 @@ class IncompletePointSet(Warning):
     """The supplied points may not cover the whole singular set."""
 
 
-def _leading_index(values, exact: bool) -> int:
-    """Index of the first entry that is nonzero (beyond 1e-9 when inexact)."""
-    return next(j for j, v in enumerate(values) if (v != 0 if exact else abs(v) > 1e-9))
+def _normalized(p: SingularPoint) -> tuple[int, tuple]:
+    """The index of the first nonzero homogeneous coordinate of ``p`` (beyond
+    1e-9 when inexact) and the homogeneous coordinates scaled so that entry
+    is 1; exact when the coordinates are, as at a perturbed zero given
+    exactly.  The index is the chart the point is attributed to."""
+    coords = list(p.coords)
+    exact = all(isinstance(v, (Fraction, int)) for v in coords)
+    hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
+    lead = next(j for j, v in enumerate(hom) if (v != 0 if exact else abs(v) > 1e-9))
+    return lead, tuple(v / hom[lead] for v in hom)
 
 
 def homogeneous_representative(p: SingularPoint):
     """Homogeneous coordinates scaled so the first nonzero entry is 1; exact
-    when the coordinates are, as at a perturbed zero given exactly."""
-    coords = list(p.coords)
-    exact = all(isinstance(v, (Fraction, int)) for v in coords)
-    hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
-    first = hom[_leading_index(hom, exact)]
-    return tuple(v / first for v in hom)
-
-
-def _attribute_to_chart(fields: list[ChartField], hom, found: SingularPoint | None) -> tuple:
-    """Place a homogeneous point in its lowest-index containing chart.  A
-    numeric zero keeps the flags it was ``found`` with: rescaled into a far
-    chart, its residual can exceed the absolute zero tolerance."""
-    exact = isinstance(hom[0], (Fraction, int))
-    chart = _leading_index(hom, exact)
-    scaled = [v / hom[chart] for v in hom]
-    coords = tuple(v for j, v in enumerate(scaled) if j != chart)
-    if found is not None:
-        return replace(found, chart=chart, coords=coords), fields[chart], None
-    point, ld = classify_point(fields[chart], coords)
-    return point, fields[chart], ld
+    when the coordinates are."""
+    return _normalized(p)[1]
 
 
 def _locate(
@@ -96,10 +85,16 @@ def _locate(
 
     seen: dict = {}
     for p in raw:
-        hom = homogeneous_representative(p)
-        key = tuple(hom) if p.exact else tuple(round(float(v), 6) for v in hom)
-        if key not in seen:
-            seen[key] = _attribute_to_chart(fields, hom, p if mode == "numeric" else None)
+        chart, hom = _normalized(p)
+        key = hom if p.exact else tuple(round(float(v), 6) for v in hom)
+        if key in seen:
+            continue
+        coords = hom[:chart] + hom[chart + 1 :]
+        # A numeric zero keeps the flags it was found with: rescaled into a
+        # far chart, its residual can exceed the absolute zero tolerance.
+        point, ld = ((replace(p, chart=chart, coords=coords), None) if mode == "numeric"
+                     else classify_point(fields[chart], coords))
+        seen[key] = point, fields[chart], ld
     return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
 
 
@@ -146,7 +141,6 @@ class IdentityCheck:
     expected_ordinary: int
     expected_log: int
     expected_var: int
-    ordinary_available: bool = True
 
     def _matches(self, total, expected) -> bool:
         if total is None:
@@ -174,7 +168,6 @@ class IdentityCheck:
 
 @dataclass
 class GlobalReport:
-    problem: FoliationProblem
     checks: dict[int, IdentityCheck]
     complete: bool
     level: str  # proved-on-instance | numeric | partial
@@ -231,8 +224,7 @@ def verify_identities(
         records = [closed_form_residues(ld, p, i) if p.simple else perturbed_residue(cf, p, i, cfg)
                    for p, cf, ld in located if i == 0 or ld.s is not None]
         any_numeric = any_numeric or any(not r.point.exact for r in records)
-        ordinary_available = all(r.ordinary is not None for r in records)
-        if not ordinary_available:
+        if any(r.ordinary is None for r in records):
             notes.append(
                 f"i={i}: a zero with vanishing cofactor leaves the ordinary/log "
                 "split undefined; only the variational total is certified"
@@ -246,7 +238,6 @@ def verify_identities(
             expected_ordinary=expect.ordinary_total(i),
             expected_log=expect.log_total(i),
             expected_var=expect.var_total(i),
-            ordinary_available=ordinary_available,
         )
 
     if not complete:
@@ -262,8 +253,7 @@ def verify_identities(
         level = "numeric"
     else:
         level = "proved-on-instance"
-    return GlobalReport(problem=problem, checks=checks, complete=complete,
-                        level=level, notes=notes)
+    return GlobalReport(checks=checks, complete=complete, level=level, notes=notes)
 
 
 @dataclass
@@ -328,8 +318,6 @@ class SurfaceReport:
     all_gsv_nonnegative: bool
     carnicer_bound_holds: bool  # m <= d + 2, asserted when all GSV >= 0
     equality_flag: bool  # GSV total zero: consistent with the equality case
-    d: int
-    m: int
 
 
 def surface_report(
@@ -360,6 +348,4 @@ def surface_report(
         all_gsv_nonnegative=all_nonneg,
         carnicer_bound_holds=problem.m <= problem.d + 2 if all_nonneg else False,
         equality_flag=check.log_total == 0,
-        d=problem.d,
-        m=problem.m,
     )

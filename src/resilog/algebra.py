@@ -8,7 +8,8 @@ determinant, the rank and exact linear solves; it clears each row's
 denominators and runs on Python ints.  Solves stay integral: with d the last
 pivot, d*x is integral (Cramer), so back substitution divides exactly with
 ``//``.  ``DomainError`` is the base of every exception that reports input
-outside the supported mathematics.
+outside the supported mathematics; ``SchemaError`` reports a malformed
+document.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -27,6 +28,10 @@ Exponent = tuple[int, ...]
 
 class DomainError(Exception):
     """Well-formed input outside the supported mathematics (CLI exit code 2)."""
+
+
+class SchemaError(Exception):
+    """Structurally valid document with a missing or malformed field (CLI exit code 1)."""
 
 
 class SingularMatrix(DomainError):
@@ -99,11 +104,6 @@ class MultiPoly:
     @property
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

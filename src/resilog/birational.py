@@ -30,11 +30,6 @@ CLASSES = ("terminal", "canonical", "log_terminal", "log_canonical", "not_log_ca
 class DiscrepancyProblem:
     M: RatMatrix
     I: tuple[Fraction, ...]
-    genera: tuple[int, ...] | None = None
-
-    @property
-    def r(self) -> int:
-        return self.M.rows
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ it with the schema "resilog/1" and the command, and prints either that
 inputs and flags.
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain failure (not tangent,
-identity violated, matrix not negative definite, ...).
+identity violated, matrix not negative definite, ...).  A reader that closes
+stdout early leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -170,14 +172,13 @@ def cmd_surface(args) -> Output:
     lines.append(f"GSV total {report.gsv_total} (expected {report.expected_gsv_total}); "
                  f"CS total {report.cs_total} (expected {report.expected_cs_total})")
     if report.all_gsv_nonnegative:
-        lines.append(f"Carnicer bound asserted: m = {report.m} <= d + 2 = {report.d + 2}")
+        lines.append(f"Carnicer bound asserted: m = {doc.problem.m} <= d + 2 = {doc.problem.d + 2}")
         if report.equality_flag:
             lines.append("GSV total is zero: consistent with the generalized-curve "
                          "equality case (not certified)")
     else:
         lines.append("a GSV index is negative: the bound hypothesis fails")
-    # d and m are not part of the resilog/1 surface document.
-    return 0, {k: v for k, v in vars(report).items() if k not in ("d", "m")}, lines
+    return 0, report, lines
 
 
 def _json_list(value, what: str) -> list:
@@ -194,8 +195,7 @@ def cmd_discrepancy(args) -> Output:
     M = RatMatrix([[parse_rational(str(x)) for x in _json_list(row, "a row of M")]
                    for row in _json_list(data["M"], "M")])
     I = tuple(parse_rational(str(x)) for x in _json_list(data["I"], "I"))
-    genera = tuple(int(str(g)) for g in _json_list(data["g"], "g")) if "g" in data else None
-    problem = birational.DiscrepancyProblem(M=M, I=I, genera=genera)
+    problem = birational.DiscrepancyProblem(M=M, I=I)
     try:
         result = birational.solve_discrepancies(problem)
     except birational.NotNegativeDefinite as exc:
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(cmd_poincare, "degree bound check", "problem", "points", "numeric")
     command(cmd_surface, "GSV / Camacho-Sad report (n = 2)", "problem", "points", "numeric")
     command(cmd_discrepancy, "log discrepancies from (M, I)").add_argument(
-        "matrix", help="JSON file with M, I, optional g")
+        "matrix", help="JSON file with M and I")
     command(cmd_cyclic, "built-in cyclic quotient model").add_argument(
         "--m", type=int, required=True)
     return parser
@@ -296,11 +296,17 @@ def main(argv=None) -> int:
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-    if args.format == "machine":
-        print(json.dumps({"schema": SCHEMA, "command": args.command, **to_doc(doc)},
-                         indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "machine":
+            print(json.dumps({"schema": SCHEMA, "command": args.command, **to_doc(doc)},
+                             indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -1``).  Pointing stdout at
+        # devnull keeps the flush at interpreter exit silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -11,8 +11,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .algebra import DomainError, MultiPoly, RatMatrix, align, det_exact, exact_divide
-from .parse import SchemaError
+from .algebra import DomainError, MultiPoly, RatMatrix, SchemaError, align, det_exact, exact_divide
 
 
 class NotTangent(DomainError):

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, SchemaError
+from .foliation import FoliationProblem, make_problem
+from .residue import NumericConfig
 
 
 class ParseError(Exception):
@@ -29,12 +31,7 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         self.message = message
-        self.snippet = snippet
         super().__init__(f"{line}:{column}: {message}" + (f" near {snippet!r}" if snippet else ""))
-
-
-class SchemaError(Exception):
-    """Structurally valid document with a missing or malformed field."""
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -224,7 +221,7 @@ def print_poly(p: MultiPoly) -> str:
 class ProblemDocument:
     """Parsed problem file: the foliation problem plus optional blocks."""
 
-    problem: "FoliationProblem"  # noqa: F821 (imported lazily below)
+    problem: FoliationProblem
     points: list[dict] = field(default_factory=list)
     numeric: dict = field(default_factory=dict)
 
@@ -291,8 +288,6 @@ def parse_rational(text: str) -> Fraction:
 def numeric_value(name: str, value):
     """A ``numeric.<name>`` override typed like the NumericConfig field ``name``;
     a tuple field takes a list or a comma-separated string of its length."""
-    from .residue import NumericConfig  # local import to avoid a cycle
-
     defaults = {f.name: f.default for f in fields(NumericConfig)}
     if name not in defaults:
         raise SchemaError(f"unknown numeric option {name!r}")
@@ -332,8 +327,6 @@ def parse_problem(src: str) -> ProblemDocument:
     Required keys: space.dim, field.vars, field.components, divisor.
     Optional: points (list of {chart, coords}) and numeric.* overrides.
     """
-    from .foliation import make_problem  # local import to avoid a cycle
-
     doc = raw_document(src)
 
     def require(key: str):

@@ -469,16 +469,11 @@ def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
     return [tuple(back_substitute(rows, n))]
 
 
-def discover_zeros_exact_linear(cf: ChartField) -> list[SingularPoint]:
-    """The classified exact zeros of an affine-linear chart field."""
-    return [classify_point(cf, x)[0] for x in linear_zeros(cf)]
-
-
 def discover_zeros_numeric(
-    cf: ChartField, box: tuple[float, float] = (-2.0, 2.0), cfg: NumericConfig = NumericConfig()
+    cf: ChartField, cfg: NumericConfig = NumericConfig()
 ) -> list[SingularPoint]:
-    """Real zeros inside a box by multi-start Newton from a grid; may miss some."""
-    lo, hi = box
+    """Real zeros inside the box [-2, 2]^n by multi-start Newton from a grid; may miss some."""
+    lo, hi = -2.0, 2.0
     g = cfg.grid_per_axis
     axis = [lo + (hi - lo) * t / (g - 1) for t in range(g)]
     zeros = _newton_zeros(cf.a, itertools.product(axis, repeat=cf.n), cfg)

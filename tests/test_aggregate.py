@@ -95,6 +95,8 @@ def test_enumerate_dedupes_across_charts():
 def test_enumerate_numeric_matches_exact():
     exact = enumerate_singularities(P2)
     numeric = enumerate_singularities(P2, "numeric")
+    user = enumerate_singularities(
+        P2, "user", user_points=[SingularPoint(p.chart, p.coords) for p in exact])
     assert len(numeric) == len(exact)
     exact_homs = sorted(
         tuple(float(c) for c in homogeneous_representative(p)) for p in exact
@@ -104,6 +106,9 @@ def test_enumerate_numeric_matches_exact():
         for p in numeric
     )
     assert numeric_homs == pytest.approx(exact_homs)
+    # Each point lies in the chart where its representative has the entry 1.
+    for p in exact + numeric + user:
+        assert homogeneous_representative(p)[p.chart] == 1
 
 
 def test_verify_identities_p2_exact():

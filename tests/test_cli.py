@@ -225,6 +225,23 @@ def test_residues_are_deterministic_across_hash_seeds():
     assert '"method": "perturbation"' in outputs[0]
 
 
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+def test_closed_stdout_exits_0_without_traceback(unbuffered):
+    # As in `resilog verify ... | head -1` once head has exited: the read end
+    # of the pipe is closed before the command writes.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(unbuffered, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "resilog.cli", "verify", P3], cwd=ROOT,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize("chart", [7, -1])
 @pytest.mark.parametrize("via", ["file", "--points"])
 def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
@@ -412,11 +429,18 @@ def test_surface_rejects_p3(capsys):
     assert "n = 2" in err
 
 
-def test_discrepancy(capsys):
+def test_discrepancy(capsys, tmp_path):
     code, doc = machine(capsys, "discrepancy", A2)
     assert code == 0
     assert doc["b"] == ["1", "1"] and doc["a"] == ["0", "0"]
     assert doc["classification"] == "canonical"
+    # Only M and I are read: without its g key the A2 document gives the same bytes.
+    without_g = tmp_path / "a2_without_g.json"
+    data = json.loads(Path(A2).read_text())
+    del data["g"]
+    without_g.write_text(json.dumps(data))
+    assert (run(capsys, "discrepancy", str(without_g), "--format", "machine")
+            == run(capsys, "discrepancy", A2, "--format", "machine"))
 
 
 def test_discrepancy_rejects_positive_definite(capsys, tmp_path):

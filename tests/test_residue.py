@@ -19,10 +19,11 @@ from resilog.residue import (
     NumericConfig,
     PositiveDimensional,
     SingularPoint,
+    classify_point,
     closed_form_residues,
     delta_numerator,
-    discover_zeros_exact_linear,
     discover_zeros_numeric,
+    linear_zeros,
     local_data,
     perturbed_residue,
     simple_residues,
@@ -406,7 +407,7 @@ class TestPerturbedResidue:
         on_divisor = 0
         for chart in range(3):
             cf = chart_field(problem, chart)
-            for p in discover_zeros_exact_linear(cf):
+            for p in [classify_point(cf, x)[0] for x in linear_zeros(cf)]:
                 on_divisor += p.on_divisor
                 for i in range(2 if p.on_divisor else 1):
                     exact = simple_residues(cf, p, i)
@@ -428,7 +429,7 @@ class TestPerturbedResidue:
 class TestZeroDiscovery:
     def test_exact_linear_unique(self):
         cf = chart_field(P2, 0)
-        pts = discover_zeros_exact_linear(cf)
+        pts = [classify_point(cf, x)[0] for x in linear_zeros(cf)]
         assert len(pts) == 1
         assert pts[0].coords == (Fraction(0), Fraction(0))
         assert pts[0].on_divisor and pts[0].simple
@@ -437,26 +438,26 @@ class TestZeroDiscovery:
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x**2, y), MultiPoly.const(("x", "y"), 1))
         with pytest.raises(NonLinearField):
-            discover_zeros_exact_linear(cf)
+            [classify_point(cf, x)[0] for x in linear_zeros(cf)]
 
     def test_exact_linear_positive_dimensional(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x, MultiPoly.zero(("x", "y"))),
                         MultiPoly.const(("x", "y"), 1))
         with pytest.raises(PositiveDimensional) as exc:
-            discover_zeros_exact_linear(cf)
+            [classify_point(cf, x)[0] for x in linear_zeros(cf)]
         assert exc.value.dimension == 1
 
     def test_exact_linear_inconsistent_is_empty(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x, x + 1), MultiPoly.const(("x", "y"), 1))
-        assert discover_zeros_exact_linear(cf) == []
+        assert [classify_point(cf, x)[0] for x in linear_zeros(cf)] == []
 
     def test_numeric_finds_known_zeros(self):
         # (x^2 - 1, y): real zeros at (1, 0) and (-1, 0).
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x**2 - 1, y), MultiPoly.const(("x", "y"), 1))
-        pts = discover_zeros_numeric(cf, (-2.0, 2.0))
+        pts = discover_zeros_numeric(cf)
         found = sorted(round(p.coords[0], 6) for p in pts)
         assert found == [-1.0, 1.0]
         assert all(p.simple and not p.exact for p in pts)
