@@ -212,17 +212,20 @@ def verify_identities(
     if i_list is None:
         i_list = list(range(problem.n))
 
-    # One LocalData per point, shared by every i-level it enters; the points
-    # on the divisor (the i >= 1 levels) are read off it.
-    located = [(p, cf, ld if ld is not None else local_data(cf, p)) for p, cf, ld in located]
+    # One closed_form_residues call per simple point: i = 0, and i >= 1 on D.
+    by_point: list[dict[int, ResidueRecord]] = []
+    for p, cf, ld in located:
+        ld = ld if ld is not None else local_data(cf, p)
+        levels = [i for i in i_list if i == 0 or ld.s is not None]
+        by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
+                                 else [perturbed_residue(cf, p, i, cfg) for i in levels])))
     expect = chern_expectations(problem)
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
     any_numeric = False
 
     for i in i_list:
-        records = [closed_form_residues(ld, p, i) if p.simple else perturbed_residue(cf, p, i, cfg)
-                   for p, cf, ld in located if i == 0 or ld.s is not None]
+        records = [at_point[i] for at_point in by_point if i in at_point]
         any_numeric = any_numeric or any(not r.point.exact for r in records)
         if any(r.ordinary is None for r in records):
             notes.append(

@@ -2,7 +2,8 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  Polynomials are sparse: a map from
-exponent tuples to nonzero rational coefficients.  Matrices carry exact
+exponent tuples to nonzero rational coefficients; ``MultiPoly.jet`` gives a
+value and gradient at once, bit for bit ``eval``'s.  Matrices carry exact
 rational entries; one fraction-free (Bareiss) row echelon routine gives the
 determinant, the rank and exact linear solves; it clears each row's
 denominators and runs on Python ints.  Solves stay integral: with d the last
@@ -66,13 +67,13 @@ class MultiPoly:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, expected {len(vs)}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
-            if c != 0:
-                canon[exps] = canon.get(exps, Fraction(0)) + c
+            # A mapping's keys are distinct; only keys equal as tuples merge.
+            canon[exps] = canon[exps] + c if exps in canon else c
         object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "terms", {e: c for e, c in canon.items() if c != 0})
+        object.__setattr__(self, "terms", {e: c for e, c in canon.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -114,13 +115,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        """Leading term under lex order in declared variable order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def var_index(self, name: str) -> int:
         try:
@@ -227,27 +221,28 @@ class MultiPoly:
             total = total + term
         return total
 
-    def gradient(self, point: Sequence) -> list:
-        """All partial derivatives at a point in one pass over the terms, each
-        power x_i**k computed once.  Each value equals partial(v).eval(point)
-        bit for bit, at Fraction, float and complex points, as numeric local
-        data relies on: a term is c*e_j times its powers in variable order,
-        and the terms are summed from Fraction(0) in term order."""
-        grad: list = [Fraction(0)] * len(self.variables)
-        if len(point) != len(grad):
-            raise ValueError(f"point has {len(point)} coordinates, expected {len(grad)}")
+    def jet(self, point: Sequence) -> tuple[object, list]:
+        """Value and gradient at a point in one pass over the terms, each power
+        x_i**k computed once; bit for bit eval(point) and partial(v).eval(point),
+        at Fraction, float and complex points: a term is c (or c*e_j) times its
+        powers in variable order, summed from Fraction(0) in term order."""
+        n = len(self.variables)
+        if len(point) != n:
+            raise ValueError(f"point has {len(point)} coordinates, expected {n}")
+        out: list = [Fraction(0)] * (n + 1)  # the n partials, then the value
         powers: dict[tuple[int, int], object] = {}
         for e, c in self.terms.items():
-            for j in (j for j, e_j in enumerate(e) if e_j):
-                term = c * e[j]
-                for i, k in enumerate(e):
+            support = [(i, k) for i, k in enumerate(e) if k]
+            for j, e_j in support + [(n, 0)]:
+                term = c * e_j if e_j > 1 else c
+                for i, k in support:
                     k -= i == j
                     if k:
                         if (i, k) not in powers:
                             powers[i, k] = point[i] ** k
                         term = term * powers[i, k]
-                grad[j] = grad[j] + term
-        return grad
+                out[j] = out[j] + term
+        return out[n], out[:n]
 
     def substitute_one(self, name: str, value: Scalar) -> "MultiPoly":
         """Fix one variable to a rational constant; result drops that variable."""
@@ -300,18 +295,22 @@ def exact_divide(p: MultiPoly, f: MultiPoly) -> MultiPoly | None:
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     p, f = align(p, f)
-    quotient = MultiPoly.zero(p.variables)
-    lf, cf = f.leading()
-    remainder = p
-    while not remainder.is_zero:
-        lp, cp = remainder.leading()
+    lf, cf = max(f.terms.items())  # exponents are distinct: lex order alone decides
+    remainder = dict(p.terms)
+    quotient: dict[Exponent, Fraction] = {}
+    while remainder:
+        lp = max(remainder)
         diff = tuple(a - b for a, b in zip(lp, lf))
-        if any(d < 0 for d in diff):
+        if min(diff, default=0) < 0:  # diff is () when there are no variables
             return None
-        step = MultiPoly(p.variables, {diff: cp / cf})
-        quotient = quotient + step
-        remainder = remainder - step * f
-    return quotient
+        # Each step cancels lp exactly: leading terms fall, each diff is new.
+        q = quotient[diff] = remainder[lp] / cf
+        for e, c in f.terms.items():
+            m = tuple(a + b for a, b in zip(diff, e))
+            v = remainder.pop(m, 0) - q * c
+            if v:
+                remainder[m] = v
+    return MultiPoly(p.variables, quotient)
 
 
 class RatMatrix:

@@ -110,8 +110,10 @@ def _identities(args):
     doc = _load_document(args.problem)
     cfg = _numeric_config(args, doc.numeric)
     points = _load_points(args, doc)
-    i_list = (list(range(doc.problem.n)) if args.i == "all"
-              else [int(part) for part in args.i.split(",")])
+    try:
+        i_list = None if args.i == "all" else [int(part) for part in args.i.split(",")]
+    except ValueError:
+        raise ValueError(f"--i must be 'all' or a comma list of integers, got {args.i!r}") from None
     return aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
 
 

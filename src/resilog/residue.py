@@ -2,22 +2,24 @@
 
 Everything exact about a zero comes from one pass, ``local_data``: the
 Jacobian trace trJ and determinant detJ, the cofactor value k(p), and on the
-divisor the induced trace trJ_D = trJ - k and determinant det J_D.  The
-same ``LocalData`` classifies the point (``classify_point``) and feeds the
-closed forms of every i-level (``closed_form_residues``): the ordinary
-residue is trJ^n/detJ, and the excess (variational) residue has the
-binomial numerator produced by ``delta_numerator``; these are the only
-copies of the residue formulas.  On the divisor every numerator is
-homogeneous of degree n - 1 in (trJ, trJD, k), so exact values enter as
-integers over one denominator and each residue is a single division.
-Degenerate zeros go through a seeded perturbation engine: it deforms the
-chart field along a random field tangent to the divisor (curved divisors
-included), so each nearby perturbed zero is simple with its own
-``local_data``, and Richardson-extrapolates the summed closed forms over two
-perturbation sizes.  One multi-start Newton search, ``_newton_zeros``, finds
-those perturbed zeros (from a complex polydisk of starts) and the zeros of
-numeric discovery (from a real grid).  numpy is imported inside the numeric
-functions only, so the exact path never pays for loading it.
+divisor the induced trace trJ_D = trJ - k and determinant det J_D.  At a zero
+p on D the determinants are tied, detJ = k(p)*detJD.  Proof: differentiating
+v(f) = k*f at p, where v and f vanish, gives J^T grad f = k(p) grad f, so J
+keeps the tangent space ker(grad f) and acts on the quotient line by k(p).
+An exact zero on D thus costs one elimination, of the bordered matrix behind
+det J_D; inexact points keep two determinants, so numeric bits do not move.
+The same ``LocalData`` classifies the point (``classify_point``) and feeds
+the closed forms of all i-levels in one call (``closed_form_residues``): the
+ordinary residue is trJ^n/detJ, and the excess (variational) residue has the
+binomial numerator of ``delta_numerator``; these are the only copies of the
+residue formulas.  On the divisor every numerator is homogeneous of degree
+n - 1 in (trJ, trJD, k), so exact values enter as integers over one
+denominator.  Degenerate zeros go through a seeded perturbation engine: it
+deforms the chart field along a random field tangent to the divisor, so each
+nearby perturbed zero is simple, and Richardson-extrapolates the summed
+closed forms over two perturbation sizes.  ``_newton_zeros`` finds those
+zeros and the zeros of numeric discovery.  numpy is imported inside the
+numeric functions only, so the exact path never pays for loading it.
 """
 
 from __future__ import annotations
@@ -154,36 +156,41 @@ def _on_divisor(cf: ChartField, coords, exact: bool) -> bool:
     return not cf.f.is_constant and _is_zero(cf.f.eval(coords), exact)
 
 
-def _divisor_gradient(cf: ChartField, coords, exact: bool):
-    """Gradient of f at a point of the divisor and the index s of its first
-    nonzero entry; raises DivisorSingularAt where the gradient vanishes."""
-    grad_f = cf.f.gradient(coords)
+def _divisor_index(grad_f, coords, exact: bool) -> int:
+    """Index s of the first nonzero entry of the divisor's gradient at a point
+    of the divisor; raises DivisorSingularAt where the gradient vanishes."""
     s = next((j for j, g in enumerate(grad_f) if not _is_zero(g, exact)), None)
     if s is None:
         raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
                                 " residues there are unsupported")
-    return grad_f, s
+    return s
 
 
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
-    """Traces, determinants, and cofactor value of the field at a zero of it."""
+    """Traces, determinants, and cofactor value of the field at a zero of it,
+    from one ``jet`` per component and one of f."""
     n = cf.n
     coords = tuple(p.coords)
     exact = _coords_exact(coords)
-    if any(not _is_zero(a.eval(coords), exact) for a in cf.a):
+    values, jac = zip(*(a.jet(coords) for a in cf.a))
+    if any(not _is_zero(v, exact) for v in values):
         raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
-    jac = [a.gradient(coords) for a in cf.a]
     trJ = sum(jac[j][j] for j in range(n))
-    detJ = _det(jac, exact)
+    f_p, grad_f = cf.f.jet(coords)
+    on_divisor = not cf.f.is_constant and _is_zero(f_p, exact)
+    if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
+        raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
     trJD = trJ - k_at_p
-    if not _on_divisor(cf, coords, exact):
-        return LocalData(trJ=trJ, detJ=detJ, k_at_p=k_at_p, trJD=trJD, detJD=None, s=None)
+    if not on_divisor:
+        return LocalData(trJ, _det(jac, exact), k_at_p, trJD, detJD=None, s=None)
 
-    grad_f, s = _divisor_gradient(cf, coords, exact)
+    s = _divisor_index(grad_f, coords, exact)
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
+    # detJ = k(p)*detJD (module docstring); inexact points keep their own bits.
+    detJ = k_at_p * detJD if exact else _det(jac, exact)
     return LocalData(trJ=trJ, detJ=detJ, k_at_p=k_at_p, trJD=trJD, detJD=detJD, s=s)
 
 
@@ -224,34 +231,28 @@ def delta_numerator(T, k, n: int, i: int):
 
 def simple_residues(cf: ChartField, p: SingularPoint, i: int) -> ResidueRecord:
     """Closed-form ordinary/logarithmic/variational residues at a simple zero."""
-    return closed_form_residues(local_data(cf, p), p, i)
+    return closed_form_residues(local_data(cf, p), p, [i])[0]
 
 
-def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueRecord:
-    """Residues at level i from the point's local data; raises DegenerateZero
-    where the relevant determinant vanishes.  On the divisor the numerators
-    are homogeneous of degree n - 1 in (trJ, trJD, k): exact values go in as
-    integers a, t, c over q = lcm(den trJ, den k), so each residue is one
-    integer over q^(n-1)*detJD, not a chain of Fraction steps with a gcd
-    each.  Inexact values go in unscaled, through the same expressions."""
+def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> list:
+    """One ResidueRecord per i in ``levels`` from the point's local data; raises
+    DegenerateZero where the relevant determinant vanishes.  On the divisor
+    the numerators are homogeneous of degree n - 1 in (trJ, trJD, k): exact
+    values go in as integers a, t, c over q = lcm(den trJ, den k), found once
+    for all levels, so each residue is one integer over q^(n-1)*detJD, not a
+    chain of Fraction steps.  Inexact values go in unscaled, alike."""
     n = len(p.coords)
     exact = _coords_exact(p.coords)
-    zero = Fraction(0) if exact else 0.0
 
     if ld.s is None:  # off the divisor
-        if i != 0:
+        for i in filter(None, levels):
             raise NotOnDivisor(f"i={i} residues only exist on the divisor")
         if _is_zero(ld.detJ, exact):
             raise DegenerateZero("detJ = 0; fall back to perturbed_residue")
         ordinary = ld.trJ**n / ld.detJ
-        return ResidueRecord(
-            point=replace(p, on_divisor=False),
-            i=0,
-            ordinary=ordinary,
-            log=ordinary,
-            var=zero,
-            method="closed_form",
-        )
+        record = ResidueRecord(replace(p, on_divisor=False), 0, ordinary, ordinary,
+                               Fraction(0) if exact else 0.0, "closed_form")
+        return [record for _ in levels]
 
     if _is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
@@ -262,18 +263,21 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, i: int) -> ResidueReco
         t, scale = a - c, q ** (n - 1) * ld.detJD
     else:
         a, t, c, scale = ld.trJ, ld.trJD, ld.k_at_p, ld.detJD
-    var = delta_numerator(t, c, n, i) / scale
-    if i == 0:
-        if _is_zero(ld.k_at_p, exact):
+    records = []
+    for i in levels:
+        var = delta_numerator(t, c, n, i) / scale
+        if i == 0 and _is_zero(ld.k_at_p, exact):
             # detJ = k*detJD vanishes; the ordinary/log split has no closed
             # form here, only the excess is defined.
-            return ResidueRecord(point, 0, None, None, var, "closed_form")
-        ordinary = ld.trJ**n / ld.detJ
-        return ResidueRecord(point, 0, ordinary, ordinary - var, var, "closed_form")
-
-    ordinary = a ** (n - i) * c ** (i - 1) / scale
-    log = t ** (n - i) * c ** (i - 1) / scale
-    return ResidueRecord(point, i, ordinary, log, var, "closed_form")
+            ordinary = log = None
+        elif i == 0:
+            ordinary = ld.trJ**n / ld.detJ
+            log = ordinary - var
+        else:
+            ordinary = a ** (n - i) * c ** (i - 1) / scale
+            log = t ** (n - i) * c ** (i - 1) / scale
+        records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
+    return records
 
 
 # -- numeric engine --------------------------------------------------------
@@ -400,15 +404,16 @@ def perturbed_residue(
     point_id = f"chart{p.chart}:" + ",".join(str(c) for c in coords)
     rng = random.Random(f"{cfg.seed}|{point_id}|{i}")
     g, h = _tangent_direction(cf, rng)
-    k = cf.k if cf.k is not None else MultiPoly.zero(cf.variables)
     # For i >= 1 the zeros on the divisor solve (a_j for j != s, f): by
     # tangency a_s vanishes there too, and starts vary off the axis s only.
-    s = _divisor_gradient(cf, coords, exact)[1] if i else None
+    s = _divisor_index(cf.f.jet(coords)[1], coords, exact) if i else None
     sums: list[list[complex]] = []
     counts: list[int] = []
     for eps in cfg.eps_levels:
         e = Fraction(eps).limit_denominator(10**12)
-        perturbed = replace(cf, a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)), k=k + e * h)
+        # Without a cofactor local_data raises at perturbed zeros on the divisor.
+        perturbed = replace(cf, a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)),
+                            k=None if cf.k is None else cf.k + e * h)
         system = perturbed.a if s is None else [
             a for j, a in enumerate(perturbed.a) if j != s] + [cf.f]
         zeros = _zeros_near(system, coords, cfg.search_radius, cfg, s)
@@ -417,7 +422,7 @@ def perturbed_residue(
         for z in zeros:
             q = SingularPoint(p.chart, tuple(complex(c) for c in z), exact=False)
             try:
-                rec = closed_form_residues(local_data(perturbed, q), q, i)
+                rec = closed_form_residues(local_data(perturbed, q), q, [i])[0]
             except DegenerateZero:
                 raise DegenerateZero(f"a perturbed zero near {point_id} is still degenerate "
                                      f"at eps={eps:g}") from None

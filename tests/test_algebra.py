@@ -120,11 +120,12 @@ def polys_and_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(polys_and_points())
-def test_gradient_matches_partial_eval_bit_for_bit(case):
+def test_jet_matches_eval_and_partial_eval_bit_for_bit(case):
     p, points = case
     for point in points:
-        want = [p.partial(v).eval(point) for v in p.variables]
-        got = p.gradient(point)
+        want = [p.eval(point)] + [p.partial(v).eval(point) for v in p.variables]
+        value, grad = p.jet(point)
+        got = [value] + grad
         assert got == want
         assert [(type(g), repr(g)) for g in got] == [(type(w), repr(w)) for w in want]
 
@@ -191,6 +192,52 @@ def test_exact_divide_rejects_nondivisible():
 def test_exact_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         exact_divide(MultiPoly.variable(VARS, "x"), MultiPoly.zero(VARS))
+
+
+def reference_divide(p, f):
+    """Lex-order division in MultiPoly arithmetic, one polynomial per step."""
+    p, f = align(p, f)
+    lf = max(f.terms)
+    quotient, remainder = MultiPoly.zero(p.variables), p
+    while not remainder.is_zero:
+        lp = max(remainder.terms)
+        diff = tuple(a - b for a, b in zip(lp, lf))
+        if any(d < 0 for d in diff):
+            return None
+        step = MultiPoly(p.variables, {diff: remainder.terms[lp] / f.terms[lf]})
+        quotient, remainder = quotient + step, remainder - step * f
+    return quotient
+
+
+@st.composite
+def division_pairs(draw):
+    """(p, f) in 0-3 variables with f nonzero and p = q*f, plus a random
+    polynomial half the time; constants (all of them without variables)
+    included."""
+    nv = draw(st.integers(0, 3))
+    monomials = [e for e in itertools.product(range(3), repeat=nv) if sum(e) <= 2]
+    coeffs = st.fractions(-9, 9, max_denominator=9).filter(lambda c: c != 0)
+
+    def poly(min_size, max_size):
+        chosen = draw(st.lists(st.sampled_from(monomials), min_size=min_size,
+                               max_size=max_size, unique=True))
+        return MultiPoly([f"x{i}" for i in range(nv)], {e: draw(coeffs) for e in chosen})
+
+    f = poly(1, 3)
+    return poly(0, 4) * f + (poly(1, 2) if draw(st.booleans()) else 0), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_pairs())
+def test_exact_divide_matches_multipoly_arithmetic(case):
+    p, f = case
+    got, want = exact_divide(p, f), reference_divide(p, f)
+    assert (got is None) == (want is None)
+    if got is not None:
+        # Same terms in the same order: a cofactor's term order fixes the
+        # bits of its value at float points.
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got * f == p
 
 
 def test_immutability():

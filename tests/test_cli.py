@@ -258,6 +258,13 @@ def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
     assert run(capsys, *argv) == (1, "", f"error: point chart {chart} is out of range 0..2\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "residues"])
+@pytest.mark.parametrize("value", ["x", "", "0,,1", "1.5"])
+def test_unreadable_i_exits_1(capsys, command, value):
+    assert run(capsys, command, P2, f"--i={value}") == (
+        1, "", f"error: --i must be 'all' or a comma list of integers, got {value!r}\n")
+
+
 FUZZ_FILES = ("p2_example.fol", "p3_example.fol", "not_tangent.fol", "malformed.fol",
               "a2_chain.json")
 FUZZ_TEXT = {name: (FIXTURES / name).read_text(encoding="utf-8") for name in FUZZ_FILES}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilog.aggregate import verify_identities
-from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, solve_linear
-from resilog.foliation import ChartField, chart_field, make_problem
+from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, solve_linear
+from resilog.foliation import ChartField, chart_field, dehomogenize_field, make_problem
 from resilog.parse import parse_problem
 from resilog.residue import (
     DegenerateZero,
@@ -95,6 +96,68 @@ class TestLocalData:
         r1 = simple_residues(cf1, ORIGIN2, 1)
         r2 = simple_residues(cf2, ORIGIN2, 1)
         assert (r1.ordinary, r1.log, r1.var) == (r2.ordinary, r2.log, r2.var)
+
+    def test_point_on_the_divisor_needs_the_cofactor(self):
+        # Without k, k(p) = 0 would make detJ = k*detJD and the i >= 1
+        # residues silently wrong (log 9/5, var 0 here instead of 1, 4/5).
+        with pytest.raises(ValueError, match="cofactor"):
+            simple_residues(dehomogenize_field(P2, 0), ORIGIN2, 1)
+        r = simple_residues(chart_field(P2, 0), ORIGIN2, 1)
+        assert (r.log, r.var) == (1, Fraction(4, 5))
+        jordan = make_problem(Z3, [zv("z0", Z3) + zv("z1", Z3), zv("z1", Z3), 3 * zv("z2", Z3)],
+                              zv("z2", Z3))
+        with pytest.raises(ValueError, match="cofactor"):
+            perturbed_residue(dehomogenize_field(jordan, 0), ORIGIN2, 1)
+
+    def test_constant_divisor_needs_no_cofactor(self):
+        # The divisor misses chart 2, where f = 1 and k = 0 is right.
+        assert local_data(dehomogenize_field(P2, 2), ORIGIN2) == local_data(
+            chart_field(P2, 2), ORIGIN2)
+
+
+SMALL = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def tangent_fields_at_zeros(draw):
+    """A chart field on P^2 or P^3 tangent by construction to a line or conic
+    f through a rational point p, and p: g = f*r + sum_{a<b} c_ab (d_b f e_a -
+    d_a f e_b) with linear forms c_ab vanishing at p, so g(p) = 0 and
+    k = r . grad f.  Half the cases draw r vanishing at p, where k(p) = 0."""
+    n = draw(st.integers(2, 3))
+    variables = tuple(f"x{j}" for j in range(n))
+    zero = MultiPoly.zero(variables)
+    p = tuple(draw(st.lists(SMALL, min_size=n, max_size=n)))
+    xs = [zv(v, variables) - c for v, c in zip(variables, p)]
+
+    def linear():
+        return sum((draw(SMALL) * x for x in xs), zero)
+
+    f = sum((c * x for c, x in zip(draw(st.lists(SMALL, min_size=n, max_size=n).filter(any)),
+                                   xs)), zero)
+    if draw(st.booleans()):
+        f = f + sum((draw(SMALL) * x * y for a, x in enumerate(xs) for y in xs[a:]), zero)
+    k_vanishes = draw(st.booleans())
+    r = [linear() + (0 if k_vanishes else draw(SMALL)) for _ in range(n)]
+    df = [f.partial(v) for v in variables]
+    g = [f * r_j for r_j in r]
+    for a, b in itertools.combinations(range(n), 2):
+        c = linear()
+        g[a], g[b] = g[a] + c * df[b], g[b] - c * df[a]
+    return plane_chart(g, f, variables), p, k_vanishes
+
+
+@settings(max_examples=200, deadline=None)
+@given(tangent_fields_at_zeros())
+def test_exact_detJ_on_the_divisor_is_the_jacobian_determinant(case):
+    # local_data takes detJ = k(p)*detJD at exact zeros on the divisor.
+    cf, p, k_vanishes = case
+    ld = local_data(cf, SingularPoint(0, p))
+    assert ld.s is not None
+    jac = [[a.partial(v).eval(p) for v in cf.variables] for a in cf.a]
+    assert ld.detJ == det_exact(RatMatrix(jac)) and type(ld.detJ) is Fraction
+    if k_vanishes:
+        assert ld.k_at_p == 0 == ld.detJ
 
 
 def conjugated_diagonal_problem(rng, n):
@@ -240,8 +303,8 @@ def exact_local_data(draw):
 def test_exact_closed_forms_match_the_textbook_formulas(case):
     ld, p = case
     n, trJ, k, trJD = len(p.coords), Fraction(ld.trJ), Fraction(ld.k_at_p), Fraction(ld.trJD)
-    for i in range(n if ld.s is not None else 1):
-        r = closed_form_residues(ld, p, i)
+    levels = range(n if ld.s is not None else 1)
+    for i, r in zip(levels, closed_form_residues(ld, p, levels), strict=True):
         if ld.s is None:
             ordinary = trJ**n / ld.detJ
             want = (ordinary, ordinary, 0)
@@ -286,8 +349,7 @@ def test_inexact_closed_forms_keep_their_bits(n, complex_values, data):
     detJ = data.draw(scalar.filter(lambda v: abs(v) > 1e-3))
     point = SingularPoint(0, tuple(data.draw(st.lists(scalar, min_size=n, max_size=n))), False)
     ld = LocalData(trJ, detJ, k, trJ - k, detJD, 0)
-    for i in range(n):
-        r = closed_form_residues(ld, point, i)
+    for i, r in zip(range(n), closed_form_residues(ld, point, range(n)), strict=True):
         assert repr((r.ordinary, r.log, r.var)) == repr(reference_closed_forms(ld, n, i))
 
 
