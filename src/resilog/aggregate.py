@@ -23,6 +23,8 @@ from .residue import (
     classify_point,
     closed_form_residues,
     discover_zeros_numeric,
+    is_exact,
+    is_zero,
     linear_zeros,
     local_data,
     perturbed_residue,
@@ -36,14 +38,14 @@ class IncompletePointSet(Warning):
 
 
 def _normalized(p: SingularPoint) -> tuple[int, tuple]:
-    """The index of the first nonzero homogeneous coordinate of ``p`` (beyond
-    1e-9 when inexact) and the homogeneous coordinates scaled so that entry
-    is 1; exact when the coordinates are, as at a perturbed zero given
-    exactly.  The index is the chart the point is attributed to."""
+    """The index of the first homogeneous coordinate of ``p`` that is not
+    ``is_zero`` and the homogeneous coordinates scaled so that entry is 1;
+    exact when the coordinates are, as at a perturbed zero given exactly.
+    The index is the chart the point is attributed to."""
     coords = list(p.coords)
-    exact = all(isinstance(v, (Fraction, int)) for v in coords)
+    exact = is_exact(coords)
     hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
-    lead = next(j for j, v in enumerate(hom) if (v != 0 if exact else abs(v) > 1e-9))
+    lead = next(j for j, v in enumerate(hom) if not is_zero(v, exact))
     return lead, tuple(v / hom[lead] for v in hom)
 
 
@@ -72,8 +74,7 @@ def _locate(
         for p in user_points:
             if not 0 <= p.chart <= problem.n:
                 raise ValueError(f"point chart {p.chart} is out of range 0..{problem.n}")
-        raw = [replace(p, exact=all(isinstance(c, (Fraction, int)) for c in p.coords))
-               for p in user_points]
+        raw = user_points
     elif mode == "exact_linear":
         for cf in fields:
             raw.extend(SingularPoint(cf.chart, x) for x in linear_zeros(cf))
@@ -86,7 +87,7 @@ def _locate(
     seen: dict = {}
     for p in raw:
         chart, hom = _normalized(p)
-        key = hom if p.exact else tuple(round(float(v), 6) for v in hom)
+        key = hom if is_exact(hom) else tuple(round(float(v), 6) for v in hom)
         if key in seen:
             continue
         coords = hom[:chart] + hom[chart + 1 :]
@@ -145,7 +146,7 @@ class IdentityCheck:
     def _matches(self, total, expected) -> bool:
         if total is None:
             return False
-        if isinstance(total, Fraction):
+        if is_exact([total]):
             return total == expected
         return abs(total - expected) <= NUMERIC_TOL * max(1.0, abs(expected))
 
@@ -183,7 +184,7 @@ def _total(values):
     (summed as integers over the lcm of their denominators), else a float."""
     if any(v is None for v in values):
         return None
-    if all(isinstance(v, (Fraction, int)) for v in values):
+    if is_exact(values):
         q = math.lcm(*(v.denominator for v in values))
         return Fraction(sum(v.numerator * (q // v.denominator) for v in values), q)
     return float(sum(float(v) for v in values))
@@ -193,22 +194,20 @@ def verify_identities(
     problem: FoliationProblem,
     points: list[SingularPoint] | None = None,
     i_list: list[int] | None = None,
-    complete: bool | None = None,
     cfg: NumericConfig = NumericConfig(),
 ) -> GlobalReport:
     """Check the global residue identities on this instance.
 
     With no points given, singularities are discovered exactly (affine-linear
     charts only); given points are deduplicated and classified here, whatever
-    their flags, and are complete unless ``complete`` is False or the charts
-    are affine-linear and a zero is missing.  Simple zeros take the closed
+    their flags, and are complete unless the charts are affine-linear and a
+    zero is missing.  Simple zeros take the closed
     forms, the others the perturbation engine.  An exact zero discrepancy at
     every requested i certifies the identity on this instance."""
     fields = [chart_field(problem, c) for c in range(problem.n + 1)]
     mode = "exact_linear" if points is None else "user"
     located = _locate(problem, fields, mode, points, cfg)
-    if complete is None:
-        complete = points is None or _covers_linear_zeros(fields, located)
+    complete = points is None or _covers_linear_zeros(fields, located)
     if i_list is None:
         i_list = list(range(problem.n))
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import aggregate, birational
 from .algebra import DomainError, RatMatrix
 from .foliation import NotTangent, verify_tangency
-from .parse import (ParseError, SchemaError, numeric_value, parse_points, parse_problem,
-                    parse_rational, print_poly, raw_document)
+from .parse import (ParseError, ProblemDocument, SchemaError, numeric_value, parse_points,
+                    parse_problem, parse_rational, print_poly, raw_document)
 from .residue import NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
@@ -52,29 +52,29 @@ def to_doc(value):
     return value
 
 
-def _numeric_config(args, file_numeric: dict) -> NumericConfig:
-    """The defaults, overridden by the file's numeric.* keys, then by the flags."""
-    flags = {f.name: numeric_value(f.name, getattr(args, f.name))
-             for f in dataclasses.fields(NumericConfig) if getattr(args, f.name) is not None}
-    return NumericConfig(**{**file_numeric, **flags})
-
-
 def _load_document(path: str):
     with open(path, encoding="utf-8") as handle:
         return parse_problem(handle.read())
 
 
-def _load_points(args, doc) -> list[SingularPoint] | None:
-    """The user-attested points of the file and of ``--points``; verify_identities
-    classifies them."""
+def _inputs(args) -> tuple[ProblemDocument, list[SingularPoint] | None, NumericConfig]:
+    """The problem document; its user-attested points with those of ``--points``
+    (None when there are none; verify_identities classifies them); and the
+    numeric config: the defaults, overridden by the file's numeric.* keys,
+    then by the flags, each typed by ``numeric_value``."""
+    doc = _load_document(args.problem)
+    flags = {f.name: numeric_value(f.name, getattr(args, f.name))
+             for f in dataclasses.fields(NumericConfig) if getattr(args, f.name) is not None}
+    cfg = NumericConfig(**{**doc.numeric, **flags})
     entries = list(doc.points)
-    if args.points:
+    if getattr(args, "points", None):
         with open(args.points, encoding="utf-8") as handle:
             raw = raw_document(handle.read())
         if "points" not in raw:
             raise SchemaError(f"{args.points}: no 'points' entry")
         entries += parse_points(*raw["points"], doc.problem.n)
-    return [SingularPoint(e["chart"], tuple(e["coords"])) for e in entries] or None
+    points = [SingularPoint(e["chart"], tuple(e["coords"])) for e in entries] or None
+    return doc, points, cfg
 
 
 def _hom(p: SingularPoint) -> str:
@@ -95,8 +95,7 @@ def cmd_check(args) -> Output:
 
 
 def cmd_zeros(args) -> Output:
-    doc = _load_document(args.problem)
-    cfg = _numeric_config(args, doc.numeric)
+    doc, _, cfg = _inputs(args)
     mode = "numeric" if args.numeric else "exact_linear"
     points = aggregate.enumerate_singularities(doc.problem, mode, cfg=cfg)
     lines = [f"{len(points)} singular point(s) ({mode} discovery)"]
@@ -107,9 +106,7 @@ def cmd_zeros(args) -> Output:
 
 
 def _identities(args):
-    doc = _load_document(args.problem)
-    cfg = _numeric_config(args, doc.numeric)
-    points = _load_points(args, doc)
+    doc, points, cfg = _inputs(args)
     try:
         i_list = None if args.i == "all" else [int(part) for part in args.i.split(",")]
     except ValueError:
@@ -147,9 +144,8 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_poincare(args) -> Output:
-    doc = _load_document(args.problem)
-    cfg = _numeric_config(args, doc.numeric)
-    verdict = aggregate.poincare_check(doc.problem, _load_points(args, doc), cfg=cfg)
+    doc, points, cfg = _inputs(args)
+    verdict = aggregate.poincare_check(doc.problem, points, cfg=cfg)
     lines = [
         f"i used: {verdict.i_used} (n - i odd)",
         f"total logarithmic residue: {verdict.total_log_residue}",
@@ -166,9 +162,8 @@ def cmd_poincare(args) -> Output:
 
 
 def cmd_surface(args) -> Output:
-    doc = _load_document(args.problem)
-    cfg = _numeric_config(args, doc.numeric)
-    report = aggregate.surface_report(doc.problem, _load_points(args, doc), cfg=cfg)
+    doc, points, cfg = _inputs(args)
+    report = aggregate.surface_report(doc.problem, points, cfg=cfg)
     lines = [f"[{_hom(row.point)}]  GSV={row.gsv}  CS={row.cs}  "
              f"ordinary={row.ordinary}" for row in report.rows]
     lines.append(f"GSV total {report.gsv_total} (expected {report.expected_gsv_total}); "
@@ -258,10 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--i", default="all", help="comma list of i values or 'all'")
         if "numeric" in flags:
             for f in dataclasses.fields(NumericConfig):
-                tuple_valued = isinstance(f.default, tuple)
-                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
-                               type=None if tuple_valued else type(f.default),
-                               help="comma-separated" if tuple_valued else None)
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               help="comma-separated" if isinstance(f.default, tuple) else None)
         return p
 
     command(cmd_check, "tangency check with cofactor table", "problem")

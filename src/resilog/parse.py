@@ -8,13 +8,17 @@ Grammar (whitespace insignificant, identifiers must be declared variables):
     base   := rat | ident | "(" expr ")" | "-" factor
     rat    := int ("/" nat)?
 
-There are no floating literals and no division except inside a rational
-literal; implicit multiplication ("3x") is rejected.  Unary minus binds
-looser than "^", so "-x^2" is -(x^2).
+Digits and identifiers are ASCII (an identifier is a letter followed by
+letters and digits); any other character that is not whitespace, a
+non-ASCII digit too, is a ParseError at its position.  There are no
+floating literals and no division except inside a rational literal;
+implicit multiplication ("3x") is rejected.  Unary minus binds looser than
+"^", so "-x^2" is -(x^2).
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
@@ -37,6 +41,7 @@ class ParseError(Exception):
 # -- tokenizer -------------------------------------------------------------
 
 _OPS = "+-*^()/"
+_NAME_CHARS = string.ascii_letters + string.digits
 
 
 @dataclass
@@ -49,41 +54,27 @@ class _Token:
 
 def _tokenize(src: str, line0: int = 1, col0: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = line0, col0
-    i = 0
+    line, col, i = line0, col0, 0
     while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
+        ch, j = src[i], i + 1
+        if ch in string.digits:
+            kind = "int"
+            while j < len(src) and src[j] in string.digits:
                 j += 1
-            tokens.append(_Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum()):
+        elif ch in string.ascii_letters:
+            kind = "ident"
+            while j < len(src) and src[j] in _NAME_CHARS:
                 j += 1
-            tokens.append(_Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
+        elif ch in _OPS:
+            kind = ch
+        elif ch.isspace():
+            line, col, i = (line + 1, 1, j) if ch == "\n" else (line, col + 1, j)
             continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}", ch)
+        else:
+            raise ParseError(line, col, f"unexpected character {ch!r}", ch)
+        tokens.append(_Token(kind, src[i:j], line, col))
+        col += j - i
+        i = j
     tokens.append(_Token("end", "", line, col))
     return tokens
 
@@ -226,54 +217,71 @@ class ProblemDocument:
     numeric: dict = field(default_factory=dict)
 
 
-def _split_top_level(text: str) -> list[str]:
+class _Text(str):
+    """A scalar of a document: its text, and the 1-based column where it starts."""
+
+    def __new__(cls, text: str, column: int):
+        self = super().__new__(cls, text)
+        self.column = column
+        return self
+
+
+def _split_top_level(text: str, column: int) -> list[tuple[str, int]]:
+    """The comma-separated parts of ``text`` outside brackets, each with the
+    column where it starts, ``text`` starting at ``column``; an empty last
+    part is dropped."""
     parts = []
-    depth = 0
-    current = []
-    for ch in text:
+    depth = start = 0
+    for j, ch in enumerate(text):
         if ch in "[{":
             depth += 1
         elif ch in "]}":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
+        elif ch == "," and depth == 0:
+            parts.append((text[start:j], column + start))
+            start = j + 1
+    if text[start:].strip():
+        parts.append((text[start:], column + start))
     return parts
 
 
-def _parse_value(text: str, line: int):
+def _parse_value(text: str, line: int, column: int):
+    """A list, an object, or a scalar ``_Text`` (consumers interpret
+    scalars), from ``text`` starting at ``column`` of ``line``."""
+    column += len(text) - len(text.lstrip())
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
-        return [_parse_value(part, line) for part in _split_top_level(text[1:-1])]
+        return [_parse_value(part, line, col)
+                for part, col in _split_top_level(text[1:-1], column + 1)]
     if text.startswith("{") and text.endswith("}"):
         obj = {}
-        for part in _split_top_level(text[1:-1]):
-            if ":" not in part:
-                raise ParseError(line, 1, f"expected 'key: value' in object, got {part!r}", part)
-            key, _, val = part.partition(":")
-            obj[key.strip()] = _parse_value(val, line)
+        for part, col in _split_top_level(text[1:-1], column + 1):
+            key, colon, val = part.partition(":")
+            if not colon:
+                col += len(part) - len(part.lstrip())
+                raise ParseError(line, col, f"expected 'key: value' in object, got "
+                                            f"{part.strip()!r}", part.strip())
+            obj[key.strip()] = _parse_value(val, line, col + len(key) + 1)
         return obj
-    return text  # leave scalars as strings; consumers interpret them
+    return _Text(text, column)
 
 
-def raw_document(src: str) -> dict[str, tuple[object, int]]:
-    doc: dict[str, tuple[object, int]] = {}
+def raw_document(src: str) -> dict[str, tuple[object, int, int]]:
+    """Each key of a ``key = value`` document with its value (``_parse_value``),
+    the value's line and the column where the value starts."""
+    doc: dict[str, tuple[object, int, int]] = {}
     for lineno, raw in enumerate(src.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        text = raw.split("#", 1)[0]
+        stripped = text.strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ParseError(lineno, 1, "expected 'key = value'", stripped)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if not key:
+        key, _, value = text.partition("=")
+        if not key.strip():
             raise ParseError(lineno, 1, "missing key before '='", stripped)
-        doc[key] = (_parse_value(value, lineno), lineno)
+        column = len(key) + 2 + len(value) - len(value.lstrip())
+        doc[key.strip()] = (_parse_value(value.lstrip(), lineno, column), lineno, column)
     return doc
 
 
@@ -286,8 +294,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def numeric_value(name: str, value):
-    """A ``numeric.<name>`` override typed like the NumericConfig field ``name``;
-    a tuple field takes a list or a comma-separated string of its length."""
+    """A ``numeric.<name>`` key or ``--<name>`` flag typed like the NumericConfig
+    field ``name``; a tuple field takes a list or a comma-separated string of
+    its length.  The one typing path for numeric inputs."""
     defaults = {f.name: f.default for f in fields(NumericConfig)}
     if name not in defaults:
         raise SchemaError(f"unknown numeric option {name!r}")
@@ -303,10 +312,11 @@ def numeric_value(name: str, value):
     raise SchemaError(f"bad numeric value for {name!r}: {value!r}")
 
 
-def parse_points(value, line: int, n: int) -> list[dict]:
-    """Validated {chart, coords} entries of a ``points`` value on P^n."""
+def parse_points(value, line: int, column: int, n: int) -> list[dict]:
+    """Validated {chart, coords} entries of a ``points`` value on P^n, the
+    value starting at ``column`` of ``line``."""
     if not isinstance(value, list):
-        raise ParseError(line, 1, "points must be a list of {chart, coords} objects")
+        raise ParseError(line, column, "points must be a list of {chart, coords} objects")
     points = []
     for entry in value:
         if not isinstance(entry, dict) or "chart" not in entry or "coords" not in entry:
@@ -334,18 +344,19 @@ def parse_problem(src: str) -> ProblemDocument:
             raise SchemaError(f"missing required field {key!r}")
         return doc[key]
 
-    dim_text, dim_line = require("space.dim")
+    dim_text, dim_line, dim_col = require("space.dim")
     try:
         n = int(dim_text)
     except (TypeError, ValueError):
-        raise ParseError(dim_line, 1, f"space.dim must be an integer, got {dim_text!r}") from None
+        raise ParseError(dim_line, dim_col,
+                         f"space.dim must be an integer, got {dim_text!r}") from None
     if n < 1:
         raise SchemaError(f"space.dim must be at least 1, got {n}")
 
-    vars_value, vars_line = require("field.vars")
+    vars_value, vars_line, vars_col = require("field.vars")
     if not isinstance(vars_value, list) or not all(isinstance(v, str) for v in vars_value):
-        raise ParseError(vars_line, 1, "field.vars must be a list of identifiers")
-    variables = tuple(v for v in vars_value)
+        raise ParseError(vars_line, vars_col, "field.vars must be a list of identifiers")
+    variables = tuple(str(v) for v in vars_value)
     if len(variables) != n + 1:
         raise SchemaError(
             f"field.vars has {len(variables)} entries, expected space.dim+1 = {n + 1}"
@@ -353,22 +364,22 @@ def parse_problem(src: str) -> ProblemDocument:
     if len(set(variables)) != len(variables):
         raise SchemaError("field.vars contains duplicate names")
 
-    comp_value, comp_line = require("field.components")
-    if not isinstance(comp_value, list):
-        raise ParseError(comp_line, 1, "field.components must be a list of polynomials")
+    comp_value, comp_line, comp_col = require("field.components")
+    if not isinstance(comp_value, list) or not all(isinstance(c, str) for c in comp_value):
+        raise ParseError(comp_line, comp_col, "field.components must be a list of polynomials")
     if len(comp_value) != n + 1:
         raise SchemaError(
             f"field.components has {len(comp_value)} entries, expected {n + 1}"
         )
-    components = tuple(parse_poly(str(c), variables, line0=comp_line) for c in comp_value)
+    components = tuple(parse_poly(c, variables, comp_line, c.column) for c in comp_value)
 
-    divisor_text, divisor_line = require("divisor")
-    divisor = parse_poly(str(divisor_text), variables, line0=divisor_line)
+    divisor_text, divisor_line, divisor_col = require("divisor")
+    divisor = parse_poly(str(divisor_text), variables, divisor_line, divisor_col)
 
     points = parse_points(*doc["points"], n) if "points" in doc else []
 
     numeric: dict = {}
-    for key, (value, _line) in doc.items():
+    for key, (value, _, _) in doc.items():
         if key.startswith("numeric."):
             name = key[len("numeric."):]
             numeric[name] = numeric_value(name, value)

@@ -1,9 +1,14 @@
 """Local residues at singular points.
 
-Everything exact about a zero comes from one pass, ``local_data``: the
-Jacobian trace trJ and determinant detJ, the cofactor value k(p), and on the
-divisor the induced trace trJ_D = trJ - k and determinant det J_D.  At a zero
-p on D the determinants are tied, detJ = k(p)*detJD.  Proof: differentiating
+``local_data`` is the single source of a zero's data.  One pass decides
+whether the point is a zero, whether it lies on D and which entry s of
+grad f borders det J_D, and gives the Jacobian trace trJ and determinant
+detJ, the cofactor value k(p), and on the divisor the induced trace
+trJ_D = trJ - k and determinant det J_D; classification, the closed forms
+and the perturbation engine read these and decide none of them again.
+Exactness (``is_exact``) and the zero test (``is_zero``) are defined once,
+here, for every module.  At a zero p on D the determinants are tied,
+detJ = k(p)*detJD.  Proof: differentiating
 v(f) = k*f at p, where v and f vanish, gives J^T grad f = k(p) grad f, so J
 keeps the tangent space ker(grad f) and acts on the quotient line by k(p).
 An exact zero on D thus costs one elimination, of the bordered matrix behind
@@ -136,12 +141,14 @@ class ResidueRecord:
     error: float | None = None
 
 
-def _coords_exact(coords) -> bool:
-    return all(isinstance(c, (Fraction, int)) for c in coords)
+def is_exact(values) -> bool:
+    """Whether every value is exact: a Fraction or an int."""
+    return all(isinstance(v, (Fraction, int)) for v in values)
 
 
-def _is_zero(value, exact: bool, tol: float = 1e-9) -> bool:
-    return value == 0 if exact else abs(value) < tol
+def is_zero(value, exact: bool) -> bool:
+    """The zero test: equality when exact, magnitude below 1e-9 otherwise."""
+    return value == 0 if exact else abs(value) < 1e-9
 
 
 def _det(rows, exact: bool):
@@ -152,32 +159,18 @@ def _det(rows, exact: bool):
     return d if d.imag else d.real
 
 
-def _on_divisor(cf: ChartField, coords, exact: bool) -> bool:
-    return not cf.f.is_constant and _is_zero(cf.f.eval(coords), exact)
-
-
-def _divisor_index(grad_f, coords, exact: bool) -> int:
-    """Index s of the first nonzero entry of the divisor's gradient at a point
-    of the divisor; raises DivisorSingularAt where the gradient vanishes."""
-    s = next((j for j, g in enumerate(grad_f) if not _is_zero(g, exact)), None)
-    if s is None:
-        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
-                                " residues there are unsupported")
-    return s
-
-
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     """Traces, determinants, and cofactor value of the field at a zero of it,
     from one ``jet`` per component and one of f."""
     n = cf.n
     coords = tuple(p.coords)
-    exact = _coords_exact(coords)
+    exact = is_exact(coords)
     values, jac = zip(*(a.jet(coords) for a in cf.a))
-    if any(not _is_zero(v, exact) for v in values):
+    if any(not is_zero(v, exact) for v in values):
         raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
     trJ = sum(jac[j][j] for j in range(n))
     f_p, grad_f = cf.f.jet(coords)
-    on_divisor = not cf.f.is_constant and _is_zero(f_p, exact)
+    on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
     if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
         raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
@@ -185,7 +178,10 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     if not on_divisor:
         return LocalData(trJ, _det(jac, exact), k_at_p, trJD, detJD=None, s=None)
 
-    s = _divisor_index(grad_f, coords, exact)
+    s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
+    if s is None:
+        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
+                                " residues there are unsupported")
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
@@ -199,13 +195,13 @@ def classify_point(cf: ChartField, coords) -> tuple[SingularPoint, LocalData | N
     and simple or not, with its local data (None where the divisor is
     singular; simple is then unknown)."""
     coords = tuple(coords)
-    exact = _coords_exact(coords)
+    exact = is_exact(coords)
     try:
         ld = local_data(cf, SingularPoint(cf.chart, coords, exact))
     except DivisorSingularAt:
         return SingularPoint(cf.chart, coords, exact, True, None), None
     on_divisor = ld.s is not None
-    simple = not _is_zero(ld.detJD if on_divisor else ld.detJ, exact)
+    simple = not is_zero(ld.detJD if on_divisor else ld.detJ, exact)
     return SingularPoint(cf.chart, coords, exact, on_divisor, simple), ld
 
 
@@ -242,19 +238,19 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     for all levels, so each residue is one integer over q^(n-1)*detJD, not a
     chain of Fraction steps.  Inexact values go in unscaled, alike."""
     n = len(p.coords)
-    exact = _coords_exact(p.coords)
+    exact = is_exact(p.coords)
 
     if ld.s is None:  # off the divisor
         for i in filter(None, levels):
             raise NotOnDivisor(f"i={i} residues only exist on the divisor")
-        if _is_zero(ld.detJ, exact):
+        if is_zero(ld.detJ, exact):
             raise DegenerateZero("detJ = 0; fall back to perturbed_residue")
         ordinary = ld.trJ**n / ld.detJ
         record = ResidueRecord(replace(p, on_divisor=False), 0, ordinary, ordinary,
                                Fraction(0) if exact else 0.0, "closed_form")
         return [record for _ in levels]
 
-    if _is_zero(ld.detJD, exact):
+    if is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
     point = replace(p, on_divisor=True)
     if exact:
@@ -266,7 +262,7 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     records = []
     for i in levels:
         var = delta_numerator(t, c, n, i) / scale
-        if i == 0 and _is_zero(ld.k_at_p, exact):
+        if i == 0 and is_zero(ld.k_at_p, exact):
             # detJ = k*detJD vanishes; the ordinary/log split has no closed
             # form here, only the excess is defined.
             ordinary = log = None
@@ -394,19 +390,19 @@ def perturbed_residue(
     tangent to the divisor, so the perturbed field is again a chart field.
     Its zeros near p are simple; ``closed_form_residues`` at each of them
     (all zeros for i = 0, those on the divisor otherwise) are summed and the
-    two sums Richardson-extrapolated to eps = 0.
+    two sums Richardson-extrapolated to eps = 0.  It starts from
+    ``local_data`` at p, so a point that is not a zero raises NotAZero and one
+    on the singular locus of the divisor DivisorSingularAt.
     """
-    coords = tuple(p.coords)
-    exact = _coords_exact(coords)
-    on_divisor = _on_divisor(cf, coords, exact)
-    if i != 0 and not on_divisor:
+    ld = local_data(cf, p)
+    if i != 0 and ld.s is None:
         raise NotOnDivisor(f"i={i} residues only exist on the divisor")
-    point_id = f"chart{p.chart}:" + ",".join(str(c) for c in coords)
+    point_id = f"chart{p.chart}:" + ",".join(str(c) for c in p.coords)
     rng = random.Random(f"{cfg.seed}|{point_id}|{i}")
     g, h = _tangent_direction(cf, rng)
     # For i >= 1 the zeros on the divisor solve (a_j for j != s, f): by
     # tangency a_s vanishes there too, and starts vary off the axis s only.
-    s = _divisor_index(cf.f.jet(coords)[1], coords, exact) if i else None
+    s = ld.s if i else None
     sums: list[list[complex]] = []
     counts: list[int] = []
     for eps in cfg.eps_levels:
@@ -416,7 +412,7 @@ def perturbed_residue(
                             k=None if cf.k is None else cf.k + e * h)
         system = perturbed.a if s is None else [
             a for j, a in enumerate(perturbed.a) if j != s] + [cf.f]
-        zeros = _zeros_near(system, coords, cfg.search_radius, cfg, s)
+        zeros = _zeros_near(system, p.coords, cfg.search_radius, cfg, s)
         counts.append(len(zeros))
         total = [0j, 0j, 0j]
         for z in zeros:
@@ -440,7 +436,7 @@ def perturbed_residue(
     eps1, eps2 = cfg.eps_levels
     values = [((eps1 * v2 - eps2 * v1) / (eps1 - eps2)).real for v1, v2 in zip(*sums)]
     err = max(abs(v1 - v2) for v1, v2 in zip(*sums))
-    point = replace(p, on_divisor=on_divisor, exact=False)
+    point = replace(p, on_divisor=ld.s is not None, exact=False)
     return ResidueRecord(point, i, *values, "perturbation", err)
 
 

@@ -1,3 +1,17 @@
+import warnings
+
+# On a failing example hypothesis imports hypothesis.extra._patching, whose
+# libcst import emits a DeprecationWarning; filterwarnings = ["error"] would
+# turn it into an INTERNALERROR that hides the failure and ends the session.
+# Importing it here, with that warning ignored, keeps failures reportable.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
+
 def pytest_terminal_summary(terminalreporter):
     """Print the acceptance verdict lines, one per criterion."""
     try:

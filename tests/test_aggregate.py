@@ -130,7 +130,7 @@ def test_verify_identities_p3_exact():
 def test_partial_point_set_warns_and_downgrades():
     pts = [SingularPoint(0, (Fraction(0), Fraction(0)))]
     with pytest.warns(IncompletePointSet):
-        report = verify_identities(P2, points=pts, complete=False)
+        report = verify_identities(P2, points=pts)
     assert report.level == "partial"
     assert not report.all_ok  # one point cannot reach the global totals
 
@@ -164,7 +164,7 @@ def test_unflagged_point_on_divisor_enters_i1():
     # (1:0:0) lies on the divisor z2 = 0; the caller did not say so.
     pts = [SingularPoint(0, (Fraction(0), Fraction(0)))]
     with pytest.warns(IncompletePointSet):
-        report = verify_identities(P2, points=pts, complete=False)
+        report = verify_identities(P2, points=pts)
     [record] = report.checks[1].records
     assert record.point.on_divisor
 

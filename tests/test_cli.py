@@ -125,7 +125,6 @@ def test_malformed_input_exits_without_traceback(capsys, tmp_path, name, text, c
     ("check", P2, "--seed", "1"),
     ("zeros", P2, "--points", P2),
     ("poincare", P2, "--i", "1"),
-    ("zeros", P2, "--seed", "x"),
 ])
 def test_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -185,6 +184,42 @@ def test_bad_numeric_value_exits_1(capsys, tmp_path, where, name, value, rule):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: numeric option {name} must be {rule}, got ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", "x"),
+    ("newton_max_iter", "1.5"),
+    ("newton_tol", "tiny"),
+    ("eps_levels", "0.001"),
+    ("eps_levels", "0.001,x"),
+])
+def test_unreadable_numeric_flag_exits_1(capsys, name, value):
+    # Flags are typed like numeric.* keys, by parse.numeric_value.
+    assert run(capsys, "zeros", P2, f"--{name.replace('_', '-')}={value}") == (
+        1, "", f"error: bad numeric value for {name!r}: {value!r}\n")
+
+
+def test_zero_on_a_singular_divisor_exits_2(capsys, tmp_path):
+    # [0:0:1] is a zero of the field and lies on both lines of z0*z1.
+    fol = tmp_path / "cross.fol"
+    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   "field.components = [-3*z0, 2*z1, z2]\ndivisor = z0*z1\n")
+    assert run(capsys, "verify", str(fol)) == (
+        2, "", "error: divisor is singular at (0, 0); residues there are unsupported\n")
+
+
+def test_vanishing_cofactor_leaves_the_split_undefined(capsys, tmp_path):
+    # The zeros are isolated; [1:0:0] is simple on D = {z2 = 0} with k(p) = 0,
+    # so det J = k(p)*det J_D vanishes and only the excess has a closed form.
+    fol = tmp_path / "k0.fol"
+    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   "field.components = [z0^2, 2*z0*z1 + z2^2, z1*z2 + z0*z2]\n"
+                   "divisor = z2\npoints = [{chart: 0, coords: [0, 0]}]\n")
+    code, doc = machine(capsys, "verify", str(fol))
+    [i0] = [c for c in doc["checks"] if c["i"] == 0]
+    assert (i0["totals"]["ordinary"], i0["totals"]["log"]) == (None, None)
+    assert doc["notes"] == ["i=0: a zero with vanishing cofactor leaves the ordinary/log "
+                            "split undefined; only the variational total is certified"]
 
 
 def test_equal_eps_levels_exit_1_on_a_degenerate_zero(capsys, tmp_path):
@@ -329,9 +364,8 @@ def test_partial_point_set_exits_2_with_one_warning(capsys):
 
 
 def test_parse_error_exit_1(capsys):
-    code, _, err = run(capsys, "check", MALFORMED)
-    assert code == 1
-    assert "parse error" in err
+    assert run(capsys, "check", MALFORMED) == (
+        1, "", "parse error at 4:25: unknown variable 'w1'\n")
 
 
 def test_missing_file_exit_1(capsys):

@@ -42,7 +42,8 @@ def test_unary_minus_binds_looser_than_power():
 
 @pytest.mark.parametrize(
     "src",
-    ["", "x +", "3x", "x y", "x ^ y", "x / y", "(x", "x)", "w", "x^-2", "1/0", "x**2"],
+    ["", "x +", "3x", "x y", "x ^ y", "x / y", "(x", "x)", "w", "x^-2", "1/0", "x**2",
+     "2²", "x^²", "١ + x"],
 )
 def test_parse_rejects(src):
     with pytest.raises(ParseError):
@@ -143,6 +144,19 @@ def test_parse_problem_document():
 def test_parse_problem_rejects_bad_documents(mutate):
     with pytest.raises((ParseError, SchemaError)):
         parse_problem(mutate(P2_SRC))
+
+
+@pytest.mark.parametrize("old, new, position", [
+    ("divisor = z2", "divisor = z2 $", (5, 14)),
+    ("[-3*z0, 2*z1, z2]", "[-3*z0, 2*w1, z2]", (4, 30)),
+    ("space.dim = 2", "  space.dim =  x", (2, 16)),
+    ("{chart: 1, coords: [0, 0]}", "{chart 1}", (6, 40)),
+    ("points = [", "points = {a: 1} # [", (6, 10)),
+])
+def test_document_errors_point_at_the_value(old, new, position):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(P2_SRC.replace(old, new))
+    assert (exc.value.line, exc.value.column) == position
 
 
 def test_comments_and_blank_lines_ignored():

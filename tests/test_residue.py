@@ -13,6 +13,7 @@ from resilog.foliation import ChartField, chart_field, dehomogenize_field, make_
 from resilog.parse import parse_problem
 from resilog.residue import (
     DegenerateZero,
+    DivisorSingularAt,
     LocalData,
     NonLinearField,
     NotAZero,
@@ -478,6 +479,17 @@ class TestPerturbedResidue:
                         e = float(getattr(exact, name))
                         assert abs(getattr(approx, name) - e) <= 1e-6 * max(1.0, abs(e))
         assert on_divisor == 2  # [0:1:0] and [0:0:1]; [1:0:0] lies off the conic
+
+    def test_not_a_zero_raises(self):
+        cf = chart_field(P2, 0)
+        with pytest.raises(NotAZero, match=r"does not vanish at \(1/10, 0\)"):
+            perturbed_residue(cf, SingularPoint(0, (Fraction(1, 10), Fraction(0))), 0)
+
+    def test_singular_divisor_names_the_given_point(self):
+        # [0:0:1] lies on both lines of the divisor z0*z1.
+        problem = make_problem(Z3, P2.components, zv("z0", Z3) * zv("z1", Z3))
+        with pytest.raises(DivisorSingularAt, match=r"divisor is singular at \(0, 0\)"):
+            perturbed_residue(chart_field(problem, 2), ORIGIN2, 0)
 
     def test_seeded_determinism(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
