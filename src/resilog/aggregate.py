@@ -40,13 +40,14 @@ class IncompletePointSet(Warning):
 def _normalized(p: SingularPoint) -> tuple[int, tuple]:
     """The index of the first homogeneous coordinate of ``p`` that is not
     ``is_zero`` and the homogeneous coordinates scaled so that entry is 1;
-    exact when the coordinates are, as at a perturbed zero given exactly.
-    The index is the chart the point is attributed to."""
+    exact when the coordinates are (an int lead divides as a Fraction), as at
+    a perturbed zero given exactly.  The index is the point's chart."""
     coords = list(p.coords)
     exact = is_exact(coords)
     hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
     lead = next(j for j, v in enumerate(hom) if not is_zero(v, exact))
-    return lead, tuple(v / hom[lead] for v in hom)
+    scale = hom[lead] if not exact or isinstance(hom[lead], Fraction) else Fraction(hom[lead])
+    return lead, tuple(v / scale for v in hom)
 
 
 def homogeneous_representative(p: SingularPoint):
@@ -169,6 +170,8 @@ class IdentityCheck:
 
 @dataclass
 class GlobalReport:
+    """The identity checks of every requested i-level and the certification level."""
+
     checks: dict[int, IdentityCheck]
     complete: bool
     level: str  # proved-on-instance | numeric | partial
@@ -260,6 +263,8 @@ def verify_identities(
 
 @dataclass
 class PoincareVerdict:
+    """The sign of the total logarithmic residue and the degree bound it asserts."""
+
     i_used: int
     total_log_residue: object
     nonnegative: bool
@@ -304,6 +309,8 @@ def poincare_check(
 
 @dataclass
 class SurfacePointRow:
+    """GSV and Camacho-Sad indices of one point on the divisor of a surface."""
+
     point: SingularPoint
     gsv: object
     cs: object
@@ -312,6 +319,8 @@ class SurfacePointRow:
 
 @dataclass
 class SurfaceReport:
+    """The per-point GSV / Camacho-Sad rows with their totals and the Carnicer bound."""
+
     rows: list[SurfacePointRow]
     gsv_total: object
     cs_total: object

@@ -28,12 +28,16 @@ CLASSES = ("terminal", "canonical", "log_terminal", "log_canonical", "not_log_ca
 
 @dataclass(frozen=True)
 class DiscrepancyProblem:
+    """An exceptional intersection matrix M and its componentwise residues I."""
+
     M: RatMatrix
     I: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
+    """Log discrepancies b = -M^{-1} I, discrepancies a = b - 1 and their class."""
+
     b: tuple[Fraction, ...]  # log discrepancies
     a: tuple[Fraction, ...]  # discrepancies, a = b - 1
     classification: str
@@ -101,6 +105,8 @@ def expected_exceptional_residues(M: RatMatrix, genera=None) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class CyclicQuotientModel:
+    """The resolved weight-(1,1) cyclic quotient of order m, chart by chart."""
+
     m: int
     charts: tuple[ChartField, ChartField]
     point_residues: tuple[ResidueRecord, ResidueRecord]

@@ -234,15 +234,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (run, help summary, arguments), in the order of ``resilog --help``.
+COMMANDS = {
+    "check": (cmd_check, "tangency check with cofactor table", ("problem",)),
+    "zeros": (cmd_zeros, "enumerate singular points", ("problem", "numeric", "--numeric")),
+    "residues": (cmd_residues, "per-point residue records", ("problem", "points", "i", "numeric")),
+    "verify": (cmd_verify, "check the global residue identities",
+               ("problem", "points", "i", "numeric")),
+    "poincare": (cmd_poincare, "degree bound check", ("problem", "points", "numeric")),
+    "surface": (cmd_surface, "GSV / Camacho-Sad report (n = 2)", ("problem", "points", "numeric")),
+    "discrepancy": (cmd_discrepancy, "log discrepancies from (M, I)", ("matrix",)),
+    "cyclic": (cmd_cyclic, "built-in cyclic quotient model", ("--m",)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only ``command``'s subparser when it names one;
+    its usage line still names every command, so help and errors read the same."""
     parser = _Parser(prog="resilog", description="Exact logarithmic and excess residues of "
                                                  "foliations on projective space")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(run, summary, *flags):
-        """The subcommand running ``run``, with ``--format`` and the named ``flags``:
-        the problem file, ``--points``, ``--i`` and the NumericConfig fields."""
-        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=summary)
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        run, summary, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("table", "machine"), default="table")
         if "problem" in flags:
@@ -255,26 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
             for f in dataclasses.fields(NumericConfig):
                 p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                                help="comma-separated" if isinstance(f.default, tuple) else None)
-        return p
-
-    command(cmd_check, "tangency check with cofactor table", "problem")
-    command(cmd_zeros, "enumerate singular points", "problem", "numeric").add_argument(
-        "--numeric", action="store_true", help="use numeric zero discovery")
-    command(cmd_residues, "per-point residue records", "problem", "points", "i", "numeric")
-    command(cmd_verify, "check the global residue identities", "problem", "points", "i",
-            "numeric")
-    command(cmd_poincare, "degree bound check", "problem", "points", "numeric")
-    command(cmd_surface, "GSV / Camacho-Sad report (n = 2)", "problem", "points", "numeric")
-    command(cmd_discrepancy, "log discrepancies from (M, I)").add_argument(
-        "matrix", help="JSON file with M and I")
-    command(cmd_cyclic, "built-in cyclic quotient model").add_argument(
-        "--m", type=int, required=True)
+        if "--numeric" in flags:
+            p.add_argument("--numeric", action="store_true", help="use numeric zero discovery")
+        if "matrix" in flags:
+            p.add_argument("matrix", help="JSON file with M and I")
+        if "--m" in flags:
+            p.add_argument("--m", type=int, required=True)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command; each warning it raises is printed as one stderr line."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

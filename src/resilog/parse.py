@@ -18,7 +18,6 @@ implicit multiplication ("3x") is rejected.  Unary minus binds looser than
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
@@ -41,11 +40,15 @@ class ParseError(Exception):
 # -- tokenizer -------------------------------------------------------------
 
 _OPS = "+-*^()/"
-_NAME_CHARS = string.ascii_letters + string.digits
+_DIGITS = "0123456789"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_NAME_CHARS = _LETTERS + _DIGITS
 
 
 @dataclass
 class _Token:
+    """One token with the 1-based line and column where it starts."""
+
     kind: str  # "int", "ident", or one of _OPS, or "end"
     text: str
     line: int
@@ -57,11 +60,11 @@ def _tokenize(src: str, line0: int = 1, col0: int = 1) -> list[_Token]:
     line, col, i = line0, col0, 0
     while i < len(src):
         ch, j = src[i], i + 1
-        if ch in string.digits:
+        if ch in _DIGITS:
             kind = "int"
-            while j < len(src) and src[j] in string.digits:
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
-        elif ch in string.ascii_letters:
+        elif ch in _LETTERS:
             kind = "ident"
             while j < len(src) and src[j] in _NAME_CHARS:
                 j += 1

@@ -23,8 +23,12 @@ denominator.  Degenerate zeros go through a seeded perturbation engine: it
 deforms the chart field along a random field tangent to the divisor, so each
 nearby perturbed zero is simple, and Richardson-extrapolates the summed
 closed forms over two perturbation sizes.  ``_newton_zeros`` finds those
-zeros and the zeros of numeric discovery.  numpy is imported inside the
-numeric functions only, so the exact path never pays for loading it.
+zeros and the zeros of numeric discovery; it compiles its system and Jacobian
+once into (complex(c), exponents) terms, and at each Newton step ``_evaluate``
+repeats ``MultiPoly.eval``'s float operations in order, so no bit moves: at a
+complex z, Fraction c times z is complex(c)*z, and Fraction(0) + z is 0j + z.
+numpy is imported inside the numeric functions only, so the exact path never
+pays for loading it.
 """
 
 from __future__ import annotations
@@ -111,6 +115,8 @@ class NumericConfig:
 
 @dataclass(frozen=True)
 class SingularPoint:
+    """A zero in affine chart ``chart``, with its exactness, divisor and simplicity flags."""
+
     chart: int
     coords: tuple
     exact: bool = True
@@ -132,6 +138,8 @@ class LocalData:
 
 @dataclass(frozen=True)
 class ResidueRecord:
+    """The ordinary, logarithmic and variational residues of one point at level i."""
+
     point: SingularPoint
     i: int
     ordinary: object  # Fraction, float, or None when unavailable
@@ -278,26 +286,45 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
 
 # -- numeric engine --------------------------------------------------------
 
-def _newton(field: Sequence[MultiPoly], jac, x0, cfg: NumericConfig,
+def _compile(p: MultiPoly) -> list:
+    """The terms c*x^e of ``p`` as (complex(c), ((j, e_j) for e_j > 0)) pairs."""
+    return [(complex(c), tuple((j, k) for j, k in enumerate(e) if k))
+            for e, c in p.terms.items()]
+
+
+def _evaluate(terms: list, x: np.ndarray, powers: dict) -> complex:
+    """``MultiPoly.eval`` of the compiled ``terms`` at the numpy point x, bit for
+    bit (module docstring); ``powers`` keeps each x[j]**k computed at this x."""
+    total = 0j
+    for term, support in terms:
+        for jk in support:
+            x_k = powers.get(jk)
+            if x_k is None:
+                x_k = powers[jk] = x[jk[0]] ** jk[1]
+            term = term * x_k
+        total = total + term
+    return total
+
+
+def _newton(field: list, jac: list, x0, cfg: NumericConfig,
             center: np.ndarray | None = None, escape: float = math.inf) -> np.ndarray | None:
-    """Complex Newton from one start: the zero reached, or None when the
-    Jacobian turns singular, the residual stays above ``cfg.newton_tol`` for
-    ``cfg.newton_max_iter`` steps, or an iterate leaves the L-inf ball of
-    radius ``escape`` about ``center``."""
+    """Complex Newton from one start on a compiled system: the zero reached, or
+    None when the Jacobian turns singular, the residual stays above
+    ``cfg.newton_tol`` for ``cfg.newton_max_iter`` steps, or an iterate leaves
+    the L-inf ball of radius ``escape`` about ``center``."""
     import numpy as np
-    m = len(field)
     x = np.array(x0, dtype=complex)
     for _ in range(cfg.newton_max_iter):
-        fx = np.array([p.eval(x) for p in field], dtype=complex)
-        if np.max(np.abs(fx)) < cfg.newton_tol:
+        powers: dict = {}
+        fx = np.array([_evaluate(p, x, powers) for p in field], dtype=complex)
+        if np.abs(fx).max() < cfg.newton_tol:
             return x
-        J = np.array([[jac[r][c].eval(x) for c in range(m)] for r in range(m)],
-                     dtype=complex)
+        J = np.array([[_evaluate(d, x, powers) for d in row] for row in jac], dtype=complex)
         try:
             x = x - np.linalg.solve(J, fx)
         except np.linalg.LinAlgError:
             return None
-        if center is not None and np.max(np.abs(x - center)) > escape:
+        if center is not None and np.abs(x - center).max() > escape:
             return None
     return None
 
@@ -309,11 +336,12 @@ def _newton_zeros(field: Sequence[MultiPoly], starts, cfg: NumericConfig,
     zero kept before it.  Numeric discovery and the perturbation engine both
     search with it and differ only in their starts and filters."""
     import numpy as np
-    jac = [[p.partial(v) for v in field[0].variables] for p in field]
+    compiled = [_compile(p) for p in field]
+    jac = [[_compile(p.partial(v)) for v in field[0].variables] for p in field]
     found: list[np.ndarray] = []
     for x0 in starts:
-        x = _newton(field, jac, x0, cfg, center, escape)
-        if x is not None and all(float(np.max(np.abs(x - q))) > cfg.dedupe_radius
+        x = _newton(compiled, jac, x0, cfg, center, escape)
+        if x is not None and all(float(np.abs(x - q).max()) > cfg.dedupe_radius
                                  for q in found):
             found.append(x)
     return found
@@ -333,11 +361,8 @@ def _zeros_near(field: Sequence[MultiPoly], coords, radius: float, cfg: NumericC
     import numpy as np
     center = np.array([complex(c) for c in coords])
     g = cfg.grid_per_axis
-    ring = [0.0 + 0.0j] + [
-        0.6 * radius * complex(math.cos(2 * math.pi * t / (g - 1)),
-                               math.sin(2 * math.pi * t / (g - 1)))
-        for t in range(g - 1)
-    ]
+    angles = [2 * math.pi * t / (g - 1) for t in range(g - 1)]
+    ring = [0j] + [0.6 * radius * complex(math.cos(a), math.sin(a)) for a in angles]
     grid = itertools.product(*([0j] if j == fixed else ring for j in range(len(field))))
     starts = [center] + [center + np.array(offsets) for offsets in grid]
     zeros = _newton_zeros(field, starts, cfg, center, 10 * radius)
@@ -459,9 +484,8 @@ def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
             elif total == 1:
                 aug[r][e.index(1)] = c
             else:
-                raise NonLinearField(
-                    f"component {r} has a degree-{total} term; use numeric discovery"
-                )
+                raise NonLinearField(f"component {r} has a degree-{total} term; give the zeros "
+                                     "with --points or a points block (zeros --numeric lists them)")
     rows, pivots, _ = echelon(aug)
     if n in pivots:
         return []

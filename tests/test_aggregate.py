@@ -65,6 +65,21 @@ def test_homogeneous_representative_unit_follows_the_coordinates():
     assert [type(v) for v in homogeneous_representative(numeric)] == [float] * 3
 
 
+def test_homogeneous_representative_of_int_coordinates_stays_exact():
+    hom = homogeneous_representative(SingularPoint(1, (2, 0)))
+    assert hom == (1, Fraction(1, 2), 0) and all(type(v) is Fraction for v in hom)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_int_coordinates_keep_the_certification_level(kind):
+    problem = parse_problem("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                            "field.components = [3*z0 - 2*z1, z0, 5*z2]\n"
+                            "divisor = z2\n").problem
+    zeros = [(1, (1, 0)), (1, (2, 0)), (2, (0, 0))]
+    report = verify_identities(problem, [SingularPoint(c, tuple(map(kind, x))) for c, x in zeros])
+    assert report.level == "proved-on-instance" and report.all_ok
+
+
 def test_enumerate_exact_p2():
     pts = enumerate_singularities(P2)
     assert len(pts) == 3

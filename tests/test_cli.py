@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_aggregate import counted
-from test_golden import CASES
+from test_golden import ALL_CASES, CASES
 
 from resilog import aggregate, cli, foliation, residue
 from resilog.cli import main
@@ -520,6 +520,43 @@ def test_numeric_discovery_flag(capsys):
     assert code == 0
     assert doc["mode"] == "numeric"
     assert len(doc["points"]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+def test_one_subparser_parses_like_all_of_them(name, fmt):
+    argv = [*ALL_CASES[name], "--format", fmt]
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_one_subparser_build_has_only_that_command(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser("verify").parse_args(["check", "p.fol"])
+    assert "invalid choice: 'check' (choose from 'verify')" in capsys.readouterr().err
+
+
+USAGE_LINES = [[], ["--help"], ["bogus"], ["verify", "p.fol", "extra"], ["zeros", "p.fol", "--bogus"],
+               ["verify"], *([name, "--help"] for name in cli.COMMANDS)]
+
+
+@pytest.mark.parametrize("argv", USAGE_LINES, ids=" ".join)
+def test_one_subparser_prints_what_all_of_them_print(capsys, argv):
+    def outcome(call):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        return exc.value.code, *capsys.readouterr()
+
+    assert outcome(lambda: main(argv)) == outcome(lambda: cli.build_parser().parse_args(argv))
+
+
+def test_degree_2_field_without_points_names_the_points_option(capsys, tmp_path):
+    fol = tmp_path / "deg2.fol"
+    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   "field.components = [z0*(z0 + z1), z1*(2*z1 - z2), z2*(z0 + 3*z2)]\n"
+                   "divisor = z2\n")
+    code, out, err = run(capsys, "verify", str(fol))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "--points" in err
 
 
 LAZY_NUMPY = """

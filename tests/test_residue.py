@@ -21,6 +21,8 @@ from resilog.residue import (
     NumericConfig,
     PositiveDimensional,
     SingularPoint,
+    _compile,
+    _evaluate,
     classify_point,
     closed_form_residues,
     delta_numerator,
@@ -352,6 +354,44 @@ def test_inexact_closed_forms_keep_their_bits(n, complex_values, data):
     ld = LocalData(trJ, detJ, k, trJ - k, detJD, 0)
     for i, r in zip(range(n), closed_form_residues(ld, point, range(n)), strict=True):
         assert repr((r.ordinary, r.log, r.var)) == repr(reference_closed_forms(ld, n, i))
+
+
+@st.composite
+def newton_polys_and_points(draw):
+    """A polynomial of degree <= 4 in 1-4 variables with Fraction coefficients,
+    its constant term first, last or absent (zero and constant polynomials
+    included), and a numpy complex point, as ``_newton`` passes it."""
+    import numpy as np
+    nv = draw(st.integers(1, 4))
+    monomials = [e for e in itertools.product(range(5), repeat=nv) if 0 < sum(e) <= 4]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=8, unique=True))
+    constant = (0,) * nv
+    where = draw(st.sampled_from(("first", "last", "none")))
+    chosen = {"first": [constant] + chosen, "last": chosen + [constant], "none": chosen}[where]
+    coeffs = st.fractions(-9, 9, max_denominator=9).filter(lambda c: c != 0)
+    p = MultiPoly([f"x{i}" for i in range(nv)], {e: draw(coeffs) for e in chosen})
+    scalar = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+    return p, np.array(draw(st.lists(scalar, min_size=nv, max_size=nv)), dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(newton_polys_and_points())
+def test_compiled_evaluation_matches_eval_bit_for_bit(case):
+    import numpy as np
+    p, x = case
+    polys = [p] + [p.partial(v) for v in p.variables]
+    want = np.array([q.eval(x) for q in polys], dtype=complex)
+    powers: dict = {}  # shared, as within one Newton step
+    got = np.array([_evaluate(_compile(q), x, powers) for q in polys], dtype=complex)
+    assert [repr(complex(v)) for v in got] == [repr(complex(v)) for v in want]
+
+
+def test_compiled_evaluation_of_zero_and_constant_polynomials():
+    import numpy as np
+    x = np.array([0.5 - 2j, -1j], dtype=complex)
+    for p in (MultiPoly.zero(("x", "y")), MultiPoly.const(("x", "y"), Fraction(-7, 3))):
+        want = np.array([p.eval(x)], dtype=complex)
+        assert repr(np.array([_evaluate(_compile(p), x, {})], dtype=complex)) == repr(want)
 
 
 class TestSimpleResidues:
