@@ -27,7 +27,7 @@ from .algebra import DomainError, RatMatrix
 from .foliation import NotTangent, verify_tangency
 from .parse import (ParseError, ProblemDocument, SchemaError, numeric_value, parse_points,
                     parse_problem, parse_rational, print_poly, raw_document)
-from .residue import NumericConfig, SingularPoint
+from .residue import NonLinearField, NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
 KINDS = ("ordinary", "log", "var")
@@ -294,6 +294,12 @@ def main(argv=None) -> int:
         except (SchemaError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except NonLinearField as exc:
+            # The hint names only options of the command that ran.
+            hint = ("give the zeros with --points or a points block (resilog zeros --numeric "
+                    "lists them)" if "points" in COMMANDS[args.command][2] else "use --numeric")
+            print(f"error: {exc}; {hint}", file=sys.stderr)
+            return 2
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

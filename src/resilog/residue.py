@@ -27,8 +27,9 @@ zeros and the zeros of numeric discovery; it compiles its system and Jacobian
 once into (complex(c), exponents) terms, and at each Newton step ``_evaluate``
 repeats ``MultiPoly.eval``'s float operations in order, so no bit moves: at a
 complex z, Fraction c times z is complex(c)*z, and Fraction(0) + z is 0j + z.
-numpy is imported inside the numeric functions only, so the exact path never
-pays for loading it.
+Points are lists of Python ``complex``.  One complex Gaussian elimination with
+partial pivoting (``_eliminate``) gives both the Newton step and the inexact
+determinants, so the engine needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, back_substitute, det_exact, echelon
 from .foliation import ChartField
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotAZero(DomainError):
@@ -159,12 +157,60 @@ def is_zero(value, exact: bool) -> bool:
     return value == 0 if exact else abs(value) < 1e-9
 
 
+def _eliminate(u: list) -> int:
+    """Gaussian elimination with partial pivoting, in place, on the n rows of
+    ``u`` over their first n columns; a further column (a right-hand side) is
+    carried along.  u ends upper triangular, its entries below the diagonal
+    unread.  Returns the sign of the row swaps, or 0 at the first zero pivot."""
+    n = len(u)
+    sign = 1
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(u[r][c]))
+        top = u[p]
+        pivot = top[c]
+        if pivot == 0:
+            return 0
+        if p != c:
+            u[c], u[p] = top, u[c]
+            sign = -sign
+        for row in u[c + 1:]:
+            m = row[c] / pivot
+            for j in range(c + 1, len(top)):
+                row[j] -= m * top[j]
+    return sign
+
+
 def _det(rows, exact: bool):
+    """det of the square ``rows``: ``det_exact`` when exact, else the signed
+    product of the ``_eliminate`` pivots (0.0 at a zero pivot), real when its
+    imaginary part is 0."""
     if exact:
         return det_exact(RatMatrix(rows))
-    import numpy as np
-    d = complex(np.linalg.det(np.array(rows, dtype=complex)))
+    u = [list(row) for row in rows]
+    sign = _eliminate(u)
+    if not sign:
+        return 0.0
+    d = complex(sign)
+    for j, row in enumerate(u):
+        d *= row[j]
     return d if d.imag else d.real
+
+
+def _solve(rows: list, rhs: list) -> list | None:
+    """x with rows*x = rhs, by ``_eliminate`` and back substitution; None at a
+    zero pivot."""
+    n = len(rows)
+    u = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not _eliminate(u):
+        return None
+    x = [0j] * n
+    for i in range(n - 1, -1, -1):
+        row = u[i]
+        s = row[n]
+        for j in range(i + 1, n):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
 
 
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
@@ -292,9 +338,9 @@ def _compile(p: MultiPoly) -> list:
             for e, c in p.terms.items()]
 
 
-def _evaluate(terms: list, x: np.ndarray, powers: dict) -> complex:
-    """``MultiPoly.eval`` of the compiled ``terms`` at the numpy point x, bit for
-    bit (module docstring); ``powers`` keeps each x[j]**k computed at this x."""
+def _evaluate(terms: list, x: list, powers: dict) -> complex:
+    """``MultiPoly.eval`` of the compiled ``terms`` at the complex point x, bit
+    for bit (module docstring); ``powers`` keeps each x[j]**k computed at this x."""
     total = 0j
     for term, support in terms:
         for jk in support:
@@ -306,49 +352,54 @@ def _evaluate(terms: list, x: np.ndarray, powers: dict) -> complex:
     return total
 
 
+def _dist(x, y) -> float:
+    """The L-inf distance of two complex points."""
+    return max(abs(a - b) for a, b in zip(x, y))
+
+
 def _newton(field: list, jac: list, x0, cfg: NumericConfig,
-            center: np.ndarray | None = None, escape: float = math.inf) -> np.ndarray | None:
-    """Complex Newton from one start on a compiled system: the zero reached, or
-    None when the Jacobian turns singular, the residual stays above
-    ``cfg.newton_tol`` for ``cfg.newton_max_iter`` steps, or an iterate leaves
-    the L-inf ball of radius ``escape`` about ``center``."""
-    import numpy as np
-    x = np.array(x0, dtype=complex)
-    for _ in range(cfg.newton_max_iter):
-        powers: dict = {}
-        fx = np.array([_evaluate(p, x, powers) for p in field], dtype=complex)
-        if np.abs(fx).max() < cfg.newton_tol:
-            return x
-        J = np.array([[_evaluate(d, x, powers) for d in row] for row in jac], dtype=complex)
-        try:
-            x = x - np.linalg.solve(J, fx)
-        except np.linalg.LinAlgError:
-            return None
-        if center is not None and np.abs(x - center).max() > escape:
-            return None
+            center: list | None = None, escape: float = math.inf) -> list[complex] | None:
+    """Complex Newton from one start on a compiled system, each step one
+    ``_solve``: the zero reached, or None when a pivot of the Jacobian is 0,
+    an iterate overflows, the residual stays above ``cfg.newton_tol`` for
+    ``cfg.newton_max_iter`` steps, or an iterate leaves the L-inf ball of
+    radius ``escape`` about ``center``."""
+    x = [complex(c) for c in x0]
+    try:
+        for _ in range(cfg.newton_max_iter):
+            powers: dict = {}
+            fx = [_evaluate(p, x, powers) for p in field]
+            if all(abs(v) < cfg.newton_tol for v in fx):  # False at a NaN
+                return x
+            step = _solve([[_evaluate(d, x, powers) for d in row] for row in jac], fx)
+            if step is None:
+                return None
+            x = [a - b for a, b in zip(x, step)]
+            if center is not None and _dist(x, center) > escape:
+                return None
+    except OverflowError:  # complex ** and abs raise where a value leaves float range
+        return None
     return None
 
 
 def _newton_zeros(field: Sequence[MultiPoly], starts, cfg: NumericConfig,
-                  center: np.ndarray | None = None, escape: float = math.inf) -> list[np.ndarray]:
+                  center: list | None = None, escape: float = math.inf) -> list[list[complex]]:
     """The distinct zeros ``_newton`` reaches from ``starts``, in start order: a
     zero is kept when it lies more than ``cfg.dedupe_radius`` (L-inf) from every
     zero kept before it.  Numeric discovery and the perturbation engine both
     search with it and differ only in their starts and filters."""
-    import numpy as np
     compiled = [_compile(p) for p in field]
     jac = [[_compile(p.partial(v)) for v in field[0].variables] for p in field]
-    found: list[np.ndarray] = []
+    found: list[list[complex]] = []
     for x0 in starts:
         x = _newton(compiled, jac, x0, cfg, center, escape)
-        if x is not None and all(float(np.abs(x - q).max()) > cfg.dedupe_radius
-                                 for q in found):
+        if x is not None and all(_dist(x, q) > cfg.dedupe_radius for q in found):
             found.append(x)
     return found
 
 
 def _zeros_near(field: Sequence[MultiPoly], coords, radius: float, cfg: NumericConfig,
-                fixed: int | None = None) -> list[np.ndarray]:
+                fixed: int | None = None) -> list[list[complex]]:
     """All zeros of the field within L-inf radius of the point ``coords``.
 
     Starts cover a polydisk: the center, then per axis the center plus points
@@ -356,21 +407,21 @@ def _zeros_near(field: Sequence[MultiPoly], coords, radius: float, cfg: NumericC
     center only); Newton runs in complex arithmetic so that conjugate zero
     pairs produced by perturbation are found too.  Raises NewtonDivergence
     when no start converges and BoundaryZero when a zero lies within
-    ``cfg.dedupe_radius`` inside the boundary.
+    ``cfg.dedupe_radius`` of the boundary, on either side: a zero just outside
+    that is found first would hide, by deduplication, one just inside.
     """
-    import numpy as np
-    center = np.array([complex(c) for c in coords])
+    center = [complex(c) for c in coords]
     g = cfg.grid_per_axis
     angles = [2 * math.pi * t / (g - 1) for t in range(g - 1)]
     ring = [0j] + [0.6 * radius * complex(math.cos(a), math.sin(a)) for a in angles]
     grid = itertools.product(*([0j] if j == fixed else ring for j in range(len(field))))
-    starts = [center] + [center + np.array(offsets) for offsets in grid]
+    starts = [center] + [[c + o for c, o in zip(center, offsets)] for offsets in grid]
     zeros = _newton_zeros(field, starts, cfg, center, 10 * radius)
     if not zeros:
         raise NewtonDivergence("no Newton start converged")
-    dists = [float(np.max(np.abs(x - center))) for x in zeros]
+    dists = [_dist(x, center) for x in zeros]
     for dist in dists:
-        if radius - cfg.dedupe_radius < dist <= radius:
+        if abs(dist - radius) <= cfg.dedupe_radius:
             raise BoundaryZero(f"perturbed zero at distance {dist:.3g} of the search boundary")
     return [x for x, dist in zip(zeros, dists) if dist <= radius]
 
@@ -441,7 +492,7 @@ def perturbed_residue(
         counts.append(len(zeros))
         total = [0j, 0j, 0j]
         for z in zeros:
-            q = SingularPoint(p.chart, tuple(complex(c) for c in z), exact=False)
+            q = SingularPoint(p.chart, tuple(z), exact=False)
             try:
                 rec = closed_form_residues(local_data(perturbed, q), q, [i])[0]
             except DegenerateZero:
@@ -484,8 +535,8 @@ def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
             elif total == 1:
                 aug[r][e.index(1)] = c
             else:
-                raise NonLinearField(f"component {r} has a degree-{total} term; give the zeros "
-                                     "with --points or a points block (zeros --numeric lists them)")
+                raise NonLinearField(f"component {r} has a degree-{total} term, and exact zero "
+                                     "discovery needs affine-linear components")
     rows, pivots, _ = echelon(aug)
     if n in pivots:
         return []
@@ -502,6 +553,6 @@ def discover_zeros_numeric(
     g = cfg.grid_per_axis
     axis = [lo + (hi - lo) * t / (g - 1) for t in range(g)]
     zeros = _newton_zeros(cf.a, itertools.product(axis, repeat=cf.n), cfg)
-    real = [tuple(float(c.real) for c in x) for x in zeros if max(abs(c.imag) for c in x) <= 1e-8]
+    real = [tuple(c.real for c in x) for x in zeros if max(abs(c.imag) for c in x) <= 1e-8]
     inside = [q for q in real if all(lo - 1e-9 <= c <= hi + 1e-9 for c in q)]
     return [classify_point(cf, q)[0] for q in sorted(inside)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_aggregate import counted
-from test_golden import ALL_CASES, CASES
+from test_golden import CASES
 
 from resilog import aggregate, cli, foliation, residue
 from resilog.cli import main
@@ -523,9 +523,9 @@ def test_numeric_discovery_flag(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["machine", "table"])
-@pytest.mark.parametrize("name", sorted(ALL_CASES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_one_subparser_parses_like_all_of_them(name, fmt):
-    argv = [*ALL_CASES[name], "--format", fmt]
+    argv = [*CASES[name], "--format", fmt]
     assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
@@ -549,41 +549,46 @@ def test_one_subparser_prints_what_all_of_them_print(capsys, argv):
     assert outcome(lambda: main(argv)) == outcome(lambda: cli.build_parser().parse_args(argv))
 
 
-def test_degree_2_field_without_points_names_the_points_option(capsys, tmp_path):
+def help_options(capsys, command: str) -> set:
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("command", ["zeros", "residues", "verify", "poincare", "surface"])
+def test_degree_2_field_hint_names_options_the_command_has(capsys, tmp_path, command):
     fol = tmp_path / "deg2.fol"
     fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
                    "field.components = [z0*(z0 + z1), z1*(2*z1 - z2), z2*(z0 + 3*z2)]\n"
                    "divisor = z2\n")
-    code, out, err = run(capsys, "verify", str(fol))
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "--points" in err
+    code, out, err = run(capsys, command, str(fol))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    # Each option is named for the command right before it, else for this one.
+    named = re.findall(r"(?:resilog (\w+) )?(--[a-z-]+)", err)
+    assert named
+    for other, option in named:
+        assert option in help_options(capsys, other or command)
 
 
-LAZY_NUMPY = """
+NO_NUMPY = """
 import contextlib, io, sys
 from resilog.aggregate import verify_identities
 from resilog.cli import main
 from resilog.parse import parse_problem
 
-loaded = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for argv in {exact!r}:
+    for argv in {cases!r}:
         main([*argv, "--format", "machine"])
-    loaded.append("numpy" in sys.modules)
     verify_identities(parse_problem(open("fixtures/p3_example.fol").read()).problem)
-    loaded.append("numpy" in sys.modules)
-    main(["zeros", "--numeric", "fixtures/p2_example.fol"])
-    loaded.append("numpy" in sys.modules)
-print(loaded)
+print("numpy" in sys.modules)
 """
 
 
-def test_numpy_loads_only_on_the_numeric_path():
-    exact = [argv for argv in CASES.values() if "--numeric" not in argv]
-    assert len(exact) == 15
+def test_no_golden_case_loads_numpy():
+    # zeros --numeric and the perturbation engine's Jordan cases included.
+    assert len(CASES) == 19
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY.format(exact=exact)], cwd=ROOT,
-                          env=env, capture_output=True, text=True, check=True)
-    # Every exact golden case, then verify_identities, then zeros --numeric.
-    assert proc.stdout == "[False, False, True]\n"
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY.format(cases=list(CASES.values()))],
+                          cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

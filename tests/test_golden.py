@@ -21,11 +21,9 @@ CASES = {
 CASES["discrepancy_a2_chain"] = ["discrepancy", "fixtures/a2_chain.json"]
 CASES["cyclic_m7"] = ["cyclic", "--m", "7"]
 CASES["verify_p2_partial"] = ["verify", "fixtures/p2_partial.fol"]
-# Cases that run the perturbation engine (a Jordan block at [1:0:0]); kept
-# out of CASES, whose other cases test_cli runs as the exact path.
-ENGINE_CASES = {f"{cmd}_p2_jordan": [cmd, "fixtures/p2_jordan.fol"]
-                for cmd in ("residues", "verify")}
-ALL_CASES = {**CASES, **ENGINE_CASES}
+# The perturbation engine's cases: a Jordan block at [1:0:0].
+CASES.update({f"{cmd}_p2_jordan": [cmd, "fixtures/p2_jordan.fol"]
+              for cmd in ("residues", "verify")})
 
 
 def stdout_of(argv, capsys, monkeypatch) -> str:
@@ -35,7 +33,7 @@ def stdout_of(argv, capsys, monkeypatch) -> str:
 
 
 @pytest.mark.parametrize("fmt", ["machine", "table"])
-@pytest.mark.parametrize("name", sorted(ALL_CASES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, fmt, capsys, monkeypatch):
-    out = stdout_of([*ALL_CASES[name], "--format", fmt], capsys, monkeypatch)
+    out = stdout_of([*CASES[name], "--format", fmt], capsys, monkeypatch)
     assert out == (GOLDEN / f"{name}.{fmt}.txt").read_text(encoding="utf-8")

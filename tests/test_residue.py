@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, sol
 from resilog.foliation import ChartField, chart_field, dehomogenize_field, make_problem
 from resilog.parse import parse_problem
 from resilog.residue import (
+    BoundaryZero,
     DegenerateZero,
     DivisorSingularAt,
     LocalData,
@@ -22,7 +24,12 @@ from resilog.residue import (
     PositiveDimensional,
     SingularPoint,
     _compile,
+    _det,
+    _eliminate,
     _evaluate,
+    _newton,
+    _solve,
+    _zeros_near,
     classify_point,
     closed_form_residues,
     delta_numerator,
@@ -360,8 +367,7 @@ def test_inexact_closed_forms_keep_their_bits(n, complex_values, data):
 def newton_polys_and_points(draw):
     """A polynomial of degree <= 4 in 1-4 variables with Fraction coefficients,
     its constant term first, last or absent (zero and constant polynomials
-    included), and a numpy complex point, as ``_newton`` passes it."""
-    import numpy as np
+    included), and a point of Python complex values, as ``_newton`` passes it."""
     nv = draw(st.integers(1, 4))
     monomials = [e for e in itertools.product(range(5), repeat=nv) if 0 < sum(e) <= 4]
     chosen = draw(st.lists(st.sampled_from(monomials), max_size=8, unique=True))
@@ -371,27 +377,100 @@ def newton_polys_and_points(draw):
     coeffs = st.fractions(-9, 9, max_denominator=9).filter(lambda c: c != 0)
     p = MultiPoly([f"x{i}" for i in range(nv)], {e: draw(coeffs) for e in chosen})
     scalar = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
-    return p, np.array(draw(st.lists(scalar, min_size=nv, max_size=nv)), dtype=complex)
+    return p, draw(st.lists(scalar, min_size=nv, max_size=nv))
 
 
 @settings(max_examples=300, deadline=None)
 @given(newton_polys_and_points())
 def test_compiled_evaluation_matches_eval_bit_for_bit(case):
-    import numpy as np
     p, x = case
     polys = [p] + [p.partial(v) for v in p.variables]
-    want = np.array([q.eval(x) for q in polys], dtype=complex)
+    want = [q.eval(x) for q in polys]
     powers: dict = {}  # shared, as within one Newton step
-    got = np.array([_evaluate(_compile(q), x, powers) for q in polys], dtype=complex)
-    assert [repr(complex(v)) for v in got] == [repr(complex(v)) for v in want]
+    got = [_evaluate(_compile(q), x, powers) for q in polys]
+    assert [repr(v) for v in got] == [repr(complex(v)) for v in want]
 
 
 def test_compiled_evaluation_of_zero_and_constant_polynomials():
-    import numpy as np
-    x = np.array([0.5 - 2j, -1j], dtype=complex)
+    x = [0.5 - 2j, -1j]
     for p in (MultiPoly.zero(("x", "y")), MultiPoly.const(("x", "y"), Fraction(-7, 3))):
-        want = np.array([p.eval(x)], dtype=complex)
-        assert repr(np.array([_evaluate(_compile(p), x, {})], dtype=complex)) == repr(want)
+        assert repr(_evaluate(_compile(p), x, {})) == repr(complex(p.eval(x)))
+
+
+def square_and_vector(entries):
+    """An n x n matrix and an n-vector of ``entries``, n from 1 to 7."""
+    return st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(entries, min_size=n, max_size=n)))
+
+
+def inf_norm(rows) -> float:
+    return max(sum(abs(a) for a in row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_and_vector(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 9))))
+def test_float_elimination_agrees_with_the_exact_one(case):
+    """det and solve are exact to 1e-12 relative, with the condition number
+    as the scale of the relative error; both give up (0, None) exactly when
+    ``_eliminate`` meets a zero pivot."""
+    rows, rhs = case
+    floats = [[float(a) for a in row] for row in rows]
+    d, x = _det(floats, False), _solve(floats, [float(b) for b in rhs])
+    zero_pivot = _eliminate([list(row) for row in floats]) == 0
+    assert (d == 0) == zero_pivot == (x is None)
+    m = RatMatrix(rows)
+    exact = det_exact(m)
+    if exact == 0:  # rounding may leave a tiny pivot; Hadamard's bound scales it
+        assert abs(d) <= 1e-12 * math.prod(sum(map(abs, row)) for row in floats)
+        return
+    n = len(rows)
+    inverse = [solve_linear(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    kappa = float(inf_norm(rows) * inf_norm(list(zip(*inverse))))
+    assert abs(d - exact) <= 1e-12 * kappa * abs(exact)
+    want = solve_linear(m, rhs)
+    assert max(abs(a - b) for a, b in zip(x, want)) <= 1e-12 * kappa * max(map(abs, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_and_vector(st.builds(complex, st.integers(-99, 99), st.integers(-99, 99))))
+def test_complex_solve_leaves_a_small_residual(case):
+    rows, rhs = case
+    x = _solve(rows, rhs)
+    if x is None:
+        assert _det(rows, False) == 0
+        return
+    residual = max(abs(sum(a * c for a, c in zip(row, x)) - b) for row, b in zip(rows, rhs))
+    assert residual <= 1e-12 * (inf_norm(rows) * max(map(abs, x)) + max(map(abs, rhs)))
+
+
+def test_elimination_gives_up_at_a_zero_pivot():
+    for rows in ([[1.0, 2.0], [2.0, 4.0]], [[0j, 1j], [0j, 2 + 1j]], [[0.0]]):
+        assert _det(rows, False) == 0 and _solve(rows, [1.0] * len(rows)) is None
+
+
+def test_newton_gives_up_when_an_iterate_overflows():
+    """From x0 = 1e-160 one step of x^2 - 1 lands near 5e159, whose square
+    leaves float range: complex ** raises OverflowError there, and the start
+    yields no zero instead of a traceback."""
+    x = MultiPoly.variable(("x",), "x")
+    field = [_compile(x**2 - 1)]
+    assert _newton(field, [[_compile(2 * x)]], [1e-160], NumericConfig()) is None
+    assert abs(_newton(field, [[_compile(2 * x)]], [0.5], NumericConfig())[0] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("shear", [10, -10], ids=["outside-first", "inside-first"])
+def test_zero_next_to_the_search_boundary_raises_on_either_side(shear):
+    """Two zeros 0.8e-6 apart, at L-inf distance radius -+ 0.4e-6 of the
+    center: dedupe keeps the one Newton reaches first from the center.  In
+    u = x + shear*y that is the zero whose u is nearer the center's u, which
+    the shear puts inside or outside the radius; each must raise."""
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    inside, outside = Fraction(1, 2) - Fraction(4, 10**7), Fraction(1, 2) + Fraction(4, 10**7)
+    u = x + shear * y
+    field = [1000 * (u - inside) * (u - outside), y]
+    with pytest.raises(BoundaryZero):
+        _zeros_near(field, (0, Fraction(1, 10)), 0.5, NumericConfig())
 
 
 class TestSimpleResidues:
