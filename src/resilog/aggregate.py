@@ -27,7 +27,7 @@ from .residue import (
     is_zero,
     linear_zeros,
     local_data,
-    perturbed_residue,
+    perturbed_residues,
 )
 
 NUMERIC_TOL = 1e-6
@@ -214,13 +214,14 @@ def verify_identities(
     if i_list is None:
         i_list = list(range(problem.n))
 
-    # One closed_form_residues call per simple point: i = 0, and i >= 1 on D.
+    # One call per point for all its levels: i = 0, and i >= 1 on D.
     by_point: list[dict[int, ResidueRecord]] = []
     for p, cf, ld in located:
         ld = ld if ld is not None else local_data(cf, p)
         levels = [i for i in i_list if i == 0 or ld.s is not None]
-        by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
-                                 else [perturbed_residue(cf, p, i, cfg) for i in levels])))
+        if levels:
+            by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
+                                     else perturbed_residues(cf, ld, p, levels, cfg))))
     expect = chern_expectations(problem)
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []

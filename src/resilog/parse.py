@@ -322,8 +322,9 @@ def parse_points(value, line: int, column: int, n: int) -> list[dict]:
         raise ParseError(line, column, "points must be a list of {chart, coords} objects")
     points = []
     for entry in value:
-        if not isinstance(entry, dict) or "chart" not in entry or "coords" not in entry:
-            raise SchemaError(f"point entry needs 'chart' and 'coords': {entry!r}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("chart"), str)
+                and isinstance(entry.get("coords"), list)):
+            raise SchemaError(f"point entry needs 'chart' (scalar) and 'coords' (list): {entry!r}")
         chart = int(entry["chart"])
         coords = [parse_rational(str(c)) for c in entry["coords"]]
         if len(coords) != n:

@@ -11,25 +11,26 @@ here, for every module.  At a zero p on D the determinants are tied,
 detJ = k(p)*detJD.  Proof: differentiating
 v(f) = k*f at p, where v and f vanish, gives J^T grad f = k(p) grad f, so J
 keeps the tangent space ker(grad f) and acts on the quotient line by k(p).
-An exact zero on D thus costs one elimination, of the bordered matrix behind
-det J_D; inexact points keep two determinants, so numeric bits do not move.
-The same ``LocalData`` classifies the point (``classify_point``) and feeds
-the closed forms of all i-levels in one call (``closed_form_residues``): the
+A zero on D thus costs one elimination, of the bordered matrix behind det J_D.
+The same ``LocalData`` classifies the point (``classify_point``) and feeds the
+closed forms of all i-levels in one call (``closed_form_residues``): the
 ordinary residue is trJ^n/detJ, and the excess (variational) residue has the
 binomial numerator of ``delta_numerator``; these are the only copies of the
 residue formulas.  On the divisor every numerator is homogeneous of degree
 n - 1 in (trJ, trJD, k), so exact values enter as integers over one
-denominator.  Degenerate zeros go through a seeded perturbation engine: it
-deforms the chart field along a random field tangent to the divisor, so each
-nearby perturbed zero is simple, and Richardson-extrapolates the summed
-closed forms over two perturbation sizes.  ``_newton_zeros`` finds those
-zeros and the zeros of numeric discovery; it compiles its system and Jacobian
-once into (complex(c), exponents) terms, and at each Newton step ``_evaluate``
-repeats ``MultiPoly.eval``'s float operations in order, so no bit moves: at a
-complex z, Fraction c times z is complex(c)*z, and Fraction(0) + z is 0j + z.
-Points are lists of Python ``complex``.  One complex Gaussian elimination with
-partial pivoting (``_eliminate``) gives both the Newton step and the inexact
-determinants, so the engine needs nothing beyond the standard library.
+denominator.
+Degenerate zeros go through a seeded perturbation engine,
+``perturbed_residues``: it deforms the chart field along a random field
+tangent to the divisor, so each nearby perturbed zero is simple, and
+Richardson-extrapolates the summed closed forms of all levels over two sizes.
+``_newton_zeros`` finds those zeros and the zeros of numeric discovery; it
+compiles its system and Jacobian once into (complex(c), exponents) terms, and
+at each Newton step ``_evaluate`` repeats ``MultiPoly.eval``'s float
+operations in order, so no bit moves: at a complex z, Fraction c times z is
+complex(c)*z, and Fraction(0) + z is 0j + z.  Points are lists of Python
+``complex``.  One complex Gaussian elimination with partial pivoting
+(``_eliminate``) gives both the Newton step and the inexact determinants, so
+the engine needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class NotOnDivisor(DomainError):
 
 
 class DegenerateZero(DomainError):
-    """The relevant Jacobian determinant vanishes; ``perturbed_residue`` takes
+    """The relevant Jacobian determinant vanishes; ``perturbed_residues`` takes
     such zeros, and raises it where a perturbed zero is degenerate too."""
 
 
@@ -228,9 +229,8 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
         raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
-    trJD = trJ - k_at_p
     if not on_divisor:
-        return LocalData(trJ, _det(jac, exact), k_at_p, trJD, detJD=None, s=None)
+        return LocalData(trJ, _det(jac, exact), k_at_p, trJ - k_at_p, detJD=None, s=None)
 
     s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
     if s is None:
@@ -239,9 +239,7 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
-    # detJ = k(p)*detJD (module docstring); inexact points keep their own bits.
-    detJ = k_at_p * detJD if exact else _det(jac, exact)
-    return LocalData(trJ=trJ, detJ=detJ, k_at_p=k_at_p, trJD=trJD, detJD=detJD, s=s)
+    return LocalData(trJ, k_at_p * detJD, k_at_p, trJ - k_at_p, detJD, s)  # detJ = k*detJD
 
 
 def classify_point(cf: ChartField, coords) -> tuple[SingularPoint, LocalData | None]:
@@ -398,23 +396,23 @@ def _newton_zeros(field: Sequence[MultiPoly], starts, cfg: NumericConfig,
     return found
 
 
-def _zeros_near(field: Sequence[MultiPoly], coords, radius: float, cfg: NumericConfig,
-                fixed: int | None = None) -> list[list[complex]]:
+def _zeros_near(field: Sequence[MultiPoly], coords, radius: float,
+                cfg: NumericConfig) -> list[list[complex]]:
     """All zeros of the field within L-inf radius of the point ``coords``.
 
     Starts cover a polydisk: the center, then per axis the center plus points
-    on a complex circle of radius 0.6*radius (the ``fixed`` axis keeps the
-    center only); Newton runs in complex arithmetic so that conjugate zero
-    pairs produced by perturbation are found too.  Raises NewtonDivergence
-    when no start converges and BoundaryZero when a zero lies within
-    ``cfg.dedupe_radius`` of the boundary, on either side: a zero just outside
-    that is found first would hide, by deduplication, one just inside.
+    on a complex circle of radius 0.6*radius; Newton runs in complex
+    arithmetic so that conjugate zero pairs produced by perturbation are found
+    too.  Raises NewtonDivergence when no start converges and BoundaryZero
+    when a zero lies within ``cfg.dedupe_radius`` of the boundary, on either
+    side: a zero just outside that is found first would hide, by
+    deduplication, one just inside.
     """
     center = [complex(c) for c in coords]
     g = cfg.grid_per_axis
     angles = [2 * math.pi * t / (g - 1) for t in range(g - 1)]
     ring = [0j] + [0.6 * radius * complex(math.cos(a), math.sin(a)) for a in angles]
-    grid = itertools.product(*([0j] if j == fixed else ring for j in range(len(field))))
+    grid = itertools.product(ring, repeat=len(field))
     starts = [center] + [[c + o for c, o in zip(center, offsets)] for offsets in grid]
     zeros = _newton_zeros(field, starts, cfg, center, 10 * radius)
     if not zeros:
@@ -457,63 +455,62 @@ def _tangent_direction(cf: ChartField, rng: random.Random):
     return g, h
 
 
-def perturbed_residue(
-    cf: ChartField, p: SingularPoint, i: int, cfg: NumericConfig = NumericConfig()
-) -> ResidueRecord:
-    """Residues at a possibly degenerate isolated zero, numerically.
-
-    The chart field is nudged, at two sizes eps, by a seeded random field
-    tangent to the divisor, so the perturbed field is again a chart field.
-    Its zeros near p are simple; ``closed_form_residues`` at each of them
-    (all zeros for i = 0, those on the divisor otherwise) are summed and the
-    two sums Richardson-extrapolated to eps = 0.  It starts from
-    ``local_data`` at p, so a point that is not a zero raises NotAZero and one
-    on the singular locus of the divisor DivisorSingularAt.
-    """
-    ld = local_data(cf, p)
-    if i != 0 and ld.s is None:
-        raise NotOnDivisor(f"i={i} residues only exist on the divisor")
+def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: Sequence[int],
+                       cfg: NumericConfig = NumericConfig()) -> list:
+    """One ResidueRecord per i in ``levels`` at a possibly degenerate zero p
+    with local data ``ld``.  The chart field is nudged, at two sizes eps, by
+    one seeded random field tangent to the divisor, so its zeros on the
+    divisor are zeros of the whole perturbed field: one ``_zeros_near`` search
+    per eps serves every level.  At each (simple) perturbed zero one
+    ``closed_form_residues`` call gives the levels it carries, all on the
+    divisor and i = 0 off it; per level the zero counts must agree between the
+    two eps, and the sums are Richardson-extrapolated to eps = 0."""
+    if ld.s is None:
+        for i in filter(None, levels):
+            raise NotOnDivisor(f"i={i} residues only exist on the divisor")
     point_id = f"chart{p.chart}:" + ",".join(str(c) for c in p.coords)
-    rng = random.Random(f"{cfg.seed}|{point_id}|{i}")
-    g, h = _tangent_direction(cf, rng)
-    # For i >= 1 the zeros on the divisor solve (a_j for j != s, f): by
-    # tangency a_s vanishes there too, and starts vary off the axis s only.
-    s = ld.s if i else None
-    sums: list[list[complex]] = []
-    counts: list[int] = []
+    g, h = _tangent_direction(cf, random.Random(f"{cfg.seed}|{point_id}|0"))
+    sums: list[dict[int, list]] = []  # per eps: level -> [count, ordinary, log, var]
     for eps in cfg.eps_levels:
         e = Fraction(eps).limit_denominator(10**12)
         # Without a cofactor local_data raises at perturbed zeros on the divisor.
         perturbed = replace(cf, a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)),
                             k=None if cf.k is None else cf.k + e * h)
-        system = perturbed.a if s is None else [
-            a for j, a in enumerate(perturbed.a) if j != s] + [cf.f]
-        zeros = _zeros_near(system, p.coords, cfg.search_radius, cfg, s)
-        counts.append(len(zeros))
-        total = [0j, 0j, 0j]
-        for z in zeros:
+        total = {i: [0, 0j, 0j, 0j] for i in levels}
+        for z in _zeros_near(perturbed.a, p.coords, cfg.search_radius, cfg):
             q = SingularPoint(p.chart, tuple(z), exact=False)
-            try:
-                rec = closed_form_residues(local_data(perturbed, q), q, [i])[0]
+            zld = local_data(perturbed, q)
+            carried = [i for i in total if i == 0 or zld.s is not None]
+            try:  # a vanishing cofactor leaves detJ = k*detJD = 0 at i = 0
+                records = closed_form_residues(zld, q, carried) if carried else []
+                if any(rec.ordinary is None for rec in records):
+                    raise DegenerateZero
             except DegenerateZero:
                 raise DegenerateZero(f"a perturbed zero near {point_id} is still degenerate "
                                      f"at eps={eps:g}") from None
-            if rec.ordinary is None:
-                raise DegenerateZero(f"a perturbed zero near {point_id} has a vanishing "
-                                     f"cofactor at eps={eps:g}")
-            total = [t + v for t, v in zip(total, (rec.ordinary, rec.log, rec.var))]
+            for rec in records:
+                total[rec.i] = [t + v for t, v in zip(total[rec.i],
+                                                      (1, rec.ordinary, rec.log, rec.var))]
         sums.append(total)
-    if counts[0] != counts[1]:
-        raise ZeroCountUnstable(
-            f"zero counts {counts[0]} vs {counts[1]} at eps levels {cfg.eps_levels}"
-        )
     # One direction scaled by each eps: the leading error term has the same
     # coefficient at both levels and Richardson cancels it.
     eps1, eps2 = cfg.eps_levels
-    values = [((eps1 * v2 - eps2 * v1) / (eps1 - eps2)).real for v1, v2 in zip(*sums)]
-    err = max(abs(v1 - v2) for v1, v2 in zip(*sums))
     point = replace(p, on_divisor=ld.s is not None, exact=False)
-    return ResidueRecord(point, i, *values, "perturbation", err)
+    out = []
+    for i in levels:
+        (n1, *at1), (n2, *at2) = (total[i] for total in sums)
+        if n1 != n2:
+            raise ZeroCountUnstable(f"zero counts {n1} vs {n2} at eps levels {cfg.eps_levels}")
+        values = [((eps1 * v2 - eps2 * v1) / (eps1 - eps2)).real for v1, v2 in zip(at1, at2)]
+        err = max(abs(v1 - v2) for v1, v2 in zip(at1, at2))
+        out.append(ResidueRecord(point, i, *values, "perturbation", err))
+    return out
+
+
+def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
+                      cfg: NumericConfig = NumericConfig()) -> ResidueRecord:
+    """``perturbed_residues`` at the one level i, from ``local_data`` at p."""
+    return perturbed_residues(cf, local_data(cf, p), p, [i], cfg)[0]
 
 
 # -- zero discovery --------------------------------------------------------

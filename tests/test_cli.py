@@ -66,7 +66,14 @@ def test_not_tangent_exit_2_without_traceback(capsys, command):
 
 @pytest.mark.parametrize("entry, code, message", [
     ("{chart: 0, coords: [1, 1]}", 2, "field does not vanish at (1, 1)"),
-    ("{chart: 0}", 1, "point entry needs 'chart' and 'coords': {'chart': '0'}"),
+    ("{chart: 0}", 1, "point entry needs 'chart' (scalar) and 'coords' (list): "
+                      "{'chart': '0'}"),
+    # A scalar coords would be read one character at a time, a list chart
+    # would end in a TypeError.
+    ("{chart: 0, coords: 00}", 1, "point entry needs 'chart' (scalar) and 'coords' (list): "
+                                  "{'chart': '0', 'coords': '00'}"),
+    ("{chart: [0], coords: [0, 0]}", 1, "point entry needs 'chart' (scalar) and 'coords' "
+                                        "(list): {'chart': ['0'], 'coords': ['0', '0']}"),
     ("{chart: 0, coords: [0, 0, 0]}", 1, "point in chart 0 has 3 coordinates, expected 2"),
 ])
 def test_bad_points_file_exit_code_without_traceback(capsys, tmp_path, entry, code, message):
