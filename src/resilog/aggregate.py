@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .foliation import ChartField, FoliationProblem, chart_field, chern_expectations
 from .residue import (
@@ -94,7 +95,7 @@ def _locate(
         coords = hom[:chart] + hom[chart + 1 :]
         # A numeric zero keeps the flags it was found with: rescaled into a
         # far chart, its residual can exceed the absolute zero tolerance.
-        point, ld = ((replace(p, chart=chart, coords=coords), None) if mode == "numeric"
+        point, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
                      else classify_point(fields[chart], coords))
         seen[key] = point, fields[chart], ld
     return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
@@ -262,14 +263,13 @@ def verify_identities(
     return GlobalReport(checks=checks, complete=complete, level=level, notes=notes)
 
 
-@dataclass
-class PoincareVerdict:
+class PoincareVerdict(NamedTuple):
     """The sign of the total logarithmic residue and the degree bound it asserts."""
 
     i_used: int
     total_log_residue: object
     nonnegative: bool
-    bound_holds: bool  # m <= d + n, asserted when nonnegative
+    bound_holds: bool  # m <= d + n, asserted when nonnegative over a complete point set
     equality: bool
     all_local_nonnegative: bool
     d: int
@@ -285,7 +285,8 @@ def poincare_check(
     """Degree bound from non-negativity of the total logarithmic residue.
 
     Uses i = 0 for odd n and i = 1 for even n, so the relevant exponent
-    n - i is odd and non-negativity of the total forces m <= d + n.
+    n - i is odd and non-negativity of the total forces m <= d + n.  The
+    bound is asserted only when the point set is certified complete.
     """
     i_used = 0 if problem.n % 2 == 1 else 1
     report = verify_identities(problem, points, [i_used], cfg=cfg)
@@ -299,7 +300,7 @@ def poincare_check(
         i_used=i_used,
         total_log_residue=total,
         nonnegative=nonneg,
-        bound_holds=problem.m <= problem.d + problem.n if nonneg else False,
+        bound_holds=report.complete and nonneg and problem.m <= problem.d + problem.n,
         equality=total == 0,
         all_local_nonnegative=locals_nonneg,
         d=problem.d,
@@ -308,8 +309,7 @@ def poincare_check(
     )
 
 
-@dataclass
-class SurfacePointRow:
+class SurfacePointRow(NamedTuple):
     """GSV and Camacho-Sad indices of one point on the divisor of a surface."""
 
     point: SingularPoint
@@ -318,8 +318,7 @@ class SurfacePointRow:
     ordinary: object
 
 
-@dataclass
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     """The per-point GSV / Camacho-Sad rows with their totals and the Carnicer bound."""
 
     rows: list[SurfacePointRow]
@@ -328,7 +327,7 @@ class SurfaceReport:
     expected_gsv_total: int
     expected_cs_total: int
     all_gsv_nonnegative: bool
-    carnicer_bound_holds: bool  # m <= d + 2, asserted when all GSV >= 0
+    carnicer_bound_holds: bool  # m <= d + 2, asserted when all GSV >= 0 over a complete set
     equality_flag: bool  # GSV total zero: consistent with the equality case
 
 
@@ -340,7 +339,8 @@ def surface_report(
     """GSV / Camacho-Sad table on a surface (n = 2).
 
     Per point on the divisor: GSV = logarithmic i=1 residue, CS = excess
-    i=1 residue; GSV + CS is the ordinary i=1 residue.
+    i=1 residue; GSV + CS is the ordinary i=1 residue.  The Carnicer bound
+    is asserted only when the point set is certified complete.
     """
     if problem.n != 2:
         raise ValueError("surface_report needs n = 2")
@@ -358,6 +358,6 @@ def surface_report(
         expected_gsv_total=check.expected_log,
         expected_cs_total=check.expected_var,
         all_gsv_nonnegative=all_nonneg,
-        carnicer_bound_holds=problem.m <= problem.d + 2 if all_nonneg else False,
+        carnicer_bound_holds=report.complete and all_nonneg and problem.m <= problem.d + 2,
         equality_flag=check.log_total == 0,
     )

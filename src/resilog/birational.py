@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import DomainError, MultiPoly, RatMatrix, det_exact, solve_linear
 from .foliation import ChartField
@@ -26,8 +27,7 @@ class NotNegativeDefinite(DomainError):
 CLASSES = ("terminal", "canonical", "log_terminal", "log_canonical", "not_log_canonical")
 
 
-@dataclass(frozen=True)
-class DiscrepancyProblem:
+class DiscrepancyProblem(NamedTuple):
     """An exceptional intersection matrix M and its componentwise residues I."""
 
     M: RatMatrix
@@ -103,8 +103,7 @@ def expected_exceptional_residues(M: RatMatrix, genera=None) -> list[Fraction]:
     ]
 
 
-@dataclass(frozen=True)
-class CyclicQuotientModel:
+class CyclicQuotientModel(NamedTuple):
     """The resolved weight-(1,1) cyclic quotient of order m, chart by chart."""
 
     m: int

@@ -15,7 +15,6 @@ stdout early leaves the exit code as it is.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -34,15 +33,17 @@ KINDS = ("ordinary", "log", "var")
 # A zero where the divisor is singular has no simplicity (``simple`` is None).
 SIMPLICITY = {True: "simple", False: "degenerate", None: "divisor singular"}
 Output = tuple[int, object, list[str]]  # exit code, document, table lines
+# Over a complete point set a nonnegative total forces the bound; else this:
+INCOMPLETE = "point set not certified complete: nothing asserted"
 
 
 def to_doc(value):
-    """JSON-ready form of a result: a dataclass becomes an object of its fields
-    (``error`` left out while None), a dict an object, a list or tuple a list
-    and a Fraction "p/q"; every other value is left as it is."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)
-                if f.name != "error" or value.error is not None}
+    """JSON-ready form of a result: a record (a NamedTuple) becomes an object of
+    its fields (``error`` left out while None), a dict an object, another list
+    or tuple a list and a Fraction "p/q"; every other value is left as it is."""
+    if hasattr(value, "_fields"):
+        return {name: to_doc(v) for name, v in zip(value._fields, value)
+                if name != "error" or v is not None}
     if isinstance(value, dict):
         return {k: to_doc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -63,8 +64,8 @@ def _inputs(args) -> tuple[ProblemDocument, list[SingularPoint] | None, NumericC
     numeric config: the defaults, overridden by the file's numeric.* keys,
     then by the flags, each typed by ``numeric_value``."""
     doc = _load_document(args.problem)
-    flags = {f.name: numeric_value(f.name, getattr(args, f.name))
-             for f in dataclasses.fields(NumericConfig) if getattr(args, f.name) is not None}
+    flags = {name: numeric_value(name, getattr(args, name))
+             for name in NumericConfig._fields if getattr(args, name) is not None}
     cfg = NumericConfig(**{**doc.numeric, **flags})
     entries = list(doc.points)
     if getattr(args, "points", None):
@@ -151,14 +152,16 @@ def cmd_poincare(args) -> Output:
         f"total logarithmic residue: {verdict.total_log_residue}",
         f"all local log residues non-negative: {verdict.all_local_nonnegative}",
     ]
-    if verdict.nonnegative:
+    if verdict.bound_holds:
         lines.append(
             f"bound asserted: m = {verdict.m} <= d + n = {verdict.d + verdict.n}"
             + (" (tight)" if verdict.equality else "")
         )
+    elif verdict.nonnegative:
+        lines.append(INCOMPLETE)
     else:
         lines.append("total negative: the bound hypothesis fails, nothing asserted")
-    return 0 if verdict.nonnegative else 2, verdict, lines
+    return 0 if verdict.bound_holds else 2, verdict, lines
 
 
 def cmd_surface(args) -> Output:
@@ -168,14 +171,16 @@ def cmd_surface(args) -> Output:
              f"ordinary={row.ordinary}" for row in report.rows]
     lines.append(f"GSV total {report.gsv_total} (expected {report.expected_gsv_total}); "
                  f"CS total {report.cs_total} (expected {report.expected_cs_total})")
-    if report.all_gsv_nonnegative:
+    if report.carnicer_bound_holds:
         lines.append(f"Carnicer bound asserted: m = {doc.problem.m} <= d + 2 = {doc.problem.d + 2}")
         if report.equality_flag:
             lines.append("GSV total is zero: consistent with the generalized-curve "
                          "equality case (not certified)")
+    elif report.all_gsv_nonnegative:
+        lines.append(INCOMPLETE)
     else:
         lines.append("a GSV index is negative: the bound hypothesis fails")
-    return 0, report, lines
+    return 0 if report.carnicer_bound_holds else 2, report, lines
 
 
 def _json_list(value, what: str) -> list:
@@ -186,7 +191,10 @@ def _json_list(value, what: str) -> list:
 
 def cmd_discrepancy(args) -> Output:
     with open(args.matrix, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{args.matrix}: not a JSON document: {exc}") from None
     if not isinstance(data, dict) or "M" not in data or "I" not in data:
         raise SchemaError(f"{args.matrix}: expected a JSON object with 'M' and 'I'")
     M = RatMatrix([[parse_rational(str(x)) for x in _json_list(row, "a row of M")]
@@ -268,9 +276,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if "i" in flags:
             p.add_argument("--i", default="all", help="comma list of i values or 'all'")
         if "numeric" in flags:
-            for f in dataclasses.fields(NumericConfig):
-                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                               help="comma-separated" if isinstance(f.default, tuple) else None)
+            for name, default in NumericConfig._field_defaults.items():
+                p.add_argument("--" + name.replace("_", "-"), dest=name,
+                               help="comma-separated" if isinstance(default, tuple) else None)
         if "--numeric" in flags:
             p.add_argument("--numeric", action="store_true", help="use numeric zero discovery")
         if "matrix" in flags:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import DomainError, MultiPoly, RatMatrix, SchemaError, align, det_exact, exact_divide
 
@@ -26,8 +26,7 @@ class NotTangent(DomainError):
         )
 
 
-@dataclass(frozen=True)
-class FoliationProblem:
+class FoliationProblem(NamedTuple):
     """Homogeneous vector field on P^n together with an invariant divisor.
 
     ``components`` are the n+1 homogeneous components, all of the same total
@@ -43,8 +42,7 @@ class FoliationProblem:
     m: int
 
 
-@dataclass(frozen=True)
-class ChartField:
+class ChartField(NamedTuple):
     """The affine data of a foliation problem in one standard chart.
 
     ``a`` are the n affine components in ``variables`` (the non-chart
@@ -63,8 +61,7 @@ class ChartField:
         return len(self.variables)
 
 
-@dataclass(frozen=True)
-class ChernExpectations:
+class ChernExpectations(NamedTuple):
     """Integer Chern numbers the residue totals must reproduce."""
 
     n: int

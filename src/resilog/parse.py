@@ -18,9 +18,8 @@ implicit multiplication ("3x") is rejected.  Unary minus binds looser than
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import MultiPoly, SchemaError
 from .foliation import FoliationProblem, make_problem
@@ -45,8 +44,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _NAME_CHARS = _LETTERS + _DIGITS
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     """One token with the 1-based line and column where it starts."""
 
     kind: str  # "int", "ident", or one of _OPS, or "end"
@@ -211,13 +209,12 @@ def print_poly(p: MultiPoly) -> str:
 
 # -- problem documents -----------------------------------------------------
 
-@dataclass
-class ProblemDocument:
+class ProblemDocument(NamedTuple):
     """Parsed problem file: the foliation problem plus optional blocks."""
 
     problem: FoliationProblem
-    points: list[dict] = field(default_factory=list)
-    numeric: dict = field(default_factory=dict)
+    points: list[dict]
+    numeric: dict
 
 
 class _Text(str):
@@ -300,7 +297,7 @@ def numeric_value(name: str, value):
     """A ``numeric.<name>`` key or ``--<name>`` flag typed like the NumericConfig
     field ``name``; a tuple field takes a list or a comma-separated string of
     its length.  The one typing path for numeric inputs."""
-    defaults = {f.name: f.default for f in fields(NumericConfig)}
+    defaults = NumericConfig._field_defaults
     if name not in defaults:
         raise SchemaError(f"unknown numeric option {name!r}")
     default = defaults[name]

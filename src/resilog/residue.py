@@ -38,9 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, back_substitute, det_exact, echelon
 from .foliation import ChartField
@@ -87,10 +86,7 @@ class PositiveDimensional(DomainError):
         super().__init__(f"zero set has dimension {dimension}")
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    """Knobs for the numeric engine; deterministic by default, ValueError if out of range."""
-
+class _NumericFields(NamedTuple):
     seed: int = 0
     newton_tol: float = 1e-12
     newton_max_iter: int = 60
@@ -99,7 +95,15 @@ class NumericConfig:
     eps_levels: tuple[float, float] = (1e-3, 1e-4)
     grid_per_axis: int = 5
 
-    def __post_init__(self):
+
+class NumericConfig(_NumericFields):
+    """Knobs for the numeric engine; deterministic by default, ValueError if out
+    of range, also from ``_replace`` (through ``_make``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         eps = self.eps_levels
         for name, ok, rule in (("newton_tol", self.newton_tol > 0, "> 0"),
                                ("newton_max_iter", self.newton_max_iter >= 1, ">= 1"),
@@ -110,10 +114,14 @@ class NumericConfig:
                                 "two distinct values > 0")):
             if not ok:
                 raise ValueError(f"numeric option {name} must be {rule}, got {getattr(self, name)!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """A zero in affine chart ``chart``, with its exactness, divisor and simplicity flags."""
 
     chart: int
@@ -123,8 +131,7 @@ class SingularPoint:
     simple: bool | None = None
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Jacobian data of the field at a zero, in ambient and induced form."""
 
     trJ: object
@@ -135,8 +142,7 @@ class LocalData:
     s: int | None
 
 
-@dataclass(frozen=True)
-class ResidueRecord:
+class ResidueRecord(NamedTuple):
     """The ordinary, logarithmic and variational residues of one point at level i."""
 
     point: SingularPoint
@@ -298,13 +304,13 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
         if is_zero(ld.detJ, exact):
             raise DegenerateZero("detJ = 0; fall back to perturbed_residue")
         ordinary = ld.trJ**n / ld.detJ
-        record = ResidueRecord(replace(p, on_divisor=False), 0, ordinary, ordinary,
+        record = ResidueRecord(p._replace(on_divisor=False), 0, ordinary, ordinary,
                                Fraction(0) if exact else 0.0, "closed_form")
         return [record for _ in levels]
 
     if is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
-    point = replace(p, on_divisor=True)
+    point = p._replace(on_divisor=True)
     if exact:
         q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
         a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
@@ -474,8 +480,8 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
     for eps in cfg.eps_levels:
         e = Fraction(eps).limit_denominator(10**12)
         # Without a cofactor local_data raises at perturbed zeros on the divisor.
-        perturbed = replace(cf, a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)),
-                            k=None if cf.k is None else cf.k + e * h)
+        perturbed = cf._replace(a=tuple(a + e * g_j for a, g_j in zip(cf.a, g)),
+                               k=None if cf.k is None else cf.k + e * h)
         total = {i: [0, 0j, 0j, 0j] for i in levels}
         for z in _zeros_near(perturbed.a, p.coords, cfg.search_radius, cfg):
             q = SingularPoint(p.chart, tuple(z), exact=False)
@@ -495,7 +501,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
     # One direction scaled by each eps: the leading error term has the same
     # coefficient at both levels and Richardson cancels it.
     eps1, eps2 = cfg.eps_levels
-    point = replace(p, on_divisor=ld.s is not None, exact=False)
+    point = p._replace(on_divisor=ld.s is not None, exact=False)
     out = []
     for i in levels:
         (n1, *at1), (n2, *at2) = (total[i] for total in sums)

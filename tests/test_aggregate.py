@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilog import aggregate, foliation, residue
+from resilog import aggregate, foliation, parse, residue
 from resilog.aggregate import (
     IncompletePointSet,
     enumerate_singularities,
@@ -17,6 +17,7 @@ from resilog.aggregate import (
     verify_identities,
 )
 from resilog.algebra import MultiPoly
+from resilog.birational import DiscrepancyProblem, cyclic_quotient_model
 from resilog.foliation import make_problem
 from resilog.parse import parse_problem
 from resilog.residue import PositiveDimensional, SingularPoint
@@ -251,6 +252,24 @@ def test_surface_report_p2():
     assert report.gsv_total == report.expected_gsv_total == 2
     assert report.cs_total == report.expected_cs_total == 1
     assert report.carnicer_bound_holds and not report.equality_flag
+
+
+def test_records_are_immutable_and_the_frozen_ones_hashable():
+    text = (FIXTURES / "p2_example.fol").read_text()
+    doc = parse_problem(text)
+    cf = foliation.chart_field(P2, 0)
+    record = verify_identities(P2).checks[1].records[0]
+    cyclic = cyclic_quotient_model(5)
+    surface = surface_report(P2)
+    hashable = [residue.NumericConfig(), record.point, residue.local_data(cf, record.point),
+                record, P2, cf, foliation.chern_expectations(P2)]
+    others = [parse._tokenize("z0")[0], doc, poincare_check(P2), surface.rows[0], surface,
+              DiscrepancyProblem(cyclic.M, (Fraction(2),)), cyclic]
+    for value in hashable + others:
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+    for value in hashable:
+        assert hash(value) == hash(value._replace())
 
 
 def test_surface_report_rejects_higher_dimension():

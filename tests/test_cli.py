@@ -17,6 +17,7 @@ from test_golden import CASES
 
 from resilog import aggregate, cli, foliation, residue
 from resilog.cli import main
+from resilog.parse import numeric_value
 from resilog.residue import NumericConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +104,8 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
 
 
 @pytest.mark.parametrize("name, text, code, message", [
+    ("m.json", "M = [[-2]]", 1,
+     "{path}: not a JSON document: Expecting value: line 1 column 1 (char 0)"),
     ("m.json", "[[-2]]", 1, "{path}: expected a JSON object with 'M' and 'I'"),
     ("m.json", '{"I": ["1"]}', 1, "{path}: expected a JSON object with 'M' and 'I'"),
     ("m.json", '{"M": [[-2]]}', 1, "{path}: expected a JSON object with 'M' and 'I'"),
@@ -191,6 +194,13 @@ def test_bad_numeric_value_exits_1(capsys, tmp_path, where, name, value, rule):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: numeric option {name} must be {rule}, got ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value, rule", BAD_NUMERIC)
+def test_replace_checks_the_numeric_range(name, value, rule):
+    # _replace builds through _make, which goes through NumericConfig.__new__.
+    with pytest.raises(ValueError, match=f"^numeric option {name} must be {re.escape(rule)}, "):
+        NumericConfig()._replace(**{name: numeric_value(name, value)})
 
 
 @pytest.mark.parametrize("name, value", [
@@ -368,6 +378,20 @@ def test_partial_point_set_exits_2_with_one_warning(capsys):
     assert code == 2 and out.startswith("certification level: partial\n")
     assert err == ("warning: point set not certified complete; identity totals may miss "
                    "contributions\n")
+
+
+@pytest.mark.parametrize("command, flag", [("poincare", "bound_holds"),
+                                           ("surface", "carnicer_bound_holds")])
+def test_partial_point_set_asserts_no_bound(capsys, command, flag):
+    # One of three zeros: the totals are nonnegative but prove nothing.
+    partial = str(FIXTURES / "p2_partial.fol")
+    code, out, err = run(capsys, command, partial)
+    assert code == 2 and out.endswith("\npoint set not certified complete: nothing asserted\n")
+    assert "asserted:" not in out
+    assert err == ("warning: point set not certified complete; identity totals may miss "
+                   "contributions\n")
+    code, doc = machine(capsys, command, partial)
+    assert code == 2 and doc[flag] is False
 
 
 def test_parse_error_exit_1(capsys):

@@ -1,7 +1,6 @@
 import itertools
 import random
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -165,7 +164,7 @@ def test_dehomogenize_matches_textbook_route(problem_and_g):
     # and the same chart fields after adding g times the Euler field.
     p, g = problem_and_g
     zs, v = p.variables, p.components
-    shifted = replace(p, components=tuple(c + g * zvar(z, zs) for c, z in zip(v, zs)))
+    shifted = p._replace(components=tuple(c + g * zvar(z, zs) for c, z in zip(v, zs)))
     for chart, name in enumerate(zs):
         cf = dehomogenize_field(p, chart)
         a = [(v[j] - zvar(zs[j], zs) * v[chart]).substitute_one(name, 1)

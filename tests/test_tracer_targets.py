@@ -33,18 +33,32 @@ import sys
 before = set(sys.modules)
 import resilog.cli
 added = sorted(set(sys.modules) - before)
+dataclasses = sorted(name for module, m in list(sys.modules.items())
+                     if module.startswith("resilog") for name, obj in vars(m).items()
+                     if isinstance(obj, type) and obj.__module__ == module
+                     and hasattr(obj, "__dataclass_fields__"))
 import json
-print(json.dumps({"loaded": sorted(sys.modules), "added": added}))
+print(json.dumps({"loaded": sorted(sys.modules), "added": added, "dataclasses": dataclasses}))
 """
+
+
+def import_cli() -> dict:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CLI], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def test_importing_the_cli_loads_every_tracer_target_module():
     # The traced CLI child installs the tracer right after ``import
     # resilog.cli``, and the tracer looks every target module up in sys.modules.
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_CLI], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True)
-    modules = json.loads(proc.stdout)
+    modules = import_cli()
     assert {t[1] for t in tracer_targets()} <= set(modules["loaded"])
     assert "string" not in modules["added"]
+
+
+def test_only_the_records_perfbench_rebuilds_stay_dataclasses():
+    # The other records are NamedTuples, which generate no code at import;
+    # perfbench/smoke.py rebuilds these three with dataclasses.replace.
+    assert import_cli()["dataclasses"] == ["DiscrepancyResult", "GlobalReport", "IdentityCheck"]
