@@ -67,27 +67,28 @@ def _locate(
     """Deduplicated (point, chart field, local data) triples across all
     charts of ``fields`` (one chart field per chart); each point classified
     once in its lowest chart, a given point as exact as its coordinates.
-    Local data is None where the divisor is singular.  A given point's chart
-    must lie in 0..n (ValueError otherwise)."""
-    raw: list[SingularPoint] = []
+    Local data is None where the divisor is singular and at numeric zeros.  A
+    linear zero comes classified from the lowest chart holding it, which is
+    solved first.  A given point's chart must lie in 0..n (ValueError otherwise)."""
+    raw: list[tuple] = []  # (point, local data or None)
     if mode == "user":
         if user_points is None:
             raise ValueError("mode 'user' needs user_points")
         for p in user_points:
             if not 0 <= p.chart <= problem.n:
                 raise ValueError(f"point chart {p.chart} is out of range 0..{problem.n}")
-        raw = user_points
+        raw = [(p, None) for p in user_points]
     elif mode == "exact_linear":
         for cf in fields:
-            raw.extend(SingularPoint(cf.chart, x) for x in linear_zeros(cf))
+            raw.extend(linear_zeros(cf))
     elif mode == "numeric":
         for cf in fields:
-            raw.extend(discover_zeros_numeric(cf, cfg=cfg))
+            raw.extend((p, None) for p in discover_zeros_numeric(cf, cfg=cfg))
     else:
         raise ValueError(f"unknown discovery mode {mode!r}")
 
     seen: dict = {}
-    for p in raw:
+    for p, ld in raw:
         chart, hom = _normalized(p)
         key = hom if is_exact(hom) else tuple(round(float(v), 6) for v in hom)
         if key in seen:
@@ -95,9 +96,10 @@ def _locate(
         coords = hom[:chart] + hom[chart + 1 :]
         # A numeric zero keeps the flags it was found with: rescaled into a
         # far chart, its residual can exceed the absolute zero tolerance.
-        point, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
+        if mode != "exact_linear":
+            p, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
                      else classify_point(fields[chart], coords))
-        seen[key] = point, fields[chart], ld
+        seen[key] = p, fields[chart], ld
     return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
 
 
@@ -106,7 +108,7 @@ def _covers_linear_zeros(fields: list[ChartField], located: list[tuple]) -> bool
     all of them are affine-linear; True otherwise, where nothing certifies
     the zero set.  A zero set of positive dimension raises."""
     try:
-        zeros = [SingularPoint(cf.chart, x) for cf in fields for x in linear_zeros(cf)]
+        zeros = [p for cf in fields for p, _ in linear_zeros(cf)]
     except NonLinearField:
         return True
 

@@ -53,9 +53,13 @@ def to_doc(value):
     return value
 
 
-def _load_document(path: str):
+def _read(path: str) -> str:
+    """The text of the file at ``path``; one that is not UTF-8 is a SchemaError naming it."""
     with open(path, encoding="utf-8") as handle:
-        return parse_problem(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _inputs(args) -> tuple[ProblemDocument, list[SingularPoint] | None, NumericConfig]:
@@ -63,14 +67,13 @@ def _inputs(args) -> tuple[ProblemDocument, list[SingularPoint] | None, NumericC
     (None when there are none; verify_identities classifies them); and the
     numeric config: the defaults, overridden by the file's numeric.* keys,
     then by the flags, each typed by ``numeric_value``."""
-    doc = _load_document(args.problem)
+    doc = parse_problem(_read(args.problem))
     flags = {name: numeric_value(name, getattr(args, name))
              for name in NumericConfig._fields if getattr(args, name) is not None}
     cfg = NumericConfig(**{**doc.numeric, **flags})
     entries = list(doc.points)
     if getattr(args, "points", None):
-        with open(args.points, encoding="utf-8") as handle:
-            raw = raw_document(handle.read())
+        raw = raw_document(_read(args.points))
         if "points" not in raw:
             raise SchemaError(f"{args.points}: no 'points' entry")
         entries += parse_points(*raw["points"], doc.problem.n)
@@ -83,7 +86,7 @@ def _hom(p: SingularPoint) -> str:
 
 
 def cmd_check(args) -> Output:
-    doc = _load_document(args.problem)
+    doc = parse_problem(_read(args.problem))
     try:
         cofactors = verify_tangency(doc.problem)
     except NotTangent as exc:
@@ -190,11 +193,10 @@ def _json_list(value, what: str) -> list:
 
 
 def cmd_discrepancy(args) -> Output:
-    with open(args.matrix, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.matrix}: not a JSON document: {exc}") from None
+    try:
+        data = json.loads(_read(args.matrix))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{args.matrix}: not a JSON document: {exc}") from None
     if not isinstance(data, dict) or "M" not in data or "I" not in data:
         raise SchemaError(f"{args.matrix}: expected a JSON object with 'M' and 'I'")
     M = RatMatrix([[parse_rational(str(x)) for x in _json_list(row, "a row of M")]

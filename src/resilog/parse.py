@@ -13,7 +13,7 @@ letters and digits); any other character that is not whitespace, a
 non-ASCII digit too, is a ParseError at its position.  There are no
 floating literals and no division except inside a rational literal;
 implicit multiplication ("3x") is rejected.  Unary minus binds looser than
-"^", so "-x^2" is -(x^2).
+"^", so "-x^2" is -(x^2).  "(" and unary "-" nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ _OPS = "+-*^()/"
 _DIGITS = "0123456789"
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _NAME_CHARS = _LETTERS + _DIGITS
+MAX_NESTING = 100
 
 
 class _Token(NamedTuple):
@@ -85,6 +86,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.depth = 0  # open "(" and unary "-" around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -143,17 +145,20 @@ class _Parser:
             if tok.text not in self.variables:
                 self.fail(tok, f"unknown variable {tok.text!r}")
             return MultiPoly.variable(self.variables, tok.text)
-        if tok.kind == "(":
+        if tok.kind in ("(", "-"):
             self.take()
-            value = self.expr()
+            if self.depth == MAX_NESTING:
+                self.fail(tok, f"more than {MAX_NESTING} nested '(' and unary '-'")
+            self.depth += 1
+            value = self.expr() if tok.kind == "(" else -self.factor()
+            self.depth -= 1
+            if tok.kind == "-":
+                return value
             closing = self.peek()
             if closing.kind != ")":
                 self.fail(closing, "expected ')'")
             self.take()
             return value
-        if tok.kind == "-":
-            self.take()
-            return -self.factor()
         if tok.kind == "/":
             self.fail(tok, "division is only allowed inside a rational literal")
         self.fail(tok, "expected a number, variable, or '('")

@@ -1,19 +1,19 @@
 """Local residues at singular points.
 
-``local_data`` is the single source of a zero's data.  One pass decides
-whether the point is a zero, whether it lies on D and which entry s of
-grad f borders det J_D, and gives the Jacobian trace trJ and determinant
-detJ, the cofactor value k(p), and on the divisor the induced trace
-trJ_D = trJ - k and determinant det J_D; classification, the closed forms
-and the perturbation engine read these and decide none of them again.
-Exactness (``is_exact``) and the zero test (``is_zero``) are defined once,
-here, for every module.  At a zero p on D the determinants are tied,
-detJ = k(p)*detJD.  Proof: differentiating
-v(f) = k*f at p, where v and f vanish, gives J^T grad f = k(p) grad f, so J
-keeps the tangent space ker(grad f) and acts on the quotient line by k(p).
-A zero on D thus costs one elimination, of the bordered matrix behind det J_D.
-The same ``LocalData`` classifies the point (``classify_point``) and feeds the
-closed forms of all i-levels in one call (``closed_form_residues``): the
+A zero's data (``LocalData``) is the Jacobian trace trJ and determinant
+detJ, the cofactor value k(p), and on the divisor D the entry s of grad f
+bordering det J_D, the induced trace trJ_D = trJ - k and det J_D.  Its two
+sources share ``_divisor_data`` (the on-D test, s and k(p)): ``local_data``
+takes one jet per component at any zero, and ``linear_zeros`` reads it off
+the elimination that solves an affine-linear chart (proof there).  At a
+zero p on D the determinants are tied, detJ = k(p)*detJD.  Proof:
+differentiating v(f) = k*f at p, where v and f vanish, gives
+J^T grad f = k(p) grad f, so J keeps the tangent space ker(grad f) and acts
+on the quotient line by k(p).  So ``local_data`` costs one elimination at a
+zero on D, of the bordered matrix behind det J_D.  Exactness (``is_exact``)
+and the zero test (``is_zero``) are defined once, here, for every module.
+Classification (``classify_point``) and the closed forms of all i-levels in
+one call (``closed_form_residues``) decide nothing of the data again: the
 ordinary residue is trJ^n/detJ, and the excess (variational) residue has the
 binomial numerator of ``delta_numerator``; these are the only copies of the
 residue formulas.  On the divisor every numerator is homogeneous of degree
@@ -220,6 +220,23 @@ def _solve(rows: list, rhs: list) -> list | None:
     return x
 
 
+def _divisor_data(cf: ChartField, coords: tuple, exact: bool) -> tuple:
+    """k(p), and on D grad f at p and its entry s that borders det J_D (None,
+    None off D), from one ``jet`` of f; DivisorSingularAt where grad f is 0 on D."""
+    f_p, grad_f = cf.f.jet(coords)
+    on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
+    if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
+        raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
+    k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
+    if not on_divisor:
+        return k_at_p, None, None
+    s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
+    if s is None:
+        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
+                                " residues there are unsupported")
+    return k_at_p, grad_f, s
+
+
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     """Traces, determinants, and cofactor value of the field at a zero of it,
     from one ``jet`` per component and one of f."""
@@ -230,18 +247,9 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     if any(not is_zero(v, exact) for v in values):
         raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
     trJ = sum(jac[j][j] for j in range(n))
-    f_p, grad_f = cf.f.jet(coords)
-    on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
-    if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
-        raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
-    k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
-    if not on_divisor:
-        return LocalData(trJ, _det(jac, exact), k_at_p, trJ - k_at_p, detJD=None, s=None)
-
-    s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
+    k_at_p, grad_f, s = _divisor_data(cf, coords, exact)
     if s is None:
-        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
-                                " residues there are unsupported")
+        return LocalData(trJ, _det(jac, exact), k_at_p, trJ - k_at_p, detJD=None, s=None)
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
@@ -521,12 +529,15 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 
 # -- zero discovery --------------------------------------------------------
 
-def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
-    """Exact zeros of an affine-linear chart field a(x) = A x + b.
+def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]:
+    """Exact zeros of an affine-linear chart field a(x) = A x + b, classified,
+    with their local data (None where the divisor is singular).
 
     One elimination of the augmented matrix [A | -b]: a pivot in the last
     column means no zero, fewer than n pivots a zero set of positive
-    dimension (PositiveDimensional), otherwise the unique zero.
+    dimension (PositiveDimensional), otherwise the unique zero.  J = A, so
+    detJ = det A, the factor times the last pivot, is not 0: the zero is
+    simple, and on D detJ = k(p)*detJD makes k(p) nonzero.
     """
     n = cf.n
     aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
@@ -540,12 +551,19 @@ def linear_zeros(cf: ChartField) -> list[tuple[Fraction, ...]]:
             else:
                 raise NonLinearField(f"component {r} has a degree-{total} term, and exact zero "
                                      "discovery needs affine-linear components")
-    rows, pivots, _ = echelon(aug)
+    rows, pivots, factor = echelon(aug)
     if n in pivots:
         return []
     if len(pivots) < n:
         raise PositiveDimensional(n - len(pivots))
-    return [tuple(back_substitute(rows, n))]
+    coords = tuple(back_substitute(rows, n))
+    try:
+        k_at_p, _, s = _divisor_data(cf, coords, True)
+    except DivisorSingularAt:
+        return [(SingularPoint(cf.chart, coords, True, True, None), None)]
+    trJ, detJ = sum(aug[j][j] for j in range(n)), factor * rows[n - 1][n - 1]
+    return [(SingularPoint(cf.chart, coords, True, s is not None, True),
+             LocalData(trJ, detJ, k_at_p, trJ - k_at_p, None if s is None else detJ / k_at_p, s))]
 
 
 def discover_zeros_numeric(

@@ -295,8 +295,7 @@ def counted(fn, counter: Counter, key):
     return wrapper
 
 
-def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
-    problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
+def _count_chart_fields_and_local_data(monkeypatch) -> tuple[Counter, Counter]:
     fields, data = Counter(), Counter()
     chart_field = counted(foliation.chart_field, fields, lambda _, chart: chart)
     local_data = counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords))
@@ -304,8 +303,62 @@ def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
         monkeypatch.setattr(module, "chart_field", chart_field)
     for module in (residue, aggregate):
         monkeypatch.setattr(module, "local_data", local_data)
+    return fields, data
 
+
+def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
+    # Discovered zeros take their local data from the linear solve itself.
+    problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
+    fields, data = _count_chart_fields_and_local_data(monkeypatch)
     report = verify_identities(problem)
     assert report.all_ok and len(report.checks[0].records) == 4
     assert fields == {c: 1 for c in range(4)}
-    assert len(data) == 4 and set(data.values()) == {1}
+    assert data == {}
+
+
+def test_verify_given_points_takes_local_data_once_per_point(monkeypatch):
+    problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
+    points = [SingularPoint(c, (Fraction(0),) * 3) for c in range(4)]
+    fields, data = _count_chart_fields_and_local_data(monkeypatch)
+    report = verify_identities(problem, points)
+    assert report.all_ok and report.level == "proved-on-instance"
+    assert fields == {c: 1 for c in range(4)}
+    assert data == {(c, p.coords): 1 for c, p in enumerate(points)}
+
+
+@st.composite
+def diagonal_problems(draw):
+    """A diagonal field on P^2..P^5 with distinct rational eigenvalues, tangent
+    to one coordinate hyperplane or to the product of two: the product is
+    singular at the coordinate points off both planes."""
+    n = draw(st.integers(2, 5))
+    eigs = draw(st.lists(st.fractions(-40, 40, max_denominator=12),
+                         min_size=n + 1, max_size=n + 1, unique=True))
+    planes = draw(st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True))
+    variables = tuple(f"z{j}" for j in range(n + 1))
+    z = [MultiPoly.variable(variables, v) for v in variables]
+    divisor = z[planes[0]] * z[planes[-1]] if len(planes) == 2 else z[planes[0]]
+    return make_problem(variables, [e * z_j for e, z_j in zip(eigs, z)], divisor), len(planes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_problems())
+def test_linear_route_matches_classify_point(case):
+    # The linear solve classifies each zero itself; classify_point, which
+    # takes the jets and determinants again, must agree exactly.
+    problem, planes = case
+    fields = [foliation.chart_field(problem, c) for c in range(problem.n + 1)]
+    located = aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
+    assert len(located) == problem.n + 1
+    assert any(p.simple is None for p, _, _ in located) == (planes == 2)
+    for point, cf, ld in located:
+        assert cf is fields[point.chart]
+        want_point, want_ld = residue.classify_point(cf, point.coords)
+        assert point == want_point and all(type(c) is Fraction for c in point.coords)
+        if want_ld is None:
+            assert ld is None and point.simple is None
+            continue
+        for name in ("trJ", "detJ", "k_at_p", "trJD", "detJD", "s"):
+            got, want = getattr(ld, name), getattr(want_ld, name)
+            assert got == want, name
+            assert type(got) is (Fraction if name != "s" else int) or got is want is None, name

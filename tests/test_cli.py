@@ -399,6 +399,25 @@ def test_parse_error_exit_1(capsys):
         1, "", "parse error at 4:25: unknown variable 'w1'\n")
 
 
+@pytest.mark.parametrize("component", ["(" * 400 + "-3*z0" + ")" * 400, "-" * 1200 + "3*z0"])
+def test_deep_nesting_exits_1_without_traceback(capsys, tmp_path, component):
+    path = tmp_path / "deep.fol"
+    path.write_text(Path(P2).read_text().replace("-3*z0", component))
+    # The 101st '(' or '-' opens at column 20 + 101 of the components line.
+    assert run(capsys, "check", str(path)) == (
+        1, "", "parse error at 4:121: more than 100 nested '(' and unary '-'\n")
+
+
+@pytest.mark.parametrize("via", ["problem", "--points", "discrepancy"])
+def test_file_that_is_not_utf8_names_its_path(capsys, tmp_path, via):
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"\xff\xfe" + "points = []\n".encode("utf-16-le"))
+    argv = {"problem": ["verify", str(bad)], "--points": ["verify", P2, "--points", str(bad)],
+            "discrepancy": ["discrepancy", str(bad)]}[via]
+    assert run(capsys, *argv) == (1, "", f"error: {bad}: not UTF-8 text: 'utf-8' codec can't "
+                                         "decode byte 0xff in position 0: invalid start byte\n")
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "check", str(FIXTURES / "nope.fol"))
     assert code == 1

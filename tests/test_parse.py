@@ -5,6 +5,7 @@ import pytest
 
 from resilog.algebra import MultiPoly
 from resilog.parse import (
+    MAX_NESTING,
     ParseError,
     SchemaError,
     parse_poly,
@@ -48,6 +49,31 @@ def test_unary_minus_binds_looser_than_power():
 def test_parse_rejects(src):
     with pytest.raises(ParseError):
         parse_poly(src, VARS)
+
+
+def test_nesting_up_to_the_limit_parses():
+    x = MultiPoly.variable(VARS, "x")
+    assert MAX_NESTING == 100
+    assert parse_poly("(" * 100 + "x" + ")" * 100, VARS) == x
+    assert parse_poly("-" * 100 + "x", VARS) == x
+    assert parse_poly("-(" * 50 + "x" + ")" * 50, VARS) == x
+    # Depth counts enclosing levels only; parentheses side by side do not add up.
+    assert parse_poly(" + ".join(["(x)"] * 300), VARS) == 300 * x
+
+
+@pytest.mark.parametrize("src", [
+    "(" * 101 + "x" + ")" * 101,
+    "-" * 101 + "x",
+    "-(" * 50 + "-x" + ")" * 50,
+    # These two used to end in a RecursionError.
+    "(" * 400 + "x" + ")" * 400,
+    "-" * 1200 + "x",
+])
+def test_nesting_past_the_limit_is_a_parse_error_at_that_token(src):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(src, VARS)
+    assert (exc.value.line, exc.value.column) == (1, 101)
+    assert exc.value.message == "more than 100 nested '(' and unary '-'"
 
 
 def test_error_positions():

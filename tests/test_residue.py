@@ -596,7 +596,7 @@ class TestPerturbedResidue:
         on_divisor = 0
         for chart in range(3):
             cf = chart_field(problem, chart)
-            for p in [classify_point(cf, x)[0] for x in linear_zeros(cf)]:
+            for p, _ in linear_zeros(cf):
                 on_divisor += p.on_divisor
                 for i in range(2 if p.on_divisor else 1):
                     exact = simple_residues(cf, p, i)
@@ -691,29 +691,29 @@ class TestPerturbedResidues:
 class TestZeroDiscovery:
     def test_exact_linear_unique(self):
         cf = chart_field(P2, 0)
-        pts = [classify_point(cf, x)[0] for x in linear_zeros(cf)]
-        assert len(pts) == 1
-        assert pts[0].coords == (Fraction(0), Fraction(0))
-        assert pts[0].on_divisor and pts[0].simple
+        [(p, ld)] = linear_zeros(cf)
+        assert p.coords == (Fraction(0), Fraction(0))
+        assert p.on_divisor and p.simple
+        assert (p, ld) == classify_point(cf, p.coords)
 
     def test_exact_linear_rejects_nonlinear(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x**2, y), MultiPoly.const(("x", "y"), 1))
         with pytest.raises(NonLinearField):
-            [classify_point(cf, x)[0] for x in linear_zeros(cf)]
+            linear_zeros(cf)
 
     def test_exact_linear_positive_dimensional(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x, MultiPoly.zero(("x", "y"))),
                         MultiPoly.const(("x", "y"), 1))
         with pytest.raises(PositiveDimensional) as exc:
-            [classify_point(cf, x)[0] for x in linear_zeros(cf)]
+            linear_zeros(cf)
         assert exc.value.dimension == 1
 
     def test_exact_linear_inconsistent_is_empty(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x, x + 1), MultiPoly.const(("x", "y"), 1))
-        assert [classify_point(cf, x)[0] for x in linear_zeros(cf)] == []
+        assert linear_zeros(cf) == []
 
     def test_numeric_finds_known_zeros(self):
         # (x^2 - 1, y): real zeros at (1, 0) and (-1, 0).
