@@ -47,6 +47,8 @@ def _normalized(p: SingularPoint) -> tuple[int, tuple]:
     exact = is_exact(coords)
     hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
     lead = next(j for j, v in enumerate(hom) if not is_zero(v, exact))
+    if exact and hom[lead] == 1 and set(map(type, hom)) == {Fraction}:
+        return lead, tuple(hom)  # as at a linear zero in its own chart: nothing to divide
     scale = hom[lead] if not exact or isinstance(hom[lead], Fraction) else Fraction(hom[lead])
     return lead, tuple(v / scale for v in hom)
 
@@ -100,7 +102,7 @@ def _locate(
             p, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
                      else classify_point(fields[chart], coords))
         seen[key] = p, fields[chart], ld
-    return [seen[k] for k in sorted(seen, key=lambda t: tuple(map(str, t)))]
+    return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
 
 
 def _covers_linear_zeros(fields: list[ChartField], located: list[tuple]) -> bool:

@@ -370,8 +370,10 @@ class RatMatrix:
 
 def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], Fraction]:
     """Fraction-free (Bareiss) row echelon form over the integers: each row is
-    first multiplied by the lcm of its denominators, and each division by the
-    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  Returns the
+    first multiplied by the lcm of its denominators (1 for ints), and each
+    division by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    A row with 0 in the pivot column becomes y*piv // prev: the update's
+    product term is 0 there, so these are the same integers.  Returns the
     integer echelon rows, the pivot column of each nonzero row, and the factor
     sign / (product of the row lcms), sign being that of the row permutation.
     For a square nonsingular matrix, factor times the last diagonal entry is
@@ -395,7 +397,8 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
         piv, top = a[r][c], a[r][c + 1:]
         for row in a[r + 1:]:
             x, row[c] = row[c], 0
-            row[c + 1:] = [(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)]
+            row[c + 1:] = ([(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)] if x
+                           else [y * piv // prev for y in row[c + 1:]])
         prev = piv
         pivots.append(c)
     return a, pivots, Fraction(sign, math.prod(lcms))

@@ -13,7 +13,8 @@ letters and digits); any other character that is not whitespace, a
 non-ASCII digit too, is a ParseError at its position.  There are no
 floating literals and no division except inside a rational literal;
 implicit multiplication ("3x") is rejected.  Unary minus binds looser than
-"^", so "-x^2" is -(x^2).  "(" and unary "-" nest at most MAX_NESTING deep.
+"^", so "-x^2" is -(x^2).  "(" and unary "-" nest at most MAX_NESTING deep,
+and so do the "[" and "{" of a document value.
 """
 
 from __future__ import annotations
@@ -250,15 +251,19 @@ def _split_top_level(text: str, column: int) -> list[tuple[str, int]]:
     return parts
 
 
-def _parse_value(text: str, line: int, column: int):
+def _parse_value(text: str, line: int, column: int, depth: int = 0):
     """A list, an object, or a scalar ``_Text`` (consumers interpret
-    scalars), from ``text`` starting at ``column`` of ``line``."""
+    scalars), from ``text`` starting at ``column`` of ``line``, inside
+    ``depth`` lists and objects; at most MAX_NESTING of them nest."""
     column += len(text) - len(text.lstrip())
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        return [_parse_value(part, line, col)
+    brackets = text[:1] + text[-1:]
+    if brackets in ("[]", "{}") and depth == MAX_NESTING:
+        raise ParseError(line, column, f"more than {MAX_NESTING} nested '[' and '{{'")
+    if brackets == "[]":
+        return [_parse_value(part, line, col, depth + 1)
                 for part, col in _split_top_level(text[1:-1], column + 1)]
-    if text.startswith("{") and text.endswith("}"):
+    if brackets == "{}":
         obj = {}
         for part, col in _split_top_level(text[1:-1], column + 1):
             key, colon, val = part.partition(":")
@@ -266,7 +271,7 @@ def _parse_value(text: str, line: int, column: int):
                 col += len(part) - len(part.lstrip())
                 raise ParseError(line, col, f"expected 'key: value' in object, got "
                                             f"{part.strip()!r}", part.strip())
-            obj[key.strip()] = _parse_value(val, line, col + len(key) + 1)
+            obj[key.strip()] = _parse_value(val, line, col + len(key) + 1, depth + 1)
         return obj
     return _Text(text, column)
 

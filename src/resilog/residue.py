@@ -18,7 +18,7 @@ ordinary residue is trJ^n/detJ, and the excess (variational) residue has the
 binomial numerator of ``delta_numerator``; these are the only copies of the
 residue formulas.  On the divisor every numerator is homogeneous of degree
 n - 1 in (trJ, trJD, k), so exact values enter as integers over one
-denominator.
+denominator and each leaves as one Fraction: the exact linear path is on ints.
 Degenerate zeros go through a seeded perturbation engine,
 ``perturbed_residues``: it deforms the chart field along a random field
 tangent to the divisor, so each nearby perturbed zero is simple, and
@@ -97,14 +97,18 @@ class _NumericFields(NamedTuple):
 
 
 class NumericConfig(_NumericFields):
-    """Knobs for the numeric engine; deterministic by default, ValueError if out
-    of range, also from ``_replace`` (through ``_make``)."""
+    """Knobs for the numeric engine; deterministic by default, ValueError if not
+    finite or out of range, also from ``_replace`` (through ``_make``)."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         eps = self.eps_levels
+        for name in ("newton_tol", "dedupe_radius", "search_radius", "eps_levels"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if name == "eps_levels" else [value])):
+                raise ValueError(f"numeric option {name} must be finite, got {value!r}")
         for name, ok, rule in (("newton_tol", self.newton_tol > 0, "> 0"),
                                ("newton_max_iter", self.newton_max_iter >= 1, ">= 1"),
                                ("dedupe_radius", self.dedupe_radius > 0, "> 0"),
@@ -301,8 +305,10 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     DegenerateZero where the relevant determinant vanishes.  On the divisor
     the numerators are homogeneous of degree n - 1 in (trJ, trJD, k): exact
     values go in as integers a, t, c over q = lcm(den trJ, den k), found once
-    for all levels, so each residue is one integer over q^(n-1)*detJD, not a
-    chain of Fraction steps.  Inexact values go in unscaled, alike."""
+    for all levels, so each residue is one Fraction of an integer over
+    q^(n-1)*detJD, not a chain of Fraction steps; as a = t + c, the excess
+    numerator at i >= 1 is the ordinary one minus the log one.  Inexact
+    values go in unscaled, alike."""
     n = len(p.coords)
     exact = is_exact(p.coords)
 
@@ -322,22 +328,29 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     if exact:
         q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
         a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
-        t, scale = a - c, q ** (n - 1) * ld.detJD
+        t, scale = a - c, (q ** (n - 1) * ld.detJD.numerator, ld.detJD.denominator)
     else:
         a, t, c, scale = ld.trJ, ld.trJD, ld.k_at_p, ld.detJD
+    # v / (w*scale): exact as one Fraction of ints (scale as numerator, denominator)
+    over = lambda v, w=1: Fraction(v * scale[1], w * scale[0]) if exact else v / scale
     records = []
     for i in levels:
-        var = delta_numerator(t, c, n, i) / scale
-        if i == 0 and is_zero(ld.k_at_p, exact):
-            # detJ = k*detJD vanishes; the ordinary/log split has no closed
-            # form here, only the excess is defined.
-            ordinary = log = None
-        elif i == 0:
-            ordinary = ld.trJ**n / ld.detJ
-            log = ordinary - var
+        if i == 0:
+            var = over(delta_numerator(t, c, n, 0))
+            if is_zero(ld.k_at_p, exact):
+                # detJ = k*detJD vanishes; the ordinary/log split has no closed
+                # form here, only the excess is defined.
+                ordinary = log = None
+            elif exact:  # trJ^n/detJ and trJD^n/detJ, as detJ = k*detJD
+                ordinary, log = over(a**n, c), over(t**n, c)
+            else:
+                ordinary = ld.trJ**n / ld.detJ
+                log = ordinary - var
         else:
-            ordinary = a ** (n - i) * c ** (i - 1) / scale
-            log = t ** (n - i) * c ** (i - 1) / scale
+            o, l = a ** (n - i) * c ** (i - 1), t ** (n - i) * c ** (i - 1)
+            # a = t + c, so o - l is the excess numerator k^(i-1)*((T+k)^(n-i) - T^(n-i))
+            ordinary, log = over(o), over(l)
+            var = over(o - l if exact else delta_numerator(t, c, n, i))
         records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
     return records
 
@@ -533,24 +546,24 @@ def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]
     """Exact zeros of an affine-linear chart field a(x) = A x + b, classified,
     with their local data (None where the divisor is singular).
 
-    One elimination of the augmented matrix [A | -b]: a pivot in the last
+    One elimination of the augmented matrix [A | -b] as integer rows, row r
+    component r times the lcm q_r of its denominators: a pivot in the last
     column means no zero, fewer than n pivots a zero set of positive
     dimension (PositiveDimensional), otherwise the unique zero.  J = A, so
-    detJ = det A, the factor times the last pivot, is not 0: the zero is
-    simple, and on D detJ = k(p)*detJD makes k(p) nonzero.
+    trJ is the integer diagonal over the q_r, and detJ = det A, the signed
+    last pivot over the product of the q_r, is not 0: the zero is simple,
+    and on D detJ = k(p)*detJD makes k(p) nonzero.
     """
     n = cf.n
-    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
-    for r, a in enumerate(cf.a):
+    aug, lcms = [[0] * (n + 1) for _ in range(n)], []
+    for r, (row, a) in enumerate(zip(aug, cf.a)):
+        lcms.append(q := math.lcm(*(c.denominator for c in a.terms.values())))
         for e, c in a.terms.items():
-            total = sum(e)
-            if total == 0:
-                aug[r][n] = -c
-            elif total == 1:
-                aug[r][e.index(1)] = c
-            else:
+            total, c = sum(e), c.numerator * (q // c.denominator)
+            if total > 1:
                 raise NonLinearField(f"component {r} has a degree-{total} term, and exact zero "
                                      "discovery needs affine-linear components")
+            row[e.index(1) if total else n] = c if total else -c
     rows, pivots, factor = echelon(aug)
     if n in pivots:
         return []
@@ -561,7 +574,9 @@ def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]
         k_at_p, _, s = _divisor_data(cf, coords, True)
     except DivisorSingularAt:
         return [(SingularPoint(cf.chart, coords, True, True, None), None)]
-    trJ, detJ = sum(aug[j][j] for j in range(n)), factor * rows[n - 1][n - 1]
+    q = math.lcm(*lcms)
+    trJ = Fraction(sum(aug[j][j] * (q // lcms[j]) for j in range(n)), q)
+    detJ = Fraction(factor.numerator * rows[n - 1][n - 1], math.prod(lcms))
     return [(SingularPoint(cf.chart, coords, True, s is not None, True),
              LocalData(trJ, detJ, k_at_p, trJ - k_at_p, None if s is None else detJ / k_at_p, s))]
 

@@ -176,6 +176,13 @@ BAD_NUMERIC = [
     ("eps_levels", "1e-3,1e-3", "two distinct values > 0"),
     ("eps_levels", "0,1e-3", "two distinct values > 0"),
     ("eps_levels", "1e-3,-1e-4", "two distinct values > 0"),
+    # Not finite: checked before the range, and once failed inside the engine.
+    ("newton_tol", "inf", "finite"),
+    ("newton_tol", "nan", "finite"),
+    ("dedupe_radius", "inf", "finite"),
+    ("search_radius", "1e999", "finite"),
+    ("eps_levels", "1e-3,inf", "finite"),
+    ("eps_levels", "-inf,1e-3", "finite"),
 ]
 
 
@@ -201,6 +208,12 @@ def test_replace_checks_the_numeric_range(name, value, rule):
     # _replace builds through _make, which goes through NumericConfig.__new__.
     with pytest.raises(ValueError, match=f"^numeric option {name} must be {re.escape(rule)}, "):
         NumericConfig()._replace(**{name: numeric_value(name, value)})
+
+
+def test_infinite_eps_level_exits_1_before_the_engine(capsys):
+    # Fraction(inf) in perturbed_residues once ended in an OverflowError traceback.
+    assert run(capsys, "verify", JORDAN, "--eps-levels", "1e-3,inf") == (
+        1, "", "error: numeric option eps_levels must be finite, got (0.001, inf)\n")
 
 
 @pytest.mark.parametrize("name, value", [
@@ -406,6 +419,24 @@ def test_deep_nesting_exits_1_without_traceback(capsys, tmp_path, component):
     # The 101st '(' or '-' opens at column 20 + 101 of the components line.
     assert run(capsys, "check", str(path)) == (
         1, "", "parse error at 4:121: more than 100 nested '(' and unary '-'\n")
+
+
+@pytest.mark.parametrize("depth", [101, 2000])
+def test_deep_points_value_exits_1_without_traceback(capsys, tmp_path, depth):
+    path = tmp_path / "deep.fol"
+    path.write_text(Path(P2).read_text() + "points = " + "[" * depth + "]" * depth + "\n")
+    # The value opens at column 10 of line 6; its 101st '[' is 100 columns on.
+    assert run(capsys, "verify", str(path)) == (
+        1, "", "parse error at 6:110: more than 100 nested '[' and '{'\n")
+
+
+def test_points_value_at_the_nesting_limit_reaches_the_schema_check(capsys, tmp_path):
+    path = tmp_path / "deep.fol"
+    path.write_text(Path(P2).read_text() + "points = " + "[" * 100 + "]" * 100 + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: point entry needs 'chart' (scalar) and 'coords' (list)")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("via", ["problem", "--points", "discrepancy"])

@@ -12,6 +12,7 @@ from resilog.parse import (
     parse_problem,
     parse_rational,
     print_poly,
+    raw_document,
 )
 
 VARS = ("x", "y", "z")
@@ -74,6 +75,41 @@ def test_nesting_past_the_limit_is_a_parse_error_at_that_token(src):
         parse_poly(src, VARS)
     assert (exc.value.line, exc.value.column) == (1, 101)
     assert exc.value.message == "more than 100 nested '(' and unary '-'"
+
+
+def nested_value(depth):
+    """``depth`` lists and objects nested in each other, lists outermost."""
+    opening = "".join("[" if j % 2 == 0 else "{a: " for j in range(depth))
+    closing = "".join("]" if j % 2 == 0 else "}" for j in reversed(range(depth)))
+    return opening + "1" + closing
+
+
+def test_document_nesting_up_to_the_limit_parses():
+    value = raw_document("points = " + "[" * 100 + "]" * 100)["points"][0]
+    for _ in range(99):
+        (value,) = value
+    assert value == []
+    value = raw_document("points = " + nested_value(100))["points"][0]
+    for j in range(100):
+        value = value[0] if j % 2 == 0 else value["a"]
+    assert value == "1"
+
+
+@pytest.mark.parametrize("src", [
+    "points = " + "[" * 101 + "]" * 101,
+    # This one used to end in a RecursionError.
+    "points = " + "[" * 2000 + "]" * 2000,
+    "points = " + nested_value(101),
+    "points = " + nested_value(2000),
+])
+def test_document_nesting_past_the_limit_is_a_parse_error_at_that_bracket(src):
+    with pytest.raises(ParseError) as exc:
+        raw_document(src)
+    # The value starts at column 10; the 101st bracket follows 100 brackets,
+    # and in the mixed value 50 "a: " keys too.
+    column = 10 + 100 + (50 * len("a: ") if "{" in src else 0)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.message == "more than 100 nested '[' and '{'"
 
 
 def test_error_positions():

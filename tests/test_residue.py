@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from resilog import residue
 from resilog.aggregate import NUMERIC_TOL, verify_identities
-from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, solve_linear
+from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, rank, solve_linear
 from resilog.foliation import (ChartField, chart_field, chern_expectations, dehomogenize_field,
                                make_problem)
 from resilog.parse import parse_problem
@@ -686,6 +686,68 @@ class TestPerturbedResidues:
         with pytest.raises(NotOnDivisor):
             perturbed_residues(cf, local_data(cf, ORIGIN2), ORIGIN2, [0, 1])
         assert searches == []
+
+
+ROW_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def affine_chart_fields(draw):
+    """(chart field, A, b) for a(x) = A x + b on C^1..C^5 with dense rational
+    rows (denominators up to 1e9) and b != 0, built directly: off D (f = 1,
+    k = 0), or on D = {x0 = 0}, where tangency makes a0 = lam*x0 and k = lam.
+    In a quarter of the cases the last row is a combination of the earlier
+    ones, with or without its b, or lam = 0: A is singular, the system
+    consistent or not."""
+    n = draw(st.integers(1, 5))
+    xs = tuple(f"x{j}" for j in range(n))
+    on_divisor, singular = draw(st.booleans()), draw(st.integers(0, 3)) == 3
+    lam = Fraction(0) if singular and draw(st.booleans()) else draw(ROW_ENTRIES.filter(bool))
+    rows = [[lam] + [Fraction(0)] * n] if on_divisor else []
+    while len(rows) < n:
+        if rows and singular and len(rows) == n - 1:
+            coeffs = [draw(ROW_ENTRIES) for _ in rows]
+            row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n + 1)]
+            if draw(st.booleans()):
+                row[n] = draw(ROW_ENTRIES)
+        else:
+            row = [draw(ROW_ENTRIES) for _ in range(n)] + [draw(ROW_ENTRIES.filter(bool))]
+        rows.append(row)
+    x = [MultiPoly.variable(xs, v) for v in xs]
+    a = tuple(sum((c * x_j for c, x_j in zip(row, x)), MultiPoly.const(xs, row[n]))
+              for row in rows)
+    if on_divisor:
+        cf = ChartField(0, xs, a, x[0], MultiPoly.const(xs, lam))
+    else:
+        cf = ChartField(0, xs, a, MultiPoly.const(xs, 1), MultiPoly.zero(xs))
+    return cf, [row[:n] for row in rows], [row[n] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_chart_fields())
+def test_linear_zeros_on_general_affine_fields(case):
+    # Each zero three ways: the field vanishes there, solve_linear finds it,
+    # and classify_point, from jets and determinants, agrees field for field.
+    cf, A, b = case
+    if det_exact(RatMatrix(A)) == 0:
+        if rank(RatMatrix(A)) == rank(RatMatrix([r + [v] for r, v in zip(A, b)])):
+            with pytest.raises(PositiveDimensional):
+                linear_zeros(cf)
+        else:
+            assert linear_zeros(cf) == []
+        return
+    [(p, ld)] = linear_zeros(cf)
+    assert all(a.eval(p.coords) == 0 for a in cf.a)
+    assert list(p.coords) == solve_linear(RatMatrix(A), [-v for v in b])
+    want_p, want_ld = classify_point(cf, p.coords)
+    assert p == want_p and p.simple and p.on_divisor == (not cf.f.is_constant)
+    assert all(type(c) is Fraction for c in p.coords)
+    for name, got, want in zip(LocalData._fields, ld, want_ld):
+        assert got == want and type(got) is type(want), name
 
 
 class TestZeroDiscovery:
