@@ -6,11 +6,9 @@ exponent tuples to nonzero rational coefficients; ``MultiPoly.jet`` gives a
 value and gradient at once, bit for bit ``eval``'s.  Matrices carry exact
 rational entries; one fraction-free (Bareiss) row echelon routine gives the
 determinant, the rank and exact linear solves; it clears each row's
-denominators and runs on Python ints.  Solves stay integral: with d the last
-pivot, d*x is integral (Cramer), so back substitution divides exactly with
-``//``.  ``DomainError`` is the base of every exception that reports input
-outside the supported mathematics; ``SchemaError`` reports a malformed
-document.
+denominators and runs on Python ints.  ``DomainError`` is the base of every
+exception that reports input outside the supported mathematics;
+``SchemaError`` reports a malformed document.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -370,10 +368,8 @@ class RatMatrix:
 
 def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], Fraction]:
     """Fraction-free (Bareiss) row echelon form over the integers: each row is
-    first multiplied by the lcm of its denominators (1 for ints), and each
-    division by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
-    A row with 0 in the pivot column becomes y*piv // prev: the update's
-    product term is 0 there, so these are the same integers.  Returns the
+    first multiplied by the lcm of its denominators, and each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  Returns the
     integer echelon rows, the pivot column of each nonzero row, and the factor
     sign / (product of the row lcms), sign being that of the row permutation.
     For a square nonsingular matrix, factor times the last diagonal entry is
@@ -397,23 +393,10 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
         piv, top = a[r][c], a[r][c + 1:]
         for row in a[r + 1:]:
             x, row[c] = row[c], 0
-            row[c + 1:] = ([(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)] if x
-                           else [y * piv // prev for y in row[c + 1:]])
+            row[c + 1:] = [(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)]
         prev = piv
         pivots.append(c)
     return a, pivots, Fraction(sign, math.prod(lcms))
-
-
-def back_substitute(a: Sequence[Sequence[int]], n: int) -> list[Fraction]:
-    """Solution x of an integer echelon system from ``echelon`` whose first n
-    columns carry the pivots on the diagonal and whose column n is the
-    right-hand side.  The last pivot d is +-det of the row-scaled matrix, so
-    X = d*x is integral (Cramer) and each ``//`` below is exact."""
-    d = a[n - 1][n - 1]
-    X = [0] * n
-    for k in range(n - 1, -1, -1):
-        X[k] = (d * a[k][n] - sum(a[k][j] * X[j] for j in range(k + 1, n))) // a[k][k]
-    return [Fraction(v, d) for v in X]
 
 
 def det_exact(m: RatMatrix) -> Fraction:
@@ -425,7 +408,9 @@ def det_exact(m: RatMatrix) -> Fraction:
 
 
 def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
-    """Exact solution of m*x = rhs by elimination of the augmented matrix."""
+    """Exact solution of m*x = rhs by elimination of the augmented matrix and
+    back substitution.  The last pivot d is +-det of the row-scaled matrix, so
+    X = d*x is integral (Cramer) and each ``//`` below is exact."""
     if m.rows != m.cols:
         raise ValueError("solve_linear needs a square matrix")
     n = m.rows
@@ -435,7 +420,11 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
     missing = next((k for k in range(n) if k not in pivots), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")
-    return back_substitute(a, n)
+    d = a[n - 1][n - 1]
+    X = [0] * n
+    for k in range(n - 1, -1, -1):
+        X[k] = (d * a[k][n] - sum(a[k][j] * X[j] for j in range(k + 1, n))) // a[k][k]
+    return [Fraction(v, d) for v in X]
 
 
 def rank(m: RatMatrix) -> int:

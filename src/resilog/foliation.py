@@ -127,7 +127,10 @@ def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
     )
 
 
-def _warn_if_likely_nonreduced(divisor: MultiPoly, m: int, trials: int = 3):
+_REDUCEDNESS_LINES = 3
+
+
+def _warn_if_likely_nonreduced(divisor: MultiPoly, m: int):
     """Warn unless a seeded rational line z = p + t*q proves D reduced.
 
     Where D(q) != 0 the restriction g(t) has degree m, and a repeated factor
@@ -135,7 +138,7 @@ def _warn_if_likely_nonreduced(divisor: MultiPoly, m: int, trials: int = 3):
     squarefree (Cox-Little-O'Shea, ch. 3 sec. 6), proves D reduced."""
     rng = random.Random(20240817)
     t = MultiPoly.variable(("t",), "t")
-    for _ in range(trials):
+    for _ in range(_REDUCEDNESS_LINES):
         point = [rng.randint(-9, 9) for _ in divisor.variables]
         direction = [rng.randint(1, 9) for _ in divisor.variables]
         g = divisor.eval([p + q * t for p, q in zip(point, direction)])

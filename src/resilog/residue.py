@@ -5,9 +5,9 @@ detJ, the cofactor value k(p), and on the divisor D the entry s of grad f
 bordering det J_D, the induced trace trJ_D = trJ - k and det J_D.  Its two
 sources share ``_divisor_data`` (the on-D test, s and k(p)): ``local_data``
 takes one jet per component at any zero, and ``linear_zeros`` reads it off
-the elimination that solves an affine-linear chart (proof there).  At a
-zero p on D the determinants are tied, detJ = k(p)*detJD.  Proof:
-differentiating v(f) = k*f at p, where v and f vanish, gives
+the diagonal of an affine-linear chart, the only kind it gets (proof
+there).  At a zero p on D the determinants are tied, detJ = k(p)*detJD.
+Proof: differentiating v(f) = k*f at p, where v and f vanish, gives
 J^T grad f = k(p) grad f, so J keeps the tangent space ker(grad f) and acts
 on the quotient line by k(p).  So ``local_data`` costs one elimination at a
 zero on D, of the bordered matrix behind det J_D.  Exactness (``is_exact``)
@@ -18,7 +18,7 @@ ordinary residue is trJ^n/detJ, and the excess (variational) residue has the
 binomial numerator of ``delta_numerator``; these are the only copies of the
 residue formulas.  On the divisor every numerator is homogeneous of degree
 n - 1 in (trJ, trJD, k), so exact values enter as integers over one
-denominator and each leaves as one Fraction: the exact linear path is on ints.
+denominator and each leaves as one Fraction.
 Degenerate zeros go through a seeded perturbation engine,
 ``perturbed_residues``: it deforms the chart field along a random field
 tangent to the divisor, so each nearby perturbed zero is simple, and
@@ -41,7 +41,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import DomainError, MultiPoly, RatMatrix, back_substitute, det_exact, echelon
+from .algebra import DomainError, MultiPoly, RatMatrix, det_exact
 from .foliation import ChartField
 
 
@@ -308,8 +308,11 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     for all levels, so each residue is one Fraction of an integer over
     q^(n-1)*detJD, not a chain of Fraction steps; as a = t + c, the excess
     numerator at i >= 1 is the ordinary one minus the log one.  Inexact
-    values go in unscaled, alike."""
+    values go in unscaled, alike.  Each i must lie in 0..n-1 (ValueError)."""
     n = len(p.coords)
+    for i in levels:
+        if not 0 <= i <= n - 1:
+            raise ValueError(f"i must lie in 0..{n - 1}, got {i}")
     exact = is_exact(p.coords)
 
     if ld.s is None:  # off the divisor
@@ -543,40 +546,41 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 # -- zero discovery --------------------------------------------------------
 
 def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]:
-    """Exact zeros of an affine-linear chart field a(x) = A x + b, classified,
-    with their local data (None where the divisor is singular).
+    """Exact zeros of a diagonal chart field a_j = alpha_j*x_j + beta_j,
+    classified, with their local data (None where the divisor is singular).
 
-    One elimination of the augmented matrix [A | -b] as integer rows, row r
-    component r times the lcm q_r of its denominators: a pivot in the last
-    column means no zero, fewer than n pivots a zero set of positive
-    dimension (PositiveDimensional), otherwise the unique zero.  J = A, so
-    trJ is the integer diagonal over the q_r, and detJ = det A, the signed
-    last pivot over the product of the q_r, is not 0: the zero is simple,
-    and on D detJ = k(p)*detJD makes k(p) nonzero.
+    Exact discovery runs only where every chart is affine-linear, and then
+    every chart is diagonal: for d = 1 an affine-linear chart c forces
+    V_c = lam_c*z_c, so a_j = (lam_j - lam_c)*x_j; for d = 0
+    a_j = c_j - c_c*x_j; on P^1 or at a multiple of the Euler field
+    trivially.  A term of degree > 1, and after those a linear term in
+    another variable, raises NonLinearField.  An alpha_j = 0 with
+    beta_j != 0 leaves no zero; otherwise r zero alpha_j leave a zero set of
+    dimension r (PositiveDimensional), and r = 0 the zero
+    x_j = -beta_j/alpha_j.  J = diag(alpha), so detJ = prod alpha != 0: the
+    zero is simple, and on D detJ = k(p)*detJD makes k(p) nonzero.
     """
-    n = cf.n
-    aug, lcms = [[0] * (n + 1) for _ in range(n)], []
-    for r, (row, a) in enumerate(zip(aug, cf.a)):
-        lcms.append(q := math.lcm(*(c.denominator for c in a.terms.values())))
+    for j, a in enumerate(cf.a):
+        if total := next((s for s in map(sum, a.terms) if s > 1), 0):
+            raise NonLinearField(f"component {j} has a degree-{total} term, and exact zero "
+                                 "discovery needs affine-linear components")
+    alpha, beta = [Fraction(0)] * cf.n, [Fraction(0)] * cf.n
+    for j, a in enumerate(cf.a):
         for e, c in a.terms.items():
-            total, c = sum(e), c.numerator * (q // c.denominator)
-            if total > 1:
-                raise NonLinearField(f"component {r} has a degree-{total} term, and exact zero "
-                                     "discovery needs affine-linear components")
-            row[e.index(1) if total else n] = c if total else -c
-    rows, pivots, factor = echelon(aug)
-    if n in pivots:
+            if any(e) and not e[j]:
+                raise NonLinearField(f"component {j} has a term in {cf.variables[e.index(1)]}, "
+                                     "and exact zero discovery needs diagonal charts")
+            (alpha if e[j] else beta)[j] = c
+    if any(b and not a for a, b in zip(alpha, beta)):
         return []
-    if len(pivots) < n:
-        raise PositiveDimensional(n - len(pivots))
-    coords = tuple(back_substitute(rows, n))
+    if 0 in alpha:
+        raise PositiveDimensional(alpha.count(0))
+    coords = tuple(-b / a for a, b in zip(alpha, beta))
     try:
         k_at_p, _, s = _divisor_data(cf, coords, True)
     except DivisorSingularAt:
         return [(SingularPoint(cf.chart, coords, True, True, None), None)]
-    q = math.lcm(*lcms)
-    trJ = Fraction(sum(aug[j][j] * (q // lcms[j]) for j in range(n)), q)
-    detJ = Fraction(factor.numerator * rows[n - 1][n - 1], math.prod(lcms))
+    trJ, detJ = sum(alpha), math.prod(alpha)
     return [(SingularPoint(cf.chart, coords, True, s is not None, True),
              LocalData(trJ, detJ, k_at_p, trJ - k_at_p, None if s is None else detJ / k_at_p, s))]
 

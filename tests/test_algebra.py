@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from resilog.algebra import (
     SingularMatrix,
     align,
     det_exact,
-    echelon,
     exact_divide,
     rank,
     solve_linear,
@@ -387,61 +385,3 @@ def test_solve_linear_roundtrip_rational(m, data):
     got = solve_linear(A, A.mul_vector(x))
     assert all(isinstance(v, Fraction) for v in got)
     assert got == x
-
-
-def dense_bareiss(rows):
-    """Bareiss with no shortcut: every row below a pivot takes the full
-    update (y*piv - x*t) // prev, also where its entry x in the pivot column
-    is 0.  Same row scaling, pivot search and return value as ``echelon``."""
-    lcms = [math.lcm(*(Fraction(x).denominator for x in row)) for row in rows]
-    a = [[int(Fraction(x) * lcm) for x in row] for row, lcm in zip(rows, lcms)]
-    pivots, sign, prev = [], 1, 1
-    for c in range(len(a[0])):
-        r = len(pivots)
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        piv = a[r][c]
-        for row in a[r + 1:]:
-            x = row[c]
-            row[c:] = [0] + [(y * piv - x * t) // prev for y, t in zip(row[c + 1:], a[r][c + 1:])]
-        prev = piv
-        pivots.append(c)
-        if len(pivots) == len(a):
-            break
-    return a, pivots, Fraction(sign, math.prod(lcms))
-
-
-@st.composite
-def sparse_matrices(draw):
-    """Diagonal, upper or lower triangular, permuted diagonal, or half-zero
-    n x n matrices, with one more full column half the time (as [A | b]), of
-    Fraction entries (denominators up to 1e9) or of ints: most rows below a
-    pivot hold 0 in its column."""
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("diagonal", "upper", "lower", "permuted", "half")))
-    ints = draw(st.booleans())
-    entry = st.integers(-10**9, 10**9) if ints else ENTRIES
-    perm = draw(st.permutations(range(n)))
-    keep = {"diagonal": lambda i, j: i == j, "upper": lambda i, j: i <= j,
-            "lower": lambda i, j: i >= j, "permuted": lambda i, j: j == perm[i],
-            "half": lambda i, j: draw(st.booleans())}[kind]
-    augmented = draw(st.booleans())
-    zero = 0 if ints else Fraction(0)
-    return [[draw(entry) if keep(i, j) else zero for j in range(n)]
-            + ([draw(entry)] if augmented else []) for i in range(n)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(sparse_matrices())
-def test_echelon_zero_multiplier_step_matches_dense_bareiss(m):
-    # Where a row's entry in the pivot column is 0, Bareiss's product term is
-    # 0, so echelon's y*piv // prev gives the dense update's integers.
-    got = echelon(m)
-    assert got == dense_bareiss(m)
-    assert all(type(x) is int for row in got[0] for x in row)
-    if all(type(x) is int for row in m for x in row):
-        assert got == echelon([[Fraction(x) for x in row] for row in m])

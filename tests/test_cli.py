@@ -330,6 +330,29 @@ def test_unreadable_i_exits_1(capsys, command, value):
         1, "", f"error: --i must be 'all' or a comma list of integers, got {value!r}\n")
 
 
+@pytest.mark.parametrize("problem", [P2, JORDAN])  # simple zeros; a degenerate one too
+@pytest.mark.parametrize("command", ["verify", "residues"])
+@pytest.mark.parametrize("value", ["-1", "2"])
+def test_i_out_of_range_exits_1(capsys, problem, command, value):
+    assert run(capsys, command, problem, f"--i={value}") == (
+        1, "", f"error: i must lie in 0..1, got {value}\n")
+
+
+@pytest.mark.parametrize("components, message", [
+    # A repeated eigenvalue: chart 0 is (0, z2), a line of zeros.
+    ("[z0, z1, 2*z2]", "zero set has dimension 1"),
+    # Chart 0 is (z2, 0), affine-linear off the diagonal; chart 1 is not linear.
+    ("[z0, z1 + z2, z2]", "component 0 has a term in z2, and exact zero discovery needs "
+                          "diagonal charts; use --numeric"),
+])
+def test_zeros_on_linear_charts_that_have_no_finite_zero_set_exit_2(
+        capsys, tmp_path, components, message):
+    fol = tmp_path / "p.fol"
+    fol.write_text(f"space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   f"field.components = {components}\ndivisor = z2\n")
+    assert run(capsys, "zeros", str(fol)) == (2, "", f"error: {message}\n")
+
+
 FUZZ_FILES = ("p2_example.fol", "p3_example.fol", "not_tangent.fol", "malformed.fol",
               "a2_chain.json")
 FUZZ_TEXT = {name: (FIXTURES / name).read_text(encoding="utf-8") for name in FUZZ_FILES}

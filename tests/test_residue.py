@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from resilog import residue
 from resilog.aggregate import NUMERIC_TOL, verify_identities
 from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, rank, solve_linear
-from resilog.foliation import (ChartField, chart_field, chern_expectations, dehomogenize_field,
-                               make_problem)
+from resilog.foliation import (ChartField, FoliationProblem, chart_field, chern_expectations,
+                               dehomogenize_field, make_problem)
 from resilog.parse import parse_problem
 from resilog.residue import (
     BoundaryZero,
@@ -492,6 +492,13 @@ class TestSimpleResidues:
         with pytest.raises(NotOnDivisor):
             simple_residues(cf, ORIGIN2, 1)
 
+    @pytest.mark.parametrize("chart", [0, 2])  # on and off the divisor
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_rejects_i_out_of_range(self, chart, i):
+        # Checked before any arithmetic: c**(i - 1) at i = -1 would be a float.
+        with pytest.raises(ValueError, match=rf"^i must lie in 0\.\.1, got {i}$"):
+            simple_residues(chart_field(P2, chart), ORIGIN2, i)
+
     def test_known_on_divisor_values(self):
         cf = chart_field(P2, 0)  # eigenvalues 5, 4; k = 4
         r0 = simple_residues(cf, ORIGIN2, 0)
@@ -697,57 +704,97 @@ ROW_ENTRIES = st.one_of(
 
 @st.composite
 def affine_chart_fields(draw):
-    """(chart field, A, b) for a(x) = A x + b on C^1..C^5 with dense rational
-    rows (denominators up to 1e9) and b != 0, built directly: off D (f = 1,
-    k = 0), or on D = {x0 = 0}, where tangency makes a0 = lam*x0 and k = lam.
-    In a quarter of the cases the last row is a combination of the earlier
-    ones, with or without its b, or lam = 0: A is singular, the system
-    consistent or not."""
+    """(chart field, alpha, beta, off) for a_j = alpha_j*x_j + beta_j on
+    C^1..C^5 (denominators up to 1e9), built directly: off D (f = 1, k = 0),
+    or on D = {x0 = 0}, where tangency makes beta_0 = 0 and k = alpha_0.  In a
+    quarter of the cases alpha and beta may hold zeros: no zero, or a zero set
+    of positive dimension.  With ``off`` set (a quarter of the cases on
+    C^2..C^5) one component also has a linear term in another variable."""
     n = draw(st.integers(1, 5))
     xs = tuple(f"x{j}" for j in range(n))
-    on_divisor, singular = draw(st.booleans()), draw(st.integers(0, 3)) == 3
-    lam = Fraction(0) if singular and draw(st.booleans()) else draw(ROW_ENTRIES.filter(bool))
-    rows = [[lam] + [Fraction(0)] * n] if on_divisor else []
-    while len(rows) < n:
-        if rows and singular and len(rows) == n - 1:
-            coeffs = [draw(ROW_ENTRIES) for _ in rows]
-            row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n + 1)]
-            if draw(st.booleans()):
-                row[n] = draw(ROW_ENTRIES)
-        else:
-            row = [draw(ROW_ENTRIES) for _ in range(n)] + [draw(ROW_ENTRIES.filter(bool))]
-        rows.append(row)
+    on_divisor, zeros = draw(st.booleans()), draw(st.integers(0, 3)) == 3
+    entry = ROW_ENTRIES if zeros else ROW_ENTRIES.filter(bool)
+    alpha = [draw(entry) for _ in range(n)]
+    beta = [Fraction(0) if on_divisor and j == 0 else draw(entry) for j in range(n)]
     x = [MultiPoly.variable(xs, v) for v in xs]
-    a = tuple(sum((c * x_j for c, x_j in zip(row, x)), MultiPoly.const(xs, row[n]))
-              for row in rows)
+    a = [c * x_j + b for c, x_j, b in zip(alpha, x, beta)]
+    off = n > 1 and draw(st.integers(0, 3)) == 3
+    if off:  # a_0 keeps x0 | v(x0) on D
+        j = draw(st.integers(1, n - 1))
+        other = draw(st.sampled_from([m for m in range(n) if m != j]))
+        a[j] = a[j] + draw(ROW_ENTRIES.filter(bool)) * x[other]
     if on_divisor:
-        cf = ChartField(0, xs, a, x[0], MultiPoly.const(xs, lam))
+        cf = ChartField(0, xs, tuple(a), x[0], MultiPoly.const(xs, alpha[0]))
     else:
-        cf = ChartField(0, xs, a, MultiPoly.const(xs, 1), MultiPoly.zero(xs))
-    return cf, [row[:n] for row in rows], [row[n] for row in rows]
+        cf = ChartField(0, xs, tuple(a), MultiPoly.const(xs, 1), MultiPoly.zero(xs))
+    return cf, alpha, beta, off
 
 
 @settings(max_examples=200, deadline=None)
 @given(affine_chart_fields())
 def test_linear_zeros_on_general_affine_fields(case):
-    # Each zero three ways: the field vanishes there, solve_linear finds it,
-    # and classify_point, from jets and determinants, agrees field for field.
-    cf, A, b = case
+    # A chart with a term off the diagonal raises.  On the diagonal each zero
+    # three ways: the field vanishes there, solve_linear finds it, and
+    # classify_point, from jets and determinants, agrees field for field.
+    cf, alpha, beta, off = case
+    if off:
+        with pytest.raises(NonLinearField, match="needs diagonal charts"):
+            linear_zeros(cf)
+        return
+    n = cf.n
+    A = [[alpha[j] if k == j else Fraction(0) for k in range(n)] for j in range(n)]
     if det_exact(RatMatrix(A)) == 0:
-        if rank(RatMatrix(A)) == rank(RatMatrix([r + [v] for r, v in zip(A, b)])):
-            with pytest.raises(PositiveDimensional):
+        if rank(RatMatrix(A)) == rank(RatMatrix([r + [v] for r, v in zip(A, beta)])):
+            with pytest.raises(PositiveDimensional) as exc:
                 linear_zeros(cf)
+            assert exc.value.dimension == n - rank(RatMatrix(A))
         else:
             assert linear_zeros(cf) == []
         return
     [(p, ld)] = linear_zeros(cf)
     assert all(a.eval(p.coords) == 0 for a in cf.a)
-    assert list(p.coords) == solve_linear(RatMatrix(A), [-v for v in b])
+    assert list(p.coords) == solve_linear(RatMatrix(A), [-v for v in beta])
     want_p, want_ld = classify_point(cf, p.coords)
     assert p == want_p and p.simple and p.on_divisor == (not cf.f.is_constant)
     assert all(type(c) is Fraction for c in p.coords)
     for name, got, want in zip(LocalData._fields, ld, want_ld):
         assert got == want and type(got) is type(want), name
+
+
+@st.composite
+def sparse_homogeneous_fields(draw):
+    """Homogeneous fields on P^1..P^3 of degree 0..2 with at most four nonzero
+    terms, half of those of degree >= 1 plus g times the Euler field (g of at
+    most two terms): sparse enough that every chart is often affine-linear."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    zs = tuple(f"z{j}" for j in range(n + 1))
+
+    def monomials(degree):
+        return [e for e in itertools.product(range(degree + 1), repeat=n + 1) if sum(e) == degree]
+
+    coeff = st.sampled_from([1, -1, 2, Fraction(-1, 3)])
+    terms: list[dict] = [{} for _ in zs]
+    for j, e in draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(monomials(d))),
+                              max_size=4)):
+        terms[j][e] = draw(coeff)
+    comps = [MultiPoly(zs, t) for t in terms]
+    if d and draw(st.booleans()):
+        g = MultiPoly(zs, {e: draw(coeff) for e in draw(st.lists(
+            st.sampled_from(monomials(d - 1)), max_size=2))})
+        comps = [c + g * zv(z, zs) for c, z in zip(comps, zs)]
+    return FoliationProblem(n, zs, tuple(comps), zv("z0", zs), d, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_homogeneous_fields())
+def test_affine_linear_charts_are_diagonal(problem):
+    # Exact discovery runs only when every chart is affine-linear; then every
+    # component is alpha_j*x_j + beta_j, the only form linear_zeros reads.
+    charts = [dehomogenize_field(problem, c) for c in range(problem.n + 1)]
+    if all(a.degree() <= 1 for cf in charts for a in cf.a):
+        for cf in charts:
+            for j, a in enumerate(cf.a):
+                assert all(sum(e) == e[j] for e in a.terms), (cf.chart, j, a)
 
 
 class TestZeroDiscovery:
@@ -773,9 +820,19 @@ class TestZeroDiscovery:
         assert exc.value.dimension == 1
 
     def test_exact_linear_inconsistent_is_empty(self):
-        x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
-        cf = ChartField(0, ("x", "y"), (x, x + 1), MultiPoly.const(("x", "y"), 1))
+        x = zv("x", ("x", "y"))
+        cf = ChartField(0, ("x", "y"), (x, MultiPoly.const(("x", "y"), 1)),
+                        MultiPoly.const(("x", "y"), 1))
         assert linear_zeros(cf) == []
+
+    def test_exact_linear_rejects_off_diagonal(self):
+        # Chart 0 of [z0, z1 + z2, z2] is (z2, 0); chart 1 is not affine-linear.
+        problem = make_problem(Z3, [zv("z0", Z3), zv("z1", Z3) + zv("z2", Z3), zv("z2", Z3)],
+                               zv("z2", Z3))
+        with pytest.raises(NonLinearField, match="component 0 has a term in z2"):
+            linear_zeros(chart_field(problem, 0))
+        with pytest.raises(NonLinearField, match="degree-2 term"):
+            linear_zeros(chart_field(problem, 1))
 
     def test_numeric_finds_known_zeros(self):
         # (x^2 - 1, y): real zeros at (1, 0) and (-1, 0).
