@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .foliation import ChartField, FoliationProblem, chart_field, chern_expectations
+from .foliation import ChartField, FoliationProblem, chart_fields, chern_expectations
 from .residue import (
     NonLinearField,
     NumericConfig,
@@ -132,7 +132,7 @@ def enumerate_singularities(
     "numeric" (multi-start Newton over the box [-2, 2]^n of each chart; may
     be incomplete), "user" (ingest user-attested points).
     """
-    fields = [chart_field(problem, c) for c in range(problem.n + 1)]
+    fields = chart_fields(problem)
     return [p for p, _, _ in _locate(problem, fields, mode, user_points, cfg)]
 
 
@@ -212,7 +212,7 @@ def verify_identities(
     zero is missing.  Simple zeros take the closed
     forms, the others the perturbation engine.  An exact zero discrepancy at
     every requested i certifies the identity on this instance."""
-    fields = [chart_field(problem, c) for c in range(problem.n + 1)]
+    fields = chart_fields(problem)
     mode = "exact_linear" if points is None else "user"
     located = _locate(problem, fields, mode, points, cfg)
     complete = points is None or _covers_linear_zeros(fields, located)
@@ -254,12 +254,8 @@ def verify_identities(
     if not complete:
         level = "partial"
         notes.append("point set not certified complete; totals are lower bounds only")
-        warnings.warn(
-            "point set not certified complete; identity totals may miss "
-            "contributions",
-            IncompletePointSet,
-            stacklevel=2,
-        )
+        warnings.warn("point set not certified complete; identity totals may miss "
+                      "contributions", IncompletePointSet, stacklevel=2)
     elif any_numeric:
         level = "numeric"
     else:
@@ -297,9 +293,7 @@ def poincare_check(
     check = report.checks[i_used]
     total = check.log_total
     nonneg = total is not None and total >= 0
-    locals_nonneg = all(
-        r.log is not None and r.log >= 0 for r in check.records
-    )
+    locals_nonneg = all(r.log is not None and r.log >= 0 for r in check.records)
     return PoincareVerdict(
         i_used=i_used,
         total_log_residue=total,

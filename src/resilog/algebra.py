@@ -6,9 +6,11 @@ exponent tuples to nonzero rational coefficients; ``MultiPoly.jet`` gives a
 value and gradient at once, bit for bit ``eval``'s.  Matrices carry exact
 rational entries; one fraction-free (Bareiss) row echelon routine gives the
 determinant, the rank and exact linear solves; it clears each row's
-denominators and runs on Python ints.  ``DomainError`` is the base of every
-exception that reports input outside the supported mathematics;
-``SchemaError`` reports a malformed document.
+denominators and runs on Python ints.  The ``MultiPoly`` constructor checks
+outside input; ``MultiPoly._of`` trusts a term dict built here (exponent
+tuples of the right length, Fraction coefficients).  ``DomainError`` is the
+base of every exception that reports input outside the supported
+mathematics; ``SchemaError`` reports a malformed document.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -73,6 +75,14 @@ class MultiPoly:
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", {e: c for e, c in canon.items() if c})
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """A term dict built here, unchecked (module docstring); drops zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -84,15 +94,15 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Scalar) -> "MultiPoly":
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        vs = tuple(variables)
+        return cls._of(vs, {(0,) * len(vs): _as_fraction(value)})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "MultiPoly":
         vs = tuple(variables)
         if name not in vs:
             raise ValueError(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: 1})
+        return cls._of(vs, {tuple(int(v == name) for v in vs): Fraction(1)})
 
     # -- structure ---------------------------------------------------------
 
@@ -145,12 +155,12 @@ class MultiPoly:
         out = dict(a.terms)
         for e, c in b.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(a.variables, out)
+        return MultiPoly._of(a.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -165,7 +175,7 @@ class MultiPoly:
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(a.variables, out)
+        return MultiPoly._of(a.variables, out)
 
     __rmul__ = __mul__
 
@@ -187,14 +197,9 @@ class MultiPoly:
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to ``name``."""
         j = self.var_index(name)
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            de = list(e)
-            de[j] -= 1
-            out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[j]
-        return MultiPoly(self.variables, out)
+        # Lowering e_j by one keeps the exponents of the terms with e_j > 0 distinct.
+        return MultiPoly._of(self.variables, {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                                              for e, c in self.terms.items() if e[j]})
 
     def eval(self, point: Sequence):
         """Value at a point: exact at Fractions or ints, approximate at floats
@@ -308,7 +313,7 @@ def exact_divide(p: MultiPoly, f: MultiPoly) -> MultiPoly | None:
             v = remainder.pop(m, 0) - q * c
             if v:
                 remainder[m] = v
-    return MultiPoly(p.variables, quotient)
+    return MultiPoly._of(p.variables, quotient)
 
 
 class RatMatrix:

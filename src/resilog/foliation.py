@@ -2,7 +2,9 @@
 
 Degree bookkeeping, chart dehomogenization, tangency verification with
 cofactor extraction, and the expected Chern numbers the global identities
-are checked against.
+are checked against.  ``chart_fields`` divides once: with K = V(F)/F, chart c
+has the cofactor k_c = (K - m*V_c) at z_c = 1 by Euler's identity (proof
+there); only a field that is not tangent is divided chart by chart.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ class NotTangent(DomainError):
     def __init__(self, chart: int, remainder_of: MultiPoly):
         self.chart = chart
         self.applied = remainder_of
-        super().__init__(
-            f"field is not tangent to the divisor in chart {chart}: "
-            f"v(f) is not divisible by f"
-        )
+        super().__init__(f"field is not tangent to the divisor in chart {chart}: "
+                         "v(f) is not divisible by f")
 
 
 class FoliationProblem(NamedTuple):
@@ -77,19 +77,21 @@ class ChernExpectations(NamedTuple):
         return self.n + self.d - self.m
 
     def ordinary_total(self, i: int) -> int:
-        self._check_i(i)
+        check_level(self.n, i)
         return self.c1_NF ** (self.n - i) * self.m**i
 
     def log_total(self, i: int) -> int:
-        self._check_i(i)
+        check_level(self.n, i)
         return self.c1_Nlog ** (self.n - i) * self.m**i
 
     def var_total(self, i: int) -> int:
         return self.ordinary_total(i) - self.log_total(i)
 
-    def _check_i(self, i: int):
-        if not 0 <= i <= self.n - 1:
-            raise ValueError(f"i must lie in 0..{self.n - 1}, got {i}")
+
+def check_level(n: int, i: int):
+    """ValueError unless the level i of a residue on P^n lies in 0..n-1."""
+    if not 0 <= i <= n - 1:
+        raise ValueError(f"i must lie in 0..{n - 1}, got {i}")
 
 
 def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
@@ -100,9 +102,8 @@ def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
     divisor = align(zero, divisor)[1]
     n = len(variables) - 1
     if len(components) != n + 1:
-        raise SchemaError(
-            f"{len(components)} field components for {n + 1} homogeneous coordinates"
-        )
+        raise SchemaError(f"{len(components)} field components for {n + 1} homogeneous "
+                          "coordinates")
     degrees = set()
     for idx, comp in enumerate(components):
         if comp.is_zero:
@@ -122,9 +123,7 @@ def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
         raise SchemaError("divisor degree must be at least 1")
     if m > 1:
         _warn_if_likely_nonreduced(divisor, m)
-    return FoliationProblem(
-        n=n, variables=variables, components=components, divisor=divisor, d=e, m=m
-    )
+    return FoliationProblem(n, variables, components, divisor, d=e, m=m)
 
 
 _REDUCEDNESS_LINES = 3
@@ -151,11 +150,14 @@ def _warn_if_likely_nonreduced(divisor: MultiPoly, m: int):
         rows += [[0] * j + dc + [0] * (m - 1 - j) for j in range(m)]
         if det_exact(RatMatrix(rows)):
             return
-    warnings.warn(
-        "divisor looks non-reduced (restrictions along random lines are not "
-        "squarefree); residue output is only meaningful for reduced divisors",
-        stacklevel=3,
-    )
+    warnings.warn("divisor looks non-reduced (restrictions along random lines are not "
+                  "squarefree); residue output is only meaningful for reduced divisors",
+                  stacklevel=3)
+
+
+def _affine(p: MultiPoly, chart: int) -> dict:
+    """The term dict of a homogeneous p at z_c = 1; its exponents stay distinct."""
+    return {e[:chart] + e[chart + 1:]: c for e, c in p.terms.items()}
 
 
 def dehomogenize_field(problem: FoliationProblem, chart: int) -> ChartField:
@@ -171,56 +173,73 @@ def dehomogenize_field(problem: FoliationProblem, chart: int) -> ChartField:
     if not 0 <= chart <= problem.n:
         raise ValueError(f"chart must lie in 0..{problem.n}, got {chart}")
     affine_vars = problem.variables[:chart] + problem.variables[chart + 1 :]
-
-    def affine(p: MultiPoly) -> dict:
-        # p is homogeneous, so its terms keep distinct exponents at z_c = 1.
-        return {e[:chart] + e[chart + 1 :]: c for e, c in p.terms.items()}
-
-    v_c = affine(problem.components[chart]).items()
+    v_c = _affine(problem.components[chart], chart).items()
     components = []
     for j in range(problem.n):
-        a_j = affine(problem.components[j + (j >= chart)])
+        a_j = _affine(problem.components[j + (j >= chart)], chart)
         for e, c in v_c:
             e = e[:j] + (e[j] + 1,) + e[j + 1 :]
             a_j[e] = a_j.get(e, 0) - c
-        components.append(MultiPoly(affine_vars, a_j))
-    f_aff = MultiPoly(affine_vars, affine(problem.divisor))
+        components.append(MultiPoly._of(affine_vars, a_j))
+    f_aff = MultiPoly._of(affine_vars, _affine(problem.divisor, chart))
     if f_aff.is_constant and not f_aff.is_zero:
         # D misses this chart's affine origin pattern entirely; normalize.
         f_aff = MultiPoly.const(affine_vars, 1)
     return ChartField(chart=chart, variables=affine_vars, a=tuple(components), f=f_aff)
 
 
-def chart_cofactor(cf: ChartField) -> MultiPoly:
-    """Cofactor k with v(f) = k*f in this chart; raises NotTangent.  v(f) is
-    read into one term dict from the terms of the a_j and of f."""
-    if cf.f.is_constant:
-        # f was normalized to the unit 1 here; v(1) = 0 and k = 0.
-        return MultiPoly.zero(cf.variables)
+def _applied(field, f: MultiPoly) -> MultiPoly:
+    """v(f) = sum_j v_j * df/dx_j, read into one term dict from the terms."""
     terms: dict = {}
-    for e, c in cf.f.terms.items():
+    for e, c in f.terms.items():
         for j in (j for j, e_j in enumerate(e) if e_j):
             de, dc = e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j]  # a term of df/dx_j
-            for ea, ca in cf.a[j].terms.items():
+            for ea, ca in field[j].terms.items():
                 prod = tuple(x + y for x, y in zip(ea, de))
                 terms[prod] = terms.get(prod, 0) + ca * dc
-    vf = MultiPoly(cf.variables, terms)
-    k = exact_divide(vf, cf.f)
-    if k is None:
+    return MultiPoly._of(f.variables, terms)
+
+
+def chart_cofactor(cf: ChartField) -> MultiPoly:
+    """Cofactor k with v(f) = k*f in this chart; raises NotTangent.  Where f
+    was normalized to the unit 1, v(1) = 0 and k = 0."""
+    vf = _applied(cf.a, cf.f)
+    if (k := exact_divide(vf, cf.f)) is None:
         raise NotTangent(cf.chart, vf)
     return k
 
 
+def chart_fields(problem: FoliationProblem) -> list[ChartField]:
+    """Every chart's data with its cofactor from one division, K = V(F)/F:
+    chart c reads k_c = (K - m*V_c) at z_c = 1 off the term dicts.  Proof: by
+    Euler's identity sum_i z_i dF/dz_i = m*F, v(f) = (V(F) - m*V_c*F) at
+    z_c = 1.  F divides V(F) exactly when every chart's f divides its v(f),
+    as each irreducible factor of F lies off some hyperplane z_c; so where K
+    is None, ``chart_cofactor`` raises NotTangent in the first failing chart.
+    Each k_c keeps a division's term order, descending lex, for float values."""
+    fields = [dehomogenize_field(problem, c) for c in range(problem.n + 1)]
+    K = exact_divide(_applied(problem.components, problem.divisor), problem.divisor)
+    if K is None:
+        for cf in fields:
+            chart_cofactor(cf)
+        raise AssertionError("F divides V(F) in every chart but not globally")
+    for chart, cf in enumerate(fields):
+        k = _affine(K, chart)
+        for e, c in _affine(problem.components[chart], chart).items():
+            k[e] = k.get(e, 0) - problem.m * c
+        k = MultiPoly._of(cf.variables, dict(sorted(k.items(), reverse=True)))
+        fields[chart] = ChartField(chart, cf.variables, cf.a, cf.f, k)
+    return fields
+
+
 def chart_field(problem: FoliationProblem, chart: int) -> ChartField:
-    """Full chart data including the cofactor."""
-    cf = dehomogenize_field(problem, chart)
-    k = chart_cofactor(cf)
-    return ChartField(chart=cf.chart, variables=cf.variables, a=cf.a, f=cf.f, k=k)
+    """``chart_fields(problem)[chart]``; a ValueError unless 0 <= chart <= n."""
+    return chart_fields(problem)[range(problem.n + 1).index(chart)]
 
 
 def verify_tangency(problem: FoliationProblem) -> dict[int, MultiPoly]:
     """Per-chart cofactors; raises NotTangent on the first failing chart."""
-    return {chart: chart_field(problem, chart).k for chart in range(problem.n + 1)}
+    return {cf.chart: cf.k for cf in chart_fields(problem)}
 
 
 def chern_expectations(problem: FoliationProblem) -> ChernExpectations:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, det_exact
-from .foliation import ChartField
+from .foliation import ChartField, check_level
 
 
 class NotAZero(DomainError):
@@ -282,8 +282,7 @@ def delta_numerator(T, k, n: int, i: int):
     i = 0 division by k carried out symbolically, so k = 0 is regular.
     Works for rationals, floats, and polynomials alike.
     """
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"i must lie in 0..{n - 1}, got {i}")
+    check_level(n, i)
     if i == 0:
         total = 0
         for l in range(1, n + 1):
@@ -311,8 +310,7 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     values go in unscaled, alike.  Each i must lie in 0..n-1 (ValueError)."""
     n = len(p.coords)
     for i in levels:
-        if not 0 <= i <= n - 1:
-            raise ValueError(f"i must lie in 0..{n - 1}, got {i}")
+        check_level(n, i)
     exact = is_exact(p.coords)
 
     if ld.s is None:  # off the divisor
@@ -557,7 +555,8 @@ def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]
     another variable, raises NonLinearField.  An alpha_j = 0 with
     beta_j != 0 leaves no zero; otherwise r zero alpha_j leave a zero set of
     dimension r (PositiveDimensional), and r = 0 the zero
-    x_j = -beta_j/alpha_j.  J = diag(alpha), so detJ = prod alpha != 0: the
+    x_j = -beta_j/alpha_j, each coordinate, trJ and detJ one Fraction of
+    integers.  J = diag(alpha), so detJ = prod alpha != 0: the
     zero is simple, and on D detJ = k(p)*detJD makes k(p) nonzero.
     """
     for j, a in enumerate(cf.a):
@@ -575,12 +574,15 @@ def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]
         return []
     if 0 in alpha:
         raise PositiveDimensional(alpha.count(0))
-    coords = tuple(-b / a for a, b in zip(alpha, beta))
+    coords = tuple(Fraction(-b.numerator * a.denominator, b.denominator * a.numerator)
+                   for a, b in zip(alpha, beta))
     try:
         k_at_p, _, s = _divisor_data(cf, coords, True)
     except DivisorSingularAt:
         return [(SingularPoint(cf.chart, coords, True, True, None), None)]
-    trJ, detJ = sum(alpha), math.prod(alpha)
+    q = math.lcm(*(a.denominator for a in alpha))
+    trJ = Fraction(sum(a.numerator * (q // a.denominator) for a in alpha), q)
+    detJ = Fraction(math.prod(a.numerator for a in alpha), math.prod(a.denominator for a in alpha))
     return [(SingularPoint(cf.chart, coords, True, s is not None, True),
              LocalData(trJ, detJ, k_at_p, trJ - k_at_p, None if s is None else detJ / k_at_p, s))]
 

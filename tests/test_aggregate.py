@@ -295,34 +295,42 @@ def counted(fn, counter: Counter, key):
     return wrapper
 
 
-def _count_chart_fields_and_local_data(monkeypatch) -> tuple[Counter, Counter]:
-    fields, data = Counter(), Counter()
-    chart_field = counted(foliation.chart_field, fields, lambda _, chart: chart)
-    local_data = counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords))
-    for module in (foliation, aggregate):
-        monkeypatch.setattr(module, "chart_field", chart_field)
-    for module in (residue, aggregate):
-        monkeypatch.setattr(module, "local_data", local_data)
-    return fields, data
+def count_chart_work(monkeypatch, modules=()) -> tuple[Counter, Counter, Counter]:
+    """Counters of the ``chart_fields`` calls (by the problem's variables), the
+    ``exact_divide`` calls of the tangency check (by the divisor's variables)
+    and the ``local_data`` calls (by chart and point), with the counting
+    wrappers also set on ``modules`` wherever they hold one of those names."""
+    fields, divisions, data = Counter(), Counter(), Counter()
+    wrappers = {
+        "chart_fields": counted(foliation.chart_fields, fields, lambda p: p.variables),
+        "exact_divide": counted(foliation.exact_divide, divisions, lambda _, f: f.variables),
+        "local_data": counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords)),
+    }
+    for module in (foliation, aggregate, residue, *modules):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return fields, divisions, data
 
 
 def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
-    # Discovered zeros take their local data from the linear solve itself.
+    # One homogeneous division gives every chart's cofactor; discovered zeros
+    # take their local data from the linear solve itself.
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
-    fields, data = _count_chart_fields_and_local_data(monkeypatch)
+    fields, divisions, data = count_chart_work(monkeypatch)
     report = verify_identities(problem)
     assert report.all_ok and len(report.checks[0].records) == 4
-    assert fields == {c: 1 for c in range(4)}
+    assert fields == divisions == {problem.variables: 1}
     assert data == {}
 
 
 def test_verify_given_points_takes_local_data_once_per_point(monkeypatch):
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
     points = [SingularPoint(c, (Fraction(0),) * 3) for c in range(4)]
-    fields, data = _count_chart_fields_and_local_data(monkeypatch)
+    fields, divisions, data = count_chart_work(monkeypatch)
     report = verify_identities(problem, points)
     assert report.all_ok and report.level == "proved-on-instance"
-    assert fields == {c: 1 for c in range(4)}
+    assert fields == divisions == {problem.variables: 1}
     assert data == {(c, p.coords): 1 for c, p in enumerate(points)}
 
 

@@ -385,3 +385,39 @@ def test_solve_linear_roundtrip_rational(m, data):
     got = solve_linear(A, A.mul_vector(x))
     assert all(isinstance(v, Fraction) for v in got)
     assert got == x
+
+
+def canonical(variables, terms) -> list:
+    """The term list of ``MultiPoly(variables, terms)``, the checking constructor."""
+    return list(MultiPoly(variables, terms).terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_pairs())
+def test_trusted_results_match_the_checking_constructor(case):
+    # Sums, products, negations, quotients and partial derivatives are built
+    # through MultiPoly._of; each must equal what the checking constructor
+    # makes of the same dict, built here by plain dict arithmetic, with
+    # Fraction coefficients, none of them 0.
+    p, f = case
+    vs = p.variables
+    total, product = dict(p.terms), {}
+    for e, c in f.terms.items():
+        total[e] = total.get(e, 0) + c
+    for e1, c1 in p.terms.items():
+        for e2, c2 in f.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            product[e] = product.get(e, 0) + c1 * c2
+    quotient = exact_divide(p, f)
+    cases = [(p + f, total), (p * f, product), (-p, {e: -c for e, c in p.terms.items()}),
+             (p + 1, {**p.terms, (0,) * len(vs): p.terms.get((0,) * len(vs), 0) + 1}),
+             (MultiPoly.const(vs, 2), {(0,) * len(vs): 2})]
+    if quotient is not None:
+        cases.append((quotient, dict(quotient.terms)))
+    for j, v in enumerate(vs):
+        cases.append((p.partial(v), {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                                     for e, c in p.terms.items() if e[j]}))
+    for got, terms in cases:
+        assert got.variables == vs
+        assert list(got.terms.items()) == canonical(vs, terms)
+        assert all(type(c) is Fraction and c for c in got.terms.values())

@@ -6,16 +6,15 @@ import re
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_aggregate import counted
+from test_aggregate import count_chart_work
 from test_golden import CASES
 
-from resilog import aggregate, cli, foliation, residue
+from resilog import aggregate, cli, residue
 from resilog.cli import main
 from resilog.parse import numeric_value
 from resilog.residue import NumericConfig
@@ -65,6 +64,18 @@ def test_not_tangent_exit_2_without_traceback(capsys, command):
                    "v(f) is not divisible by f\n")
 
 
+def test_not_tangent_in_chart_1(capsys, tmp_path):
+    # Chart 0 is tangent (f = x1 divides v(f) = -x1^2); chart 1 is not.
+    problem = tmp_path / "not_tangent_chart1.fol"
+    problem.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                       "field.components = [z0 + z1, z1, 2*z2]\ndivisor = z0*z1\n")
+    assert run(capsys, "check", str(problem)) == (
+        2, "NOT TANGENT in chart 1: v(f) = 1 is not divisible by f\n", "")
+    assert run(capsys, "verify", str(problem)) == (
+        2, "", "error: field is not tangent to the divisor in chart 1: v(f) is not divisible "
+               "by f\n")
+
+
 @pytest.mark.parametrize("entry, code, message", [
     ("{chart: 0, coords: [1, 1]}", 2, "field does not vanish at (1, 1)"),
     ("{chart: 0}", 1, "point entry needs 'chart' (scalar) and 'coords' (list): "
@@ -88,18 +99,12 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     pts = tmp_path / "pts.txt"
     pts.write_text("points = [{chart: 0, coords: [0, 0]}, {chart: 1, coords: [0, 0]},"
                    " {chart: 2, coords: [0, 0]}]\n")
-    fields, data = Counter(), Counter()
-    chart_field = counted(foliation.chart_field, fields, lambda _, chart: chart)
-    local_data = counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords))
     # cli too, so that chart fields the command builds itself are counted.
-    for module in (foliation, aggregate, cli):
-        monkeypatch.setattr(module, "chart_field", chart_field, raising=False)
-    for module in (residue, aggregate):
-        monkeypatch.setattr(module, "local_data", local_data)
+    fields, divisions, data = count_chart_work(monkeypatch, [cli])
 
     code, doc = machine(capsys, "verify", P2, "--points", str(pts))
     assert code == 0 and doc["all_ok"]
-    assert fields == {c: 1 for c in range(3)}
+    assert fields == divisions == {("z0", "z1", "z2"): 1}
     assert len(data) == 3 and set(data.values()) == {1}
 
 

@@ -13,6 +13,7 @@ from resilog.foliation import (
     NotTangent,
     chart_cofactor,
     chart_field,
+    chart_fields,
     chern_expectations,
     dehomogenize_field,
     make_problem,
@@ -216,9 +217,28 @@ def reference_vf(cf):
                MultiPoly.zero(cf.variables))
 
 
+def cofactors_by_route(p) -> tuple:
+    """The cofactors from ``chart_fields`` and from a division in each chart
+    in turn, each as (variables, term list) per chart, or as the chart and
+    v(f) of the NotTangent the route raises."""
+    routes = (lambda: chart_fields(p),
+              lambda: [cf._replace(k=chart_cofactor(cf))
+                       for cf in (dehomogenize_field(p, c) for c in range(p.n + 1))])
+    out = []
+    for route in routes:
+        try:
+            out.append([(cf.k.variables, list(cf.k.terms.items())) for cf in route()])
+        except NotTangent as exc:
+            out.append((exc.chart, exc.applied.variables, exc.applied.terms))
+    return tuple(out)
+
+
 def cofactors_match_reference(p) -> bool:
     """In every chart, k*f is the reference v(f), or NotTangent carries exactly
-    that v(f); True when every chart is tangent."""
+    that v(f); ``chart_fields`` agrees, term order included, or raises the same
+    NotTangent.  True when every chart is tangent."""
+    got, want = cofactors_by_route(p)
+    assert got == want
     tangent = True
     for chart in range(p.n + 1):
         cf = dehomogenize_field(p, chart)
@@ -276,6 +296,58 @@ def tangent_problems(draw):
 def test_cofactor_matches_multipoly_arithmetic(case):
     p, noisy = case
     assert cofactors_match_reference(p) or noisy
+
+
+@st.composite
+def hyperplane_problems(draw):
+    """A constant (d = 0), diagonal (d = 1) or Lotka-Volterra (d = 2) field on
+    P^1-P^4, V_j = z_j*L_j for d >= 1, tangent to a product of coordinate
+    hyperplanes; half the time one component gains a term of degree d, which
+    usually breaks tangency."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    zs = tuple(f"z{i}" for i in range(n + 1))
+    planes = draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True))
+    if d == 0:  # V(z_k) = V_k: a constant field is tangent to z_k where V_k = 0
+        comps = [MultiPoly.const(zs, 0 if j in planes else draw(COEFFS)) for j in range(n + 1)]
+    else:
+        comps = [zvar(z, zs) * draw(homogeneous(zs, d - 1)) for z in zs]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n))
+        comps[j] = comps[j] + draw(homogeneous(zs, d, min_terms=1))
+    assume(any(not c.is_zero for c in comps))
+    divisor = MultiPoly.const(zs, 1)
+    for k in planes:
+        divisor = divisor * zvar(zs[k], zs)
+    return make_problem(zs, comps, divisor)
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=300, deadline=None)
+@given(hyperplane_problems())
+def test_chart_fields_match_chart_by_chart_division(p):
+    # One homogeneous division gives each chart the cofactor its own division
+    # gives, in the same term order; a field that is not tangent raises the
+    # same NotTangent (chart and v(f)) on both routes.
+    got, want = cofactors_by_route(p)
+    assert got == want
+
+
+def test_chart_fields_report_the_first_chart_that_is_not_tangent():
+    # f = x1 divides v(f) = -x1^2 in chart 0; in chart 1 f = x0 and v(f) = 1.
+    comps = [zvar("z0") + zvar("z1"), zvar("z1"), 2 * zvar("z2")]
+    p = make_problem(Z, comps, zvar("z0") * zvar("z1"))
+    assert chart_cofactor(dehomogenize_field(p, 0)) == -zvar("z1", ("z1", "z2"))
+    with pytest.raises(NotTangent) as exc:
+        chart_fields(p)
+    assert exc.value.chart == 1 and exc.value.applied == MultiPoly.const(("z0", "z2"), 1)
+
+
+def test_chart_field_rejects_a_chart_out_of_range():
+    p = diag_problem((-3, 2, 1), 2)
+    assert chart_field(p, 2) == chart_fields(p)[2]
+    for chart in (-1, 3):
+        with pytest.raises(ValueError):
+            chart_field(p, chart)
 
 
 def test_nonlinear_tangent_divisor():
