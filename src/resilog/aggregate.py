@@ -47,8 +47,6 @@ def _normalized(p: SingularPoint) -> tuple[int, tuple]:
     exact = is_exact(coords)
     hom = coords[: p.chart] + [Fraction(1) if exact else 1.0] + coords[p.chart :]
     lead = next(j for j, v in enumerate(hom) if not is_zero(v, exact))
-    if exact and hom[lead] == 1 and set(map(type, hom)) == {Fraction}:
-        return lead, tuple(hom)  # as at a linear zero in its own chart: nothing to divide
     scale = hom[lead] if not exact or isinstance(hom[lead], Fraction) else Fraction(hom[lead])
     return lead, tuple(v / scale for v in hom)
 
@@ -67,11 +65,14 @@ def _locate(
     cfg: NumericConfig,
 ) -> list[tuple]:
     """Deduplicated (point, chart field, local data) triples across all
-    charts of ``fields`` (one chart field per chart); each point classified
-    once in its lowest chart, a given point as exact as its coordinates.
-    Local data is None where the divisor is singular and at numeric zeros.  A
-    linear zero comes classified from the lowest chart holding it, which is
-    solved first.  A given point's chart must lie in 0..n (ValueError otherwise)."""
+    charts of ``fields`` (one chart field per chart), sorted by the strings
+    of their homogeneous coordinates; each point classified once in its
+    lowest chart, a given point as exact as its coordinates.  Local data is
+    None where the divisor is singular and at numeric zeros.  A linear zero
+    of chart c is kept only where its coordinates before position c are 0,
+    in its lowest (lead) chart: every chart is diagonal (``linear_zeros``),
+    so that chart's solve returns it or raises; nothing is normalized or
+    hashed.  A given point's chart must lie in 0..n (ValueError otherwise)."""
     raw: list[tuple] = []  # (point, local data or None)
     if mode == "user":
         if user_points is None:
@@ -81,8 +82,10 @@ def _locate(
                 raise ValueError(f"point chart {p.chart} is out of range 0..{problem.n}")
         raw = [(p, None) for p in user_points]
     elif mode == "exact_linear":
-        for cf in fields:
-            raw.extend(linear_zeros(cf))
+        located = [(p, cf, ld) for cf in fields for p, ld in linear_zeros(cf)
+                   if not any(p.coords[:cf.chart])]
+        return sorted(located, key=lambda t: tuple(map(  # str(1) == str(Fraction(1))
+            str, t[0].coords[:t[0].chart] + (1,) + t[0].coords[t[0].chart:])))
     elif mode == "numeric":
         for cf in fields:
             raw.extend((p, None) for p in discover_zeros_numeric(cf, cfg=cfg))
@@ -98,9 +101,8 @@ def _locate(
         coords = hom[:chart] + hom[chart + 1 :]
         # A numeric zero keeps the flags it was found with: rescaled into a
         # far chart, its residual can exceed the absolute zero tolerance.
-        if mode != "exact_linear":
-            p, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
-                     else classify_point(fields[chart], coords))
+        p, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
+                 else classify_point(fields[chart], coords))
         seen[key] = p, fields[chart], ld
     return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
 
@@ -193,8 +195,9 @@ def _total(values):
     if any(v is None for v in values):
         return None
     if is_exact(values):
-        q = math.lcm(*(v.denominator for v in values))
-        return Fraction(sum(v.numerator * (q // v.denominator) for v in values), q)
+        ratios = [v.as_integer_ratio() for v in values]
+        q = math.lcm(*(d for _, d in ratios))
+        return Fraction(sum(a * (q // d) for a, d in ratios), q)
     return float(sum(float(v) for v in values))
 
 

@@ -153,8 +153,8 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         a, b = align(self, self._coerce(other))
         out = dict(a.terms)
-        for e, c in b.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+        for e, c in b.terms.items():  # a new term enters as its own coefficient
+            out[e] = out[e] + c if e in out else c
         return MultiPoly._of(a.variables, out)
 
     __radd__ = __add__
@@ -174,7 +174,7 @@ class MultiPoly:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return MultiPoly._of(a.variables, out)
 
     __rmul__ = __mul__

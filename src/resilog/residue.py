@@ -304,10 +304,11 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
     DegenerateZero where the relevant determinant vanishes.  On the divisor
     the numerators are homogeneous of degree n - 1 in (trJ, trJD, k): exact
     values go in as integers a, t, c over q = lcm(den trJ, den k), found once
-    for all levels, so each residue is one Fraction of an integer over
-    q^(n-1)*detJD, not a chain of Fraction steps; as a = t + c, the excess
-    numerator at i >= 1 is the ordinary one minus the log one.  Inexact
-    values go in unscaled, alike.  Each i must lie in 0..n-1 (ValueError)."""
+    for all levels, so each residue is built once, as one Fraction of an
+    integer over q^(n-1)*detJD, not a chain of Fraction steps; as a = t + c,
+    the excess numerator at i >= 1 is the ordinary one minus the log one.
+    Inexact values go in unscaled, alike.  The point is rebuilt only where
+    its on_divisor flag changes.  Each i must lie in 0..n-1 (ValueError)."""
     n = len(p.coords)
     for i in levels:
         check_level(n, i)
@@ -319,39 +320,43 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
         if is_zero(ld.detJ, exact):
             raise DegenerateZero("detJ = 0; fall back to perturbed_residue")
         ordinary = ld.trJ**n / ld.detJ
-        record = ResidueRecord(p._replace(on_divisor=False), 0, ordinary, ordinary,
-                               Fraction(0) if exact else 0.0, "closed_form")
+        point = p._replace(on_divisor=False) if p.on_divisor else p
+        record = ResidueRecord(point, 0, ordinary, ordinary, Fraction(0) if exact else 0.0,
+                               "closed_form")
         return [record for _ in levels]
 
     if is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
-    point = p._replace(on_divisor=True)
-    if exact:
+    point = p if p.on_divisor else p._replace(on_divisor=True)
+    if exact:  # v/(w*detJD*q^(n-1)) is Fraction(v*num, w*den)
         q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
         a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
-        t, scale = a - c, (q ** (n - 1) * ld.detJD.numerator, ld.detJD.denominator)
+        t, num, den = a - c, ld.detJD.denominator, q ** (n - 1) * ld.detJD.numerator
     else:
-        a, t, c, scale = ld.trJ, ld.trJD, ld.k_at_p, ld.detJD
-    # v / (w*scale): exact as one Fraction of ints (scale as numerator, denominator)
-    over = lambda v, w=1: Fraction(v * scale[1], w * scale[0]) if exact else v / scale
+        a, t, c = ld.trJ, ld.trJD, ld.k_at_p
     records = []
     for i in levels:
         if i == 0:
-            var = over(delta_numerator(t, c, n, 0))
+            var = delta_numerator(t, c, n, 0)
+            var = Fraction(var * num, den) if exact else var / ld.detJD
             if is_zero(ld.k_at_p, exact):
                 # detJ = k*detJD vanishes; the ordinary/log split has no closed
                 # form here, only the excess is defined.
                 ordinary = log = None
             elif exact:  # trJ^n/detJ and trJD^n/detJ, as detJ = k*detJD
-                ordinary, log = over(a**n, c), over(t**n, c)
+                ordinary, log = Fraction(a**n * num, c * den), Fraction(t**n * num, c * den)
             else:
                 ordinary = ld.trJ**n / ld.detJ
                 log = ordinary - var
-        else:
+        elif exact:
             o, l = a ** (n - i) * c ** (i - 1), t ** (n - i) * c ** (i - 1)
             # a = t + c, so o - l is the excess numerator k^(i-1)*((T+k)^(n-i) - T^(n-i))
-            ordinary, log = over(o), over(l)
-            var = over(o - l if exact else delta_numerator(t, c, n, i))
+            ordinary, log = Fraction(o * num, den), Fraction(l * num, den)
+            var = Fraction((o - l) * num, den)
+        else:
+            ordinary = a ** (n - i) * c ** (i - 1) / ld.detJD
+            log = t ** (n - i) * c ** (i - 1) / ld.detJD
+            var = delta_numerator(t, c, n, i) / ld.detJD
         records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
     return records
 
@@ -551,31 +556,39 @@ def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]
     every chart is diagonal: for d = 1 an affine-linear chart c forces
     V_c = lam_c*z_c, so a_j = (lam_j - lam_c)*x_j; for d = 0
     a_j = c_j - c_c*x_j; on P^1 or at a multiple of the Euler field
-    trivially.  A term of degree > 1, and after those a linear term in
-    another variable, raises NonLinearField.  An alpha_j = 0 with
-    beta_j != 0 leaves no zero; otherwise r zero alpha_j leave a zero set of
-    dimension r (PositiveDimensional), and r = 0 the zero
-    x_j = -beta_j/alpha_j, each coordinate, trJ and detJ one Fraction of
-    integers.  J = diag(alpha), so detJ = prod alpha != 0: the
-    zero is simple, and on D detJ = k(p)*detJD makes k(p) nonzero.
+    trivially.  One pass reads the terms; a term of degree > 1 in any
+    component raises NonLinearField before a linear term in another variable
+    does.  An alpha_j = 0 with beta_j != 0 leaves no zero; otherwise r zero
+    alpha_j leave a zero set of dimension r (PositiveDimensional), and r = 0
+    the zero x_j = -beta_j/alpha_j, each coordinate (one shared Fraction(0)
+    where beta_j = 0), trJ and detJ one Fraction of integers.  J =
+    diag(alpha), so detJ = prod alpha != 0: the zero is simple, and on D
+    detJ = k(p)*detJD makes k(p) nonzero.
     """
-    for j, a in enumerate(cf.a):
-        if total := next((s for s in map(sum, a.terms) if s > 1), 0):
-            raise NonLinearField(f"component {j} has a degree-{total} term, and exact zero "
-                                 "discovery needs affine-linear components")
-    alpha, beta = [Fraction(0)] * cf.n, [Fraction(0)] * cf.n
+    zero = Fraction(0)
+    alpha, beta = [zero] * cf.n, [zero] * cf.n
+    off = None  # (j, variable) of the first term in another variable
     for j, a in enumerate(cf.a):
         for e, c in a.terms.items():
-            if any(e) and not e[j]:
-                raise NonLinearField(f"component {j} has a term in {cf.variables[e.index(1)]}, "
-                                     "and exact zero discovery needs diagonal charts")
-            (alpha if e[j] else beta)[j] = c
+            total = sum(e)
+            if total > 1:
+                raise NonLinearField(f"component {j} has a degree-{total} term, and exact zero "
+                                     "discovery needs affine-linear components")
+            if not total:
+                beta[j] = c
+            elif e[j]:
+                alpha[j] = c
+            elif off is None:
+                off = j, cf.variables[e.index(1)]
+    if off is not None:
+        raise NonLinearField(f"component {off[0]} has a term in {off[1]}, "
+                             "and exact zero discovery needs diagonal charts")
     if any(b and not a for a, b in zip(alpha, beta)):
         return []
     if 0 in alpha:
         raise PositiveDimensional(alpha.count(0))
     coords = tuple(Fraction(-b.numerator * a.denominator, b.denominator * a.numerator)
-                   for a, b in zip(alpha, beta))
+                   if b else zero for a, b in zip(alpha, beta))
     try:
         k_at_p, _, s = _divisor_data(cf, coords, True)
     except DivisorSingularAt:

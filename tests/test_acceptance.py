@@ -21,7 +21,7 @@ from resilog.birational import (
     cyclic_quotient_model,
     solve_discrepancies,
 )
-from resilog.foliation import ChartField, chart_field, make_problem
+from resilog.foliation import ChartField, chart_field, chart_fields, make_problem
 from resilog.parse import parse_poly, parse_problem, print_poly
 from resilog.residue import (
     NumericConfig,
@@ -103,10 +103,11 @@ def test_criterion_2_p3_example():
             2: {0: Fraction(9, 42), 1: Fraction(16, 7), 2: Fraction(-9, 6)},
         }
         origin = SingularPoint(0, (Fraction(0),) * 3)
+        fields = chart_fields(P3)
         for i, per_chart in expected.items():
             total = Fraction(0)
             for chart, value in per_chart.items():
-                cf = chart_field(P3, chart)
+                cf = fields[chart]
                 p = SingularPoint(chart, (Fraction(0),) * 3)
                 assert simple_residues(cf, p, i).var == value
                 total += value
@@ -126,8 +127,7 @@ def test_criterion_4_local_structure():
         instances = [P2, P3] + random_diag_instances(50)
         checked = 0
         for problem in instances:
-            for chart in range(problem.n + 1):
-                cf = chart_field(problem, chart)
+            for chart, cf in enumerate(chart_fields(problem)):
                 p = SingularPoint(chart, (Fraction(0),) * problem.n)
                 ld = local_data(cf, p)
                 if ld.s is None:
@@ -205,8 +205,7 @@ def test_criterion_9_numeric_engine():
         r = perturbed_residue(cf, ORIGIN2, 0, NumericConfig(seed=0))
         assert abs(r.ordinary - 4.0) < 1e-4
         for problem in (P2, P3):
-            for chart in range(problem.n + 1):
-                cf = chart_field(problem, chart)
+            for chart, cf in enumerate(chart_fields(problem)):
                 p = SingularPoint(chart, (Fraction(0),) * problem.n)
                 for i in range(problem.n):
                     ld = local_data(cf, p)

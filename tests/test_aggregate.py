@@ -16,11 +16,12 @@ from resilog.aggregate import (
     surface_report,
     verify_identities,
 )
-from resilog.algebra import MultiPoly
+from resilog.algebra import DomainError, MultiPoly
 from resilog.birational import DiscrepancyProblem, cyclic_quotient_model
 from resilog.foliation import make_problem
 from resilog.parse import parse_problem
 from resilog.residue import PositiveDimensional, SingularPoint
+from test_residue import sparse_homogeneous_fields
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -355,7 +356,7 @@ def test_linear_route_matches_classify_point(case):
     # The linear solve classifies each zero itself; classify_point, which
     # takes the jets and determinants again, must agree exactly.
     problem, planes = case
-    fields = [foliation.chart_field(problem, c) for c in range(problem.n + 1)]
+    fields = foliation.chart_fields(problem)
     located = aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
     assert len(located) == problem.n + 1
     assert any(p.simple is None for p, _, _ in located) == (planes == 2)
@@ -370,3 +371,50 @@ def test_linear_route_matches_classify_point(case):
             got, want = getattr(ld, name), getattr(want_ld, name)
             assert got == want, name
             assert type(got) is (Fraction if name != "s" else int) or got is want is None, name
+
+
+def reference_locate(fields):
+    """Exact discovery by normalizing: every chart's linear zeros scaled by
+    ``homogeneous_representative``, the first chart kept for each point,
+    sorted by the strings of the homogeneous coordinates."""
+    seen = {}
+    for cf in fields:
+        for p, ld in residue.linear_zeros(cf):
+            seen.setdefault(homogeneous_representative(p), (p, cf, ld))
+    return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
+
+
+def assert_locates_like_the_reference(problem):
+    try:
+        fields = foliation.chart_fields(problem)
+    except foliation.NotTangent:
+        return
+    try:
+        want = reference_locate(fields)
+    except DomainError as exc:
+        with pytest.raises(type(exc)) as got:
+            aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
+        assert str(got.value) == str(exc)
+        return
+    located = aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
+    assert located == want
+    for (p, cf, ld), (want_p, want_cf, want_ld) in zip(located, want):
+        assert cf is want_cf
+        assert list(map(type, p.coords)) == list(map(type, want_p.coords))
+        assert list(map(type, ld or ())) == list(map(type, want_ld or ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_homogeneous_fields())
+def test_lead_chart_rule_locates_like_normalizing(problem):
+    # A degree-0 field's zero lies in every chart where it is nonzero; only
+    # its lowest chart keeps it.
+    assert_locates_like_the_reference(problem)
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_problems())
+def test_lead_chart_rule_keeps_singular_coordinate_points(case):
+    # With a product divisor the coordinate points off both planes come with
+    # no local data; they are kept and ordered all the same.
+    assert_locates_like_the_reference(case[0])

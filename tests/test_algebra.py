@@ -55,6 +55,54 @@ def test_ring_axioms_random(seed):
     assert (p * q) * r == p * (q * r)
 
 
+def reference_add(p, q):
+    """p + q with every new term entered as Fraction(0) + c, zeros dropped."""
+    a, b = align(p, q)
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return [(e, c) for e, c in out.items() if c]
+
+
+def reference_mul(p, q):
+    """p * q with every new term entered as Fraction(0) + c, zeros dropped."""
+    a, b = align(p, q)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return [(e, c) for e, c in out.items() if c]
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two polynomials in x, y whose terms often meet and cancel: q takes some
+    of p's terms negated, and declares x and y in either order."""
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2),
+                            st.sampled_from([1, -1, 2, Fraction(-1, 2)]), max_size=5)
+    p_terms, q_terms = draw(terms), draw(terms)
+    if p_terms:
+        for e in draw(st.lists(st.sampled_from(sorted(p_terms)), max_size=3)):
+            q_terms[e] = -p_terms[e]
+    order = draw(st.sampled_from([("x", "y"), ("y", "x")]))
+    return MultiPoly(("x", "y"), p_terms), MultiPoly(order, {
+        e if order == ("x", "y") else e[::-1]: c for e, c in q_terms.items()})
+
+
+@settings(max_examples=300)
+@given(cancelling_pairs())
+def test_sum_and_product_keep_the_term_order(case):
+    # The order of the terms matters: eval sums them in dict order, so a
+    # reordering changes float results in the last bits.
+    p, q = case
+    for got, want in ((p + q, reference_add(p, q)), (q + p, reference_add(q, p)),
+                      (p - q, reference_add(p, -q)), (p * q, reference_mul(p, q)),
+                      (q * p, reference_mul(q, p)), (p * p, reference_mul(p, p))):
+        assert list(got.terms.items()) == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pow_matches_repeated_mul(seed):
     rng = random.Random(seed)

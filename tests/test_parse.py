@@ -36,6 +36,13 @@ def test_parse_cases(src, expected):
     assert parse_poly(src, VARS) == expected
 
 
+def test_cancelled_terms_leave_the_later_terms_in_order():
+    # x - x cancels, so y enters first and the second x after it; eval sums
+    # the terms in this order.
+    p = parse_poly("x - x + y + x", ("x", "y"))
+    assert list(p.terms.items()) == [((0, 1), Fraction(1)), ((1, 0), Fraction(1))]
+
+
 def test_unary_minus_binds_looser_than_power():
     # -x^2 evaluates to -(x^2), not (-x)^2
     p = parse_poly("-x^2", VARS)

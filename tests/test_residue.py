@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from resilog import residue
 from resilog.aggregate import NUMERIC_TOL, verify_identities
 from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, rank, solve_linear
-from resilog.foliation import (ChartField, FoliationProblem, chart_field, chern_expectations,
-                               dehomogenize_field, make_problem)
+from resilog.foliation import (ChartField, FoliationProblem, chart_field, chart_fields,
+                               chern_expectations, dehomogenize_field, make_problem)
 from resilog.parse import parse_problem
 from resilog.residue import (
     BoundaryZero,
@@ -237,8 +237,7 @@ def test_local_data_matches_sympy_jacobian(name, problem, zeros):
         return Fraction(int(r.p), int(r.q))
 
     on_divisor = 0
-    for chart in range(problem.n + 1):
-        cf = chart_field(problem, chart)
+    for chart, cf in enumerate(chart_fields(problem)):
         xs = sympy.symbols(cf.variables)
         for h in (h for h in zeros if h[chart]):
             x = tuple(Fraction(v) / h[chart] for j, v in enumerate(h) if j != chart)
@@ -515,8 +514,7 @@ class TestSimpleResidues:
         )
 
     def test_ordinary_minus_log_is_var(self):
-        for chart in range(3):
-            cf = chart_field(P2, chart)
+        for chart, cf in enumerate(chart_fields(P2)):
             for i in (0, 1):
                 if chart == 2 and i == 1:
                     continue
@@ -534,9 +532,10 @@ class TestSimpleResidues:
         problem = make_problem(Z3, comps, zv("z2", Z3))
         p0 = SingularPoint(0, (Fraction(1), Fraction(0)))
         p1 = SingularPoint(1, (Fraction(1), Fraction(0)))
+        fields = chart_fields(problem)
         for i in (0, 1):
-            r0 = simple_residues(chart_field(problem, 0), p0, i)
-            r1 = simple_residues(chart_field(problem, 1), p1, i)
+            r0 = simple_residues(fields[0], p0, i)
+            r1 = simple_residues(fields[1], p1, i)
             assert (r0.ordinary, r0.log, r0.var) == (r1.ordinary, r1.log, r1.var)
 
     def test_degenerate_raises(self):
@@ -561,8 +560,7 @@ class TestPerturbedResidue:
 
     def test_matches_exact_on_simple_zeros(self):
         for problem, n in ((P2, 2), (P3, 3)):
-            for chart in range(n + 1):
-                cf = chart_field(problem, chart)
+            for chart, cf in enumerate(chart_fields(problem)):
                 p = SingularPoint(chart, (Fraction(0),) * n)
                 exact = simple_residues(cf, p, 0)
                 approx = perturbed_residue(cf, p, 0, NumericConfig())
@@ -601,8 +599,7 @@ class TestPerturbedResidue:
         assert [(c.ordinary_total, c.log_total, c.var_total)
                 for c in report.checks.values()] == [(9, 1, 8), (6, 2, 4)]
         on_divisor = 0
-        for chart in range(3):
-            cf = chart_field(problem, chart)
+        for cf in chart_fields(problem):
             for p, _ in linear_zeros(cf):
                 on_divisor += p.on_divisor
                 for i in range(2 if p.on_divisor else 1):
@@ -809,6 +806,14 @@ class TestZeroDiscovery:
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x**2, y), MultiPoly.const(("x", "y"), 1))
         with pytest.raises(NonLinearField):
+            linear_zeros(cf)
+
+    def test_exact_linear_checks_degrees_before_off_diagonal_terms(self):
+        # Component 0 has a term in y, but component 1's degree-2 term is
+        # reported: every degree is checked first.
+        x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
+        cf = ChartField(0, ("x", "y"), (y, x**2), MultiPoly.const(("x", "y"), 1))
+        with pytest.raises(NonLinearField, match="^component 1 has a degree-2 term"):
             linear_zeros(cf)
 
     def test_exact_linear_positive_dimensional(self):
