@@ -3,14 +3,13 @@ holomorphic foliations on projective space tangent to a divisor, with global
 identity checks, a degree bound, and log discrepancies of surface
 singularities recovered from exceptional residues."""
 
-from .algebra import MultiPoly, RatMatrix, Rational, det_exact, solve_linear
+from .algebra import MultiPoly, RatMatrix, det_exact, solve_linear
 from .foliation import (
     ChartField,
     ChernExpectations,
     FoliationProblem,
     NotTangent,
     chart_field,
-    chern_expectations,
     make_problem,
     verify_tangency,
 )
@@ -38,7 +37,6 @@ from .birational import (
 __all__ = [
     "MultiPoly",
     "RatMatrix",
-    "Rational",
     "det_exact",
     "solve_linear",
     "ChartField",
@@ -46,7 +44,6 @@ __all__ = [
     "FoliationProblem",
     "NotTangent",
     "chart_field",
-    "chern_expectations",
     "make_problem",
     "verify_tangency",
     "ParseError",

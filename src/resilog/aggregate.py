@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .foliation import ChartField, FoliationProblem, chart_fields, chern_expectations
+from .foliation import ChartField, ChernExpectations, FoliationProblem, chart_fields
 from .residue import (
     NonLinearField,
     NumericConfig,
@@ -32,6 +32,7 @@ from .residue import (
 )
 
 NUMERIC_TOL = 1e-6
+KINDS = ("ordinary", "log", "var")
 
 
 class IncompletePointSet(Warning):
@@ -58,7 +59,6 @@ def homogeneous_representative(p: SingularPoint):
 
 
 def _locate(
-    problem: FoliationProblem,
     fields: list[ChartField],
     mode: str,
     user_points: list[SingularPoint] | None,
@@ -73,27 +73,25 @@ def _locate(
     in its lowest (lead) chart: every chart is diagonal (``linear_zeros``),
     so that chart's solve returns it or raises; nothing is normalized or
     hashed.  A given point's chart must lie in 0..n (ValueError otherwise)."""
-    raw: list[tuple] = []  # (point, local data or None)
     if mode == "user":
         if user_points is None:
             raise ValueError("mode 'user' needs user_points")
         for p in user_points:
-            if not 0 <= p.chart <= problem.n:
-                raise ValueError(f"point chart {p.chart} is out of range 0..{problem.n}")
-        raw = [(p, None) for p in user_points]
+            if not 0 <= p.chart < len(fields):
+                raise ValueError(f"point chart {p.chart} is out of range 0..{len(fields) - 1}")
+        raw = user_points
     elif mode == "exact_linear":
         located = [(p, cf, ld) for cf in fields for p, ld in linear_zeros(cf)
                    if not any(p.coords[:cf.chart])]
         return sorted(located, key=lambda t: tuple(map(  # str(1) == str(Fraction(1))
             str, t[0].coords[:t[0].chart] + (1,) + t[0].coords[t[0].chart:])))
     elif mode == "numeric":
-        for cf in fields:
-            raw.extend((p, None) for p in discover_zeros_numeric(cf, cfg=cfg))
+        raw = [p for cf in fields for p in discover_zeros_numeric(cf, cfg=cfg)]
     else:
         raise ValueError(f"unknown discovery mode {mode!r}")
 
     seen: dict = {}
-    for p, ld in raw:
+    for p in raw:
         chart, hom = _normalized(p)
         key = hom if is_exact(hom) else tuple(round(float(v), 6) for v in hom)
         if key in seen:
@@ -135,7 +133,7 @@ def enumerate_singularities(
     be incomplete), "user" (ingest user-attested points).
     """
     fields = chart_fields(problem)
-    return [p for p, _, _ in _locate(problem, fields, mode, user_points, cfg)]
+    return [p for p, _, _ in _locate(fields, mode, user_points, cfg)]
 
 
 @dataclass
@@ -151,7 +149,9 @@ class IdentityCheck:
     expected_log: int
     expected_var: int
 
-    def _matches(self, total, expected) -> bool:
+    def ok(self, kind: str) -> bool:
+        """Whether the ``kind`` total matches exactly, or within NUMERIC_TOL*max(1, |expected|)."""
+        total, expected = getattr(self, f"{kind}_total"), getattr(self, f"expected_{kind}")
         if total is None:
             return False
         if is_exact([total]):
@@ -159,20 +159,8 @@ class IdentityCheck:
         return abs(total - expected) <= NUMERIC_TOL * max(1.0, abs(expected))
 
     @property
-    def ordinary_ok(self) -> bool:
-        return self._matches(self.ordinary_total, self.expected_ordinary)
-
-    @property
-    def log_ok(self) -> bool:
-        return self._matches(self.log_total, self.expected_log)
-
-    @property
-    def var_ok(self) -> bool:
-        return self._matches(self.var_total, self.expected_var)
-
-    @property
     def all_ok(self) -> bool:
-        return self.ordinary_ok and self.log_ok and self.var_ok
+        return all(self.ok(k) for k in KINDS)
 
 
 @dataclass
@@ -217,7 +205,7 @@ def verify_identities(
     every requested i certifies the identity on this instance."""
     fields = chart_fields(problem)
     mode = "exact_linear" if points is None else "user"
-    located = _locate(problem, fields, mode, points, cfg)
+    located = _locate(fields, mode, points, cfg)
     complete = points is None or _covers_linear_zeros(fields, located)
     if i_list is None:
         i_list = list(range(problem.n))
@@ -230,7 +218,7 @@ def verify_identities(
         if levels:
             by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
                                      else perturbed_residues(cf, ld, p, levels, cfg))))
-    expect = chern_expectations(problem)
+    expect = ChernExpectations(problem.n, problem.d, problem.m)
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
     any_numeric = False

@@ -21,8 +21,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
 
@@ -247,17 +245,6 @@ class MultiPoly:
                 out[j] = out[j] + term
         return out[n], out[:n]
 
-    def substitute_one(self, name: str, value: Scalar) -> "MultiPoly":
-        """Fix one variable to a rational constant; result drops that variable."""
-        j = self.var_index(name)
-        val = _as_fraction(value)
-        rest = self.variables[:j] + self.variables[j + 1 :]
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            re = e[:j] + e[j + 1 :]
-            out[re] = out.get(re, Fraction(0)) + c * val ** e[j]
-        return MultiPoly(rest, out)
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {self.terms!r})"
 
@@ -334,10 +321,6 @@ class RatMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij

@@ -29,7 +29,6 @@ from .parse import (ParseError, ProblemDocument, SchemaError, numeric_value, par
 from .residue import NonLinearField, NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
-KINDS = ("ordinary", "log", "var")
 # A zero where the divisor is singular has no simplicity (``simple`` is None).
 SIMPLICITY = {True: "simple", False: "degenerate", None: "divisor singular"}
 Output = tuple[int, object, list[str]]  # exit code, document, table lines
@@ -71,14 +70,13 @@ def _inputs(args) -> tuple[ProblemDocument, list[SingularPoint] | None, NumericC
     flags = {name: numeric_value(name, getattr(args, name))
              for name in NumericConfig._fields if getattr(args, name) is not None}
     cfg = NumericConfig(**{**doc.numeric, **flags})
-    entries = list(doc.points)
+    points = list(doc.points)
     if getattr(args, "points", None):
         raw = raw_document(_read(args.points))
         if "points" not in raw:
             raise SchemaError(f"{args.points}: no 'points' entry")
-        entries += parse_points(*raw["points"], doc.problem.n)
-    points = [SingularPoint(e["chart"], tuple(e["coords"])) for e in entries] or None
-    return doc, points, cfg
+        points += parse_points(*raw["points"], doc.problem.n)
+    return doc, points or None, cfg
 
 
 def _hom(p: SingularPoint) -> str:
@@ -128,9 +126,9 @@ def cmd_residues(args) -> Output:
 
 def _check_doc(c: aggregate.IdentityCheck) -> dict:
     return {"i": c.i, "records": c.records,
-            "totals": {k: getattr(c, f"{k}_total") for k in KINDS},
-            "expected": {k: getattr(c, f"expected_{k}") for k in KINDS},
-            "ok": {k: getattr(c, f"{k}_ok") for k in KINDS}}
+            "totals": {k: getattr(c, f"{k}_total") for k in aggregate.KINDS},
+            "expected": {k: getattr(c, f"expected_{k}") for k in aggregate.KINDS},
+            "ok": {k: c.ok(k) for k in aggregate.KINDS}}
 
 
 def cmd_verify(args) -> Output:
@@ -140,7 +138,7 @@ def cmd_verify(args) -> Output:
     for c in checks:
         lines.append(f"i={c['i']}: " + ", ".join(
             f"{k} {c['totals'][k]} vs {c['expected'][k]} [{'ok' if c['ok'][k] else 'FAIL'}]"
-            for k in KINDS))
+            for k in aggregate.KINDS))
     lines.extend(report.notes)
     doc = {"level": report.level, "complete": report.complete, "all_ok": report.all_ok,
            "checks": checks, "notes": report.notes}

@@ -240,7 +240,3 @@ def chart_field(problem: FoliationProblem, chart: int) -> ChartField:
 def verify_tangency(problem: FoliationProblem) -> dict[int, MultiPoly]:
     """Per-chart cofactors; raises NotTangent on the first failing chart."""
     return {cf.chart: cf.k for cf in chart_fields(problem)}
-
-
-def chern_expectations(problem: FoliationProblem) -> ChernExpectations:
-    return ChernExpectations(n=problem.n, d=problem.d, m=problem.m)

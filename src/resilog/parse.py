@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .algebra import MultiPoly, SchemaError
 from .foliation import FoliationProblem, make_problem
-from .residue import NumericConfig
+from .residue import NumericConfig, SingularPoint
 
 
 class ParseError(Exception):
@@ -219,7 +219,7 @@ class ProblemDocument(NamedTuple):
     """Parsed problem file: the foliation problem plus optional blocks."""
 
     problem: FoliationProblem
-    points: list[dict]
+    points: list[SingularPoint]
     numeric: dict
 
 
@@ -322,9 +322,9 @@ def numeric_value(name: str, value):
     raise SchemaError(f"bad numeric value for {name!r}: {value!r}")
 
 
-def parse_points(value, line: int, column: int, n: int) -> list[dict]:
-    """Validated {chart, coords} entries of a ``points`` value on P^n, the
-    value starting at ``column`` of ``line``."""
+def parse_points(value, line: int, column: int, n: int) -> list[SingularPoint]:
+    """Validated {chart, coords} entries of a ``points`` value on P^n, the value
+    starting at ``column`` of ``line``, as bare SingularPoint(chart, coords)."""
     if not isinstance(value, list):
         raise ParseError(line, column, "points must be a list of {chart, coords} objects")
     points = []
@@ -332,13 +332,16 @@ def parse_points(value, line: int, column: int, n: int) -> list[dict]:
         if not (isinstance(entry, dict) and isinstance(entry.get("chart"), str)
                 and isinstance(entry.get("coords"), list)):
             raise SchemaError(f"point entry needs 'chart' (scalar) and 'coords' (list): {entry!r}")
-        chart = int(entry["chart"])
-        coords = [parse_rational(str(c)) for c in entry["coords"]]
+        try:
+            chart = int(entry["chart"])
+        except ValueError:
+            raise SchemaError(f"point chart must be an integer, got {entry['chart']!r}") from None
+        coords = tuple(parse_rational(str(c)) for c in entry["coords"])
         if len(coords) != n:
             raise SchemaError(
                 f"point in chart {chart} has {len(coords)} coordinates, expected {n}"
             )
-        points.append({"chart": chart, "coords": coords})
+        points.append(SingularPoint(chart, coords))
     return points
 
 
@@ -378,10 +381,6 @@ def parse_problem(src: str) -> ProblemDocument:
     comp_value, comp_line, comp_col = require("field.components")
     if not isinstance(comp_value, list) or not all(isinstance(c, str) for c in comp_value):
         raise ParseError(comp_line, comp_col, "field.components must be a list of polynomials")
-    if len(comp_value) != n + 1:
-        raise SchemaError(
-            f"field.components has {len(comp_value)} entries, expected {n + 1}"
-        )
     components = tuple(parse_poly(c, variables, comp_line, c.column) for c in comp_value)
 
     divisor_text, divisor_line, divisor_col = require("divisor")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from resilog import aggregate, foliation, parse, residue
 from resilog.aggregate import (
+    NUMERIC_TOL,
     IncompletePointSet,
     enumerate_singularities,
     homogeneous_representative,
@@ -229,6 +230,25 @@ def test_total_of_none_or_float_values(values):
     assert type(aggregate._total(floats)) is float
 
 
+@pytest.mark.parametrize("total, expected, ok", [
+    (Fraction(9), 9, True),
+    (Fraction(17, 2), 9, False),
+    (9 + 0.99 * NUMERIC_TOL * 9, 9, True),  # the bound scales with |expected| above 1
+    (9 - 1.01 * NUMERIC_TOL * 9, 9, False),
+    (-0.99 * NUMERIC_TOL, 0, True),  # and is NUMERIC_TOL below
+    (1.01 * NUMERIC_TOL, 0, False),
+    (None, 9, False),
+])
+@pytest.mark.parametrize("kind", aggregate.KINDS)
+def test_identity_check_ok_per_kind(kind, total, expected, ok):
+    # The other two kinds match exactly, so all_ok follows the one kind.
+    values = {k: (Fraction(3), 3) for k in aggregate.KINDS} | {kind: (total, expected)}
+    check = aggregate.IdentityCheck(0, [], *(values[k][0] for k in aggregate.KINDS),
+                                    *(values[k][1] for k in aggregate.KINDS))
+    assert check.ok(kind) is ok and check.all_ok is ok
+    assert all(check.ok(k) for k in aggregate.KINDS if k != kind)
+
+
 def test_poincare_p3():
     verdict = poincare_check(P3)
     assert verdict.i_used == 0  # n odd
@@ -263,7 +283,7 @@ def test_records_are_immutable_and_the_frozen_ones_hashable():
     cyclic = cyclic_quotient_model(5)
     surface = surface_report(P2)
     hashable = [residue.NumericConfig(), record.point, residue.local_data(cf, record.point),
-                record, P2, cf, foliation.chern_expectations(P2)]
+                record, P2, cf, foliation.ChernExpectations(P2.n, P2.d, P2.m)]
     others = [parse._tokenize("z0")[0], doc, poincare_check(P2), surface.rows[0], surface,
               DiscrepancyProblem(cyclic.M, (Fraction(2),)), cyclic]
     for value in hashable + others:
@@ -357,7 +377,7 @@ def test_linear_route_matches_classify_point(case):
     # takes the jets and determinants again, must agree exactly.
     problem, planes = case
     fields = foliation.chart_fields(problem)
-    located = aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
+    located = aggregate._locate(fields, "exact_linear", None, residue.NumericConfig())
     assert len(located) == problem.n + 1
     assert any(p.simple is None for p, _, _ in located) == (planes == 2)
     for point, cf, ld in located:
@@ -393,10 +413,10 @@ def assert_locates_like_the_reference(problem):
         want = reference_locate(fields)
     except DomainError as exc:
         with pytest.raises(type(exc)) as got:
-            aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
+            aggregate._locate(fields, "exact_linear", None, residue.NumericConfig())
         assert str(got.value) == str(exc)
         return
-    located = aggregate._locate(problem, fields, "exact_linear", None, residue.NumericConfig())
+    located = aggregate._locate(fields, "exact_linear", None, residue.NumericConfig())
     assert located == want
     for (p, cf, ld), (want_p, want_cf, want_ld) in zip(located, want):
         assert cf is want_cf

@@ -178,13 +178,6 @@ def test_jet_matches_eval_and_partial_eval_bit_for_bit(case):
         assert [(type(g), repr(g)) for g in got] == [(type(w), repr(w)) for w in want]
 
 
-def test_substitute_one_drops_variable():
-    p = MultiPoly(VARS, {(1, 1, 0): 2, (0, 0, 2): 1})
-    q = p.substitute_one("y", Fraction(3))
-    assert q.variables == ("x", "z")
-    assert q == MultiPoly(("x", "z"), {(1, 0): 6, (0, 2): 1})
-
-
 def test_align_merges_variables():
     p = MultiPoly(("x",), {(1,): 1})
     q = MultiPoly(("y",), {(1,): 1})
@@ -300,7 +293,7 @@ def test_immutability():
 def test_det_small_cases():
     assert det_exact(RatMatrix([[5]])) == 5
     assert det_exact(RatMatrix([[1, 2], [3, 4]])) == -2
-    assert det_exact(RatMatrix.identity(4)) == 1
+    assert det_exact(RatMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 1
     assert det_exact(RatMatrix([[0, 1], [1, 0]])) == -1  # needs a row swap
     assert det_exact(RatMatrix([[1, 2], [2, 4]])) == 0
 

@@ -312,9 +312,9 @@ def test_closed_stdout_exits_0_without_traceback(unbuffered):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-@pytest.mark.parametrize("chart", [7, -1])
-@pytest.mark.parametrize("via", ["file", "--points"])
-def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
+def verify_given_chart(tmp_path, via, chart) -> list[str]:
+    """verify argv for p2_example with a point in ``chart``, given in the
+    problem file (after a good point) or in a ``--points`` file."""
     entry = f"{{chart: {chart}, coords: [0, 0]}}"
     fol = tmp_path / "bad.fol"
     text = (FIXTURES / "p2_example.fol").read_text(encoding="utf-8")
@@ -325,7 +325,28 @@ def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
         (tmp_path / "pts.fol").write_text(f"points = [{entry}]\n")
         argv += ["--points", str(tmp_path / "pts.fol")]
     fol.write_text(text)
-    assert run(capsys, *argv) == (1, "", f"error: point chart {chart} is out of range 0..2\n")
+    return argv
+
+
+@pytest.mark.parametrize("chart", [7, -1])
+@pytest.mark.parametrize("via", ["file", "--points"])
+def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
+    assert run(capsys, *verify_given_chart(tmp_path, via, chart)) == (
+        1, "", f"error: point chart {chart} is out of range 0..2\n")
+
+
+@pytest.mark.parametrize("via", ["file", "--points"])
+def test_given_chart_not_an_integer_exits_1(capsys, tmp_path, via):
+    assert run(capsys, *verify_given_chart(tmp_path, via, "x")) == (
+        1, "", "error: point chart must be an integer, got 'x'\n")
+
+
+def test_two_components_on_p2_exit_1(capsys, tmp_path):
+    fol = tmp_path / "two.fol"
+    fol.write_text(Path(P2).read_text(encoding="utf-8").replace(
+        "field.components = [-3*z0, 2*z1, z2]", "field.components = [-3*z0, 2*z1]"))
+    assert run(capsys, "verify", str(fol)) == (
+        1, "", "error: 2 field components for 3 homogeneous coordinates\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "residues"])

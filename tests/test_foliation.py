@@ -14,7 +14,6 @@ from resilog.foliation import (
     chart_cofactor,
     chart_field,
     chart_fields,
-    chern_expectations,
     dehomogenize_field,
     make_problem,
     verify_tangency,
@@ -39,7 +38,7 @@ def test_make_problem_degrees():
 
 
 def test_make_problem_rejects_bad_input():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^2 field components for 3 homogeneous coordinates$"):
         make_problem(Z, [zvar("z0"), zvar("z1")], zvar("z2"))  # arity
     with pytest.raises(SchemaError):
         make_problem(Z, [zvar("z0") ** 2, zvar("z1"), zvar("z2")], zvar("z2"))  # mixed degree
@@ -168,9 +167,12 @@ def test_dehomogenize_matches_textbook_route(problem_and_g):
     shifted = p._replace(components=tuple(c + g * zvar(z, zs) for c, z in zip(v, zs)))
     for chart, name in enumerate(zs):
         cf = dehomogenize_field(p, chart)
-        a = [(v[j] - zvar(zs[j], zs) * v[chart]).substitute_one(name, 1)
+        # z_c = 1 by eval at polynomial coordinates; eval of 0 is Fraction(0).
+        rest = tuple(z for z in zs if z != name)
+        at_one = [MultiPoly.const(rest, 1) if z == name else zvar(z, rest) for z in zs]
+        a = [MultiPoly.zero(rest) + (v[j] - zvar(zs[j], zs) * v[chart]).eval(at_one)
              for j in range(len(zs)) if j != chart]
-        f = p.divisor.substitute_one(name, 1)
+        f = MultiPoly.zero(rest) + p.divisor.eval(at_one)
         if f.is_constant:
             f = MultiPoly.const(f.variables, 1)
         assert cf.variables == tuple(z for z in zs if z != name)
@@ -377,7 +379,7 @@ def test_chart_field_consistency_random_diag(seed):
     rng = random.Random(seed)
     eigs = rng.sample(range(-9, 10), 3)
     p = diag_problem(eigs, 2)
-    e = chern_expectations(p)
+    e = ChernExpectations(p.n, p.d, p.m)
     assert e.n == 2 and e.d == 1 and e.m == 1
     for cf in chart_fields(p):
         assert cf.k is not None

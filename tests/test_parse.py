@@ -14,6 +14,7 @@ from resilog.parse import (
     print_poly,
     raw_document,
 )
+from resilog.residue import SingularPoint
 
 VARS = ("x", "y", "z")
 
@@ -192,10 +193,9 @@ def test_parse_problem_document():
     vs = doc.problem.variables
     assert doc.problem.components[0] == -3 * MultiPoly.variable(vs, "z0")
     assert doc.problem.divisor == MultiPoly.variable(vs, "z2")
-    assert doc.points == [
-        {"chart": 0, "coords": [Fraction(0), Fraction(0)]},
-        {"chart": 1, "coords": [Fraction(0), Fraction(0)]},
-    ]
+    assert doc.points == [SingularPoint(0, (Fraction(0), Fraction(0))),
+                          SingularPoint(1, (Fraction(0), Fraction(0)))]
+    assert all(type(c) is Fraction for p in doc.points for c in p.coords)
     assert doc.numeric == {"seed": 7, "newton_tol": 1e-10}
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from resilog import residue
 from resilog.aggregate import NUMERIC_TOL, verify_identities
 from resilog.algebra import MultiPoly, RatMatrix, SingularMatrix, det_exact, rank, solve_linear
-from resilog.foliation import (ChartField, FoliationProblem, chart_field, chart_fields,
-                               chern_expectations, dehomogenize_field, make_problem)
+from resilog.foliation import (ChartField, ChernExpectations, FoliationProblem, chart_field,
+                               chart_fields, dehomogenize_field, make_problem)
 from resilog.parse import parse_problem
 from resilog.residue import (
     BoundaryZero,
@@ -676,7 +676,7 @@ class TestPerturbedResidues:
         report = verify_identities(problem, P3_JORDAN_POINTS)
         assert len(searches) == 2  # one degenerate zero, one search per eps
         assert report.level == "numeric" and sorted(report.checks) == [0, 1, 2]
-        expect = chern_expectations(problem)
+        expect = ChernExpectations(problem.n, problem.d, problem.m)
         for i, check in report.checks.items():
             for got, want in ((check.ordinary_total, expect.ordinary_total(i)),
                               (check.log_total, expect.log_total(i)),
