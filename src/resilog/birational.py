@@ -24,9 +24,6 @@ class NotNegativeDefinite(DomainError):
         super().__init__(f"leading principal minor {k} violates negative definiteness")
 
 
-CLASSES = ("terminal", "canonical", "log_terminal", "log_canonical", "not_log_canonical")
-
-
 class DiscrepancyProblem(NamedTuple):
     """An exceptional intersection matrix M and its componentwise residues I."""
 

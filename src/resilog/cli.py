@@ -24,8 +24,8 @@ from fractions import Fraction
 from . import aggregate, birational
 from .algebra import DomainError, RatMatrix
 from .foliation import NotTangent, verify_tangency
-from .parse import (ParseError, ProblemDocument, SchemaError, numeric_value, parse_points,
-                    parse_problem, parse_rational, print_poly, raw_document)
+from .parse import (ParseError, ProblemDocument, SchemaError, numeric_value, parse_integer,
+                    parse_points, parse_problem, parse_rational, print_poly, raw_document)
 from .residue import NonLinearField, NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
@@ -110,7 +110,7 @@ def cmd_zeros(args) -> Output:
 def _identities(args):
     doc, points, cfg = _inputs(args)
     try:
-        i_list = None if args.i == "all" else [int(part) for part in args.i.split(",")]
+        i_list = None if args.i == "all" else [parse_integer(part) for part in args.i.split(",")]
     except ValueError:
         raise ValueError(f"--i must be 'all' or a comma list of integers, got {args.i!r}") from None
     return aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
@@ -284,7 +284,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if "matrix" in flags:
             p.add_argument("matrix", help="JSON file with M and I")
         if "--m" in flags:
-            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--m", type=parse_integer, required=True)
     return parser
 
 

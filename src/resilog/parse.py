@@ -19,6 +19,7 @@ and so do the "[" and "{" of a document value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -295,10 +296,21 @@ def raw_document(src: str) -> dict[str, tuple[object, int, int]]:
     return doc
 
 
+def parse_integer(text: str) -> int:
+    """'-?D+' in ASCII digits, whitespace around it ignored; else ValueError."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p', '-p', or 'p/q' into an exact rational."""
+    """'p', '-p', 'p/q' or the decimal 'p.q' in ASCII digits, whitespace around
+    it ignored, as a Fraction; any other form (an exponent, '+', '_') fails
+    before a Fraction is built, with Fraction's own message."""
     try:
-        return Fraction(text.strip())
+        if not re.fullmatch(r"\s*-?[0-9]+(/[0-9]+|\.[0-9]+)?\s*", text):
+            raise ValueError(f"Invalid literal for Fraction: {text.strip()!r}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational literal {text!r}: {exc}") from None
 
@@ -313,7 +325,7 @@ def numeric_value(name: str, value):
     default = defaults[name]
     try:
         if not isinstance(default, tuple):
-            return type(default)(value)
+            return parse_integer(value) if isinstance(default, int) else float(value)
         parts = value.split(",") if isinstance(value, str) else value
         if len(parts) == len(default):
             return tuple(float(x) for x in parts)
@@ -333,7 +345,7 @@ def parse_points(value, line: int, column: int, n: int) -> list[SingularPoint]:
                 and isinstance(entry.get("coords"), list)):
             raise SchemaError(f"point entry needs 'chart' (scalar) and 'coords' (list): {entry!r}")
         try:
-            chart = int(entry["chart"])
+            chart = parse_integer(entry["chart"])
         except ValueError:
             raise SchemaError(f"point chart must be an integer, got {entry['chart']!r}") from None
         coords = tuple(parse_rational(str(c)) for c in entry["coords"])
@@ -360,7 +372,7 @@ def parse_problem(src: str) -> ProblemDocument:
 
     dim_text, dim_line, dim_col = require("space.dim")
     try:
-        n = int(dim_text)
+        n = parse_integer(dim_text)
     except (TypeError, ValueError):
         raise ParseError(dim_line, dim_col,
                          f"space.dim must be an integer, got {dim_text!r}") from None

@@ -14,11 +14,12 @@ zero on D, of the bordered matrix behind det J_D.  Exactness (``is_exact``)
 and the zero test (``is_zero``) are defined once, here, for every module.
 Classification (``classify_point``) and the closed forms of all i-levels in
 one call (``closed_form_residues``) decide nothing of the data again: the
-ordinary residue is trJ^n/detJ, and the excess (variational) residue has the
-binomial numerator of ``delta_numerator``; these are the only copies of the
+ordinary residue is trJ^n/detJ, and the excess (variational) one has the
+numerator Delta_i = k^(i-1)*((trJD + k)^(n-i) - trJD^(n-i)), one binomial
+sum for every i (``delta_numerator``); these are the only copies of the
 residue formulas.  On the divisor every numerator is homogeneous of degree
-n - 1 in (trJ, trJD, k), so exact values enter as integers over one
-denominator and each leaves as one Fraction.
+n - 1 in (trJ, trJD, k): exact values enter as integers over one denominator
+and each leaves as one Fraction.
 Degenerate zeros go through a seeded perturbation engine,
 ``perturbed_residues``: it deforms the chart field along a random field
 tangent to the divisor, so each nearby perturbed zero is simple, and
@@ -276,22 +277,14 @@ def classify_point(cf: ChartField, coords) -> tuple[SingularPoint, LocalData | N
 
 
 def delta_numerator(T, k, n: int, i: int):
-    """Numerator of the variational residue.
-
-    The binomial expansion of k^{i-1} * ((T+k)^{n-i} - T^{n-i}) with the
-    i = 0 division by k carried out symbolically, so k = 0 is regular.
-    Works for rationals, floats, and polynomials alike.
-    """
+    """Numerator k^{i-1}*((T+k)^{n-i} - T^{n-i}) of the variational residue, in
+    any ring, as one sum over l = 1..n-i of C(n-i, l)*T^{n-i-l}*k^{l+i-1}; at
+    i = 0 that is the division by k done symbolically, so k = 0 is regular."""
     check_level(n, i)
-    if i == 0:
-        total = 0
-        for l in range(1, n + 1):
-            total = total + math.comb(n, l) * T ** (n - l) * k ** (l - 1)
-        return total
     total = 0
     for l in range(1, n - i + 1):
-        total = total + math.comb(n - i, l) * T ** (n - i - l) * k**l
-    return k ** (i - 1) * total if i > 1 else total
+        total = total + math.comb(n - i, l) * T ** (n - i - l) * k ** (l + i - 1)
+    return total
 
 
 def simple_residues(cf: ChartField, p: SingularPoint, i: int) -> ResidueRecord:
@@ -348,15 +341,15 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
             else:
                 ordinary = ld.trJ**n / ld.detJ
                 log = ordinary - var
-        elif exact:
+        else:
             o, l = a ** (n - i) * c ** (i - 1), t ** (n - i) * c ** (i - 1)
             # a = t + c, so o - l is the excess numerator k^(i-1)*((T+k)^(n-i) - T^(n-i))
-            ordinary, log = Fraction(o * num, den), Fraction(l * num, den)
-            var = Fraction((o - l) * num, den)
-        else:
-            ordinary = a ** (n - i) * c ** (i - 1) / ld.detJD
-            log = t ** (n - i) * c ** (i - 1) / ld.detJD
-            var = delta_numerator(t, c, n, i) / ld.detJD
+            if exact:
+                ordinary, log = Fraction(o * num, den), Fraction(l * num, den)
+                var = Fraction((o - l) * num, den)
+            else:
+                ordinary, log = o / ld.detJD, l / ld.detJD
+                var = delta_numerator(t, c, n, i) / ld.detJD
         records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
     return records
 

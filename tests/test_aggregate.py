@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,15 @@ P3 = diag_problem((-4, 3, 2, -1), Z4)
 def test_given_point_chart_out_of_range_raises(chart):
     with pytest.raises(ValueError, match=f"point chart {chart} is out of range 0..2"):
         verify_identities(P2, [SingularPoint(chart, (Fraction(0), Fraction(0)))])
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("user", "mode 'user' needs user_points"),
+    ("bogus", "unknown discovery mode 'bogus'"),
+])
+def test_enumerate_rejects_a_mode_it_cannot_run(mode, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_singularities(P2, mode)
 
 
 def test_homogeneous_representative():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,11 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     ("p.fol", "numeric.seed = [1, 2]", 1, "bad numeric value for 'seed': ['1', '2']"),
     ("p.fol", "numeric.eps_levels = 0.001", 1, "bad numeric value for 'eps_levels': '0.001'"),
     ("p.fol", "numeric.eps_levels = [1e-3, 1e-5]", 0, None),
+    ("p.fol", "space.dim = 0", 1, "space.dim must be at least 1, got 0"),
+    ("p.fol", "field.vars = [z0, z0, z2]", 1, "field.vars contains duplicate names"),
+    # Python prints this JSON number as 1e-05, which is no rational literal.
+    ("m.json", '{"M": [[-2]], "I": [0.00001]}', 1,
+     "bad rational literal '1e-05': Invalid literal for Fraction: '1e-05'"),
 ])
 def test_malformed_input_exits_without_traceback(capsys, tmp_path, name, text, code, message):
     path = tmp_path / name
@@ -131,6 +137,137 @@ def test_malformed_input_exits_without_traceback(capsys, tmp_path, name, text, c
     argv = ["discrepancy", str(path)] if name.endswith(".json") else ["verify", str(path)]
     got, _, err = run(capsys, *argv)
     assert (got, err) == (code, f"error: {message.format(path=path)}\n" if message else "")
+
+
+HEADER = "space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("space.dim = 2\n = 3\n", "2:1: missing key before '='"),
+    (HEADER + "field.components = z0\ndivisor = z2\n",
+     "3:20: field.components must be a list of polynomials"),
+    (HEADER + "field.components = [-3/z0, 2*z1, z2]\ndivisor = z2\n",
+     "3:24: expected an integer denominator"),
+    (HEADER + "field.components = [/2, 2*z1, z2]\ndivisor = z2\n",
+     "3:21: division is only allowed inside a rational literal"),
+])
+def test_document_error_exits_1_at_its_position(capsys, tmp_path, text, message):
+    path = tmp_path / "p.fol"
+    path.write_text(text)
+    assert run(capsys, "verify", str(path)) == (1, "", f"parse error at {message}\n")
+
+
+def test_points_file_without_points_exits_1(capsys, tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("numeric.seed = 1\n")
+    assert run(capsys, "verify", P2, "--points", str(pts)) == (
+        1, "", f"error: {pts}: no 'points' entry\n")
+
+
+BAD_NUMBERS = ["1e5", "1E-3", "1_0", "+1", "\u0661", "\u0662/\u0663"]  # Arabic-Indic 1 and 2/3
+P2_TEXT = Path(P2).read_text()
+
+
+def _write(directory, name, text) -> str:
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _points(chart, coord) -> str:
+    return f"points = [{{chart: {chart}, coords: [{coord}, 0]}}]\n"
+
+
+# Each place a command reads a number from text: the argv that puts the
+# literal x there (files under directory d), the one error line for a literal
+# outside the grammar, and the (exit code, output line) a value v read there
+# leads to.  M is negative definite for |v| < 10, with b = (v, 100)/(100 - v^2).
+NUMBER_SITES = {
+    "space.dim": (
+        lambda d, x: ["check", _write(d, "p.fol", P2_TEXT.replace("space.dim = 2",
+                                                                  f"space.dim = {x}"))],
+        "parse error at 2:13: space.dim must be an integer, got {x!r}",
+        lambda v: (1, f"error: space.dim must be at least 1, got {v}" if v < 1
+                   else f"error: field.vars has 3 entries, expected space.dim+1 = {v + 1}")),
+    "chart in the file": (
+        lambda d, x: ["verify", _write(d, "p.fol", P2_TEXT + _points(x, 0))],
+        "error: point chart must be an integer, got {x!r}",
+        lambda v: (1, f"error: point chart {v} is out of range 0..2")),
+    "chart in --points": (
+        lambda d, x: ["verify", P2, "--points", _write(d, "pts.txt", _points(x, 0))],
+        "error: point chart must be an integer, got {x!r}",
+        lambda v: (1, f"error: point chart {v} is out of range 0..2")),
+    "coordinate in the file": (
+        lambda d, x: ["verify", _write(d, "p.fol", P2_TEXT + _points(0, x))],
+        "error: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
+        lambda v: (2, f"error: field does not vanish at ({v}, 0)")),
+    "coordinate in --points": (
+        lambda d, x: ["verify", P2, "--points", _write(d, "pts.txt", _points(0, x))],
+        "error: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
+        lambda v: (2, f"error: field does not vanish at ({v}, 0)")),
+    "entry of M": (
+        lambda d, x: ["discrepancy", _write(d, "m.json", json.dumps(
+            {"M": [["-100", x], [x, "-1"]], "I": ["0", "1"]}))],
+        "error: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
+        lambda v: (0, f"b = ({v / (100 - v * v)}, {100 / (100 - v * v)})")),
+    "entry of I": (
+        lambda d, x: ["discrepancy", _write(d, "m.json", json.dumps({"M": [["-1"]], "I": [x]}))],
+        "error: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
+        lambda v: (0, f"b = ({v})")),
+    "--i": (
+        lambda d, x: ["verify", P2, f"--i={x}"],
+        "error: --i must be 'all' or a comma list of integers, got {x!r}",
+        lambda v: (1, f"error: i must lie in 0..1, got {v}")),
+}
+RATIONAL_SITES = ["coordinate in the file", "coordinate in --points", "entry of M", "entry of I"]
+INT_FIELDS = ["seed", "newton_max_iter", "grid_per_axis"]
+
+
+@pytest.mark.parametrize("x", BAD_NUMBERS)
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_number_outside_the_grammar_exits_1(capsys, tmp_path, site, x):
+    argv, refusal, _ = NUMBER_SITES[site]
+    assert run(capsys, *argv(tmp_path, x)) == (1, "", refusal.format(x=x) + "\n")
+
+
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_number_in_the_grammar_reads_as_its_value(capsys, tmp_path, site):
+    argv, _, outcome = NUMBER_SITES[site]
+    for x in ["3", "-7"] + (["3/4", "0.5", "-2.0"] if site in RATIONAL_SITES else []):
+        code, out, err = run(capsys, *argv(tmp_path, x))
+        want_code, line = outcome(Fraction(x))
+        assert code == want_code and line in (out + err).splitlines(), (x, out, err)
+
+
+@pytest.mark.parametrize("x", BAD_NUMBERS)
+@pytest.mark.parametrize("where", ["flag", "key"])
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_numeric_integer_outside_the_grammar_exits_1(capsys, tmp_path, name, where, x):
+    if where == "flag":
+        argv = ["zeros", P2, f"--{name.replace('_', '-')}={x}"]
+    else:
+        argv = ["zeros", _write(tmp_path, "p.fol", P2_TEXT + f"numeric.{name} = {x}\n")]
+    assert run(capsys, *argv) == (1, "", f"error: bad numeric value for {name!r}: {x!r}\n")
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_numeric_integer_in_the_grammar_reads_as_its_value(name):
+    assert [numeric_value(name, x) for x in ("3", " -7 ")] == [3, -7]
+
+
+@pytest.mark.parametrize("x", BAD_NUMBERS)
+def test_cyclic_order_outside_the_grammar_is_a_usage_error(capsys, x):
+    with pytest.raises(SystemExit) as exc:
+        main(["cyclic", f"--m={x}"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --m: invalid parse_integer value: {x!r}\n")
+
+
+def test_cyclic_order_in_the_grammar_reads_as_its_value(capsys):
+    assert run(capsys, "cyclic", "--m", "3")[1].startswith("cyclic quotient of order 3\n")
+    assert run(capsys, "cyclic", "--m=-7") == (
+        1, "", "error: cyclic quotient order must be at least 2, got -7\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,18 +701,35 @@ def test_zeros_table_marks_a_singular_divisor(capsys, tmp_path):
     assert [p["simple"] for p in doc["points"]] == [None, True, True]
 
 
+JORDAN_WITH_POINTS = ("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                      "field.components = [z0 + z1, z1, 3*z2]\ndivisor = z2\n"
+                      "points = [{chart: 0, coords: [0, 0]}, {chart: 2, coords: [0, 0]}]\n")
+
+
 def test_degenerate_perturbed_zero_exits_2(capsys, tmp_path, monkeypatch):
     # The Jordan block at [1:0:0] goes to the perturbation engine; a perturbed
     # zero that is degenerate as well is a domain error, not a traceback.
     fol = tmp_path / "jordan.fol"
-    fol.write_text("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
-                   "field.components = [z0 + z1, z1, 3*z2]\ndivisor = z2\n"
-                   "points = [{chart: 0, coords: [0, 0]}, {chart: 2, coords: [0, 0]}]\n")
+    fol.write_text(JORDAN_WITH_POINTS)
 
     def degenerate(ld, p, i):
         raise residue.DegenerateZero("detJ = 0")
 
     monkeypatch.setattr(residue, "closed_form_residues", degenerate)
+    assert run(capsys, "verify", str(fol)) == (
+        2, "", "error: a perturbed zero near chart0:0,0 is still degenerate at eps=0.001\n")
+
+
+def test_perturbed_zero_with_an_undefined_split_exits_2(capsys, tmp_path, monkeypatch):
+    # As above, but the perturbed zero's closed form leaves ordinary/log
+    # undefined (a vanishing cofactor) instead of raising.
+    fol = tmp_path / "jordan.fol"
+    fol.write_text(JORDAN_WITH_POINTS)
+
+    def split_undefined(ld, p, levels):
+        return [residue.ResidueRecord(p, i, None, None, 0.0, "closed_form") for i in levels]
+
+    monkeypatch.setattr(residue, "closed_form_residues", split_undefined)
     assert run(capsys, "verify", str(fol)) == (
         2, "", "error: a perturbed zero near chart0:0,0 is still degenerate at eps=0.001\n")
 

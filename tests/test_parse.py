@@ -1,13 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from resilog import parse
 from resilog.algebra import MultiPoly
 from resilog.parse import (
     MAX_NESTING,
     ParseError,
     SchemaError,
+    parse_integer,
     parse_poly,
     parse_problem,
     parse_rational,
@@ -173,6 +176,39 @@ def test_parse_rational():
         parse_rational("a/b")
     with pytest.raises(SchemaError):
         parse_rational("1/0")
+
+
+# Forms Fraction or int accept that the number grammar does not.
+OUTSIDE_THE_GRAMMAR = ["1e5", "1E-3", "1e1000000", "1_0", "+1", "\u0661", "\u0662/\u0663",
+                       ".5", "5.", "3 / 4", "- 3", "nan", ""]
+
+
+@pytest.mark.parametrize("text, value", [("3", 3), ("-7", -7), (" 12\n", 12), ("007", 7)])
+def test_parse_integer(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR + ["3/4", "0.5", "-2.0"])
+def test_parse_integer_rejects_what_is_not_an_ascii_integer(text):
+    with pytest.raises(ValueError, match="^invalid integer literal "):
+        parse_integer(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-7", -7), ("3/4", Fraction(3, 4)), ("0.5", Fraction(1, 2)), ("-2.0", -2),
+    (" -6/4 ", Fraction(-3, 2)), ("0.125", Fraction(1, 8)),
+])
+def test_parse_rational_reads_the_grammar(text, value):
+    assert parse_rational(text) == value and type(parse_rational(text)) is Fraction
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR)
+def test_parse_rational_rejects_other_forms_before_building_a_fraction(monkeypatch, text):
+    # "1e1000000" once built a 3.3-million-bit numerator before anything failed.
+    monkeypatch.setattr(parse, "Fraction", lambda *_: pytest.fail("a Fraction was built"))
+    message = f"bad rational literal {text!r}: Invalid literal for Fraction: {text.strip()!r}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_rational(text)
 
 
 P2_SRC = """
