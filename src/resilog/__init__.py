@@ -6,10 +6,10 @@ singularities recovered from exceptional residues."""
 from .algebra import MultiPoly, RatMatrix, det_exact, solve_linear
 from .foliation import (
     ChartField,
-    ChernExpectations,
     FoliationProblem,
     NotTangent,
     chart_field,
+    chern_totals,
     make_problem,
     verify_tangency,
 )
@@ -40,10 +40,10 @@ __all__ = [
     "det_exact",
     "solve_linear",
     "ChartField",
-    "ChernExpectations",
     "FoliationProblem",
     "NotTangent",
     "chart_field",
+    "chern_totals",
     "make_problem",
     "verify_tangency",
     "ParseError",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .foliation import ChartField, ChernExpectations, FoliationProblem, chart_fields
+from .foliation import ChartField, FoliationProblem, chart_fields, chern_totals
 from .residue import (
     NonLinearField,
     NumericConfig,
@@ -218,7 +218,6 @@ def verify_identities(
         if levels:
             by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
                                      else perturbed_residues(cf, ld, p, levels, cfg))))
-    expect = ChernExpectations(problem.n, problem.d, problem.m)
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
     any_numeric = False
@@ -231,15 +230,16 @@ def verify_identities(
                 f"i={i}: a zero with vanishing cofactor leaves the ordinary/log "
                 "split undefined; only the variational total is certified"
             )
+        ordinary, log, var = chern_totals(problem.n, problem.d, problem.m, i)
         checks[i] = IdentityCheck(
             i=i,
             records=records,
             ordinary_total=_total([r.ordinary for r in records]),
             log_total=_total([r.log for r in records]),
             var_total=_total([r.var for r in records]),
-            expected_ordinary=expect.ordinary_total(i),
-            expected_log=expect.log_total(i),
-            expected_var=expect.var_total(i),
+            expected_ordinary=ordinary,
+            expected_log=log,
+            expected_var=var,
         )
 
     if not complete:

@@ -192,7 +192,7 @@ def _json_list(value, what: str) -> list:
 
 def cmd_discrepancy(args) -> Output:
     try:
-        data = json.loads(_read(args.matrix))
+        data = json.loads(_read(args.matrix), parse_float=str)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{args.matrix}: not a JSON document: {exc}") from None
     if not isinstance(data, dict) or "M" not in data or "I" not in data:

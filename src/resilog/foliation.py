@@ -61,31 +61,13 @@ class ChartField(NamedTuple):
         return len(self.variables)
 
 
-class ChernExpectations(NamedTuple):
-    """Integer Chern numbers the residue totals must reproduce."""
-
-    n: int
-    d: int
-    m: int
-
-    @property
-    def c1_NF(self) -> int:
-        return self.n + self.d
-
-    @property
-    def c1_Nlog(self) -> int:
-        return self.n + self.d - self.m
-
-    def ordinary_total(self, i: int) -> int:
-        check_level(self.n, i)
-        return self.c1_NF ** (self.n - i) * self.m**i
-
-    def log_total(self, i: int) -> int:
-        check_level(self.n, i)
-        return self.c1_Nlog ** (self.n - i) * self.m**i
-
-    def var_total(self, i: int) -> int:
-        return self.ordinary_total(i) - self.log_total(i)
+def chern_totals(n: int, d: int, m: int, i: int) -> tuple[int, int, int]:
+    """The level-i totals (ordinary, log, var) the residues must reproduce:
+    c1(N_F)^(n-i)*m^i and c1(N^log)^(n-i)*m^i, with c1(N_F) = n + d and
+    c1(N^log) = n + d - m, and their difference."""
+    check_level(n, i)
+    ordinary, log = (n + d) ** (n - i) * m**i, (n + d - m) ** (n - i) * m**i
+    return ordinary, log, ordinary - log
 
 
 def check_level(n: int, i: int):

@@ -336,24 +336,32 @@ def numeric_value(name: str, value):
 
 def parse_points(value, line: int, column: int, n: int) -> list[SingularPoint]:
     """Validated {chart, coords} entries of a ``points`` value on P^n, the value
-    starting at ``column`` of ``line``, as bare SingularPoint(chart, coords)."""
+    starting at ``column`` of ``line``, as bare SingularPoint(chart, coords).
+    Each error is a ParseError at the scalar it is about, else at the value."""
     if not isinstance(value, list):
         raise ParseError(line, column, "points must be a list of {chart, coords} objects")
     points = []
     for entry in value:
         if not (isinstance(entry, dict) and isinstance(entry.get("chart"), str)
                 and isinstance(entry.get("coords"), list)):
-            raise SchemaError(f"point entry needs 'chart' (scalar) and 'coords' (list): {entry!r}")
+            raise ParseError(line, getattr(entry, "column", column),
+                             f"point entry needs 'chart' (scalar) and 'coords' (list): {entry!r}")
+        at_chart = getattr(entry["chart"], "column", column)
         try:
             chart = parse_integer(entry["chart"])
         except ValueError:
-            raise SchemaError(f"point chart must be an integer, got {entry['chart']!r}") from None
-        coords = tuple(parse_rational(str(c)) for c in entry["coords"])
+            raise ParseError(line, at_chart,
+                             f"point chart must be an integer, got {entry['chart']!r}") from None
+        coords = []
+        for c in entry["coords"]:  # a nested list has no column: report the chart's
+            try:
+                coords.append(parse_rational(str(c)))
+            except SchemaError as exc:
+                raise ParseError(line, getattr(c, "column", at_chart), str(exc)) from None
         if len(coords) != n:
-            raise SchemaError(
-                f"point in chart {chart} has {len(coords)} coordinates, expected {n}"
-            )
-        points.append(SingularPoint(chart, coords))
+            raise ParseError(line, at_chart,
+                             f"point in chart {chart} has {len(coords)} coordinates, expected {n}")
+        points.append(SingularPoint(chart, tuple(coords)))
     return points
 
 

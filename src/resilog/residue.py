@@ -63,14 +63,6 @@ class DegenerateZero(DomainError):
     such zeros, and raises it where a perturbed zero is degenerate too."""
 
 
-class ZeroCountUnstable(DomainError):
-    """Perturbed zero counts disagree between the two perturbation sizes."""
-
-
-class NewtonDivergence(DomainError):
-    """No Newton start converged to a zero."""
-
-
 class BoundaryZero(DomainError):
     """A perturbed zero sits on the search boundary; enlarge the radius."""
 
@@ -429,7 +421,7 @@ def _zeros_near(field: Sequence[MultiPoly], coords, radius: float,
     Starts cover a polydisk: the center, then per axis the center plus points
     on a complex circle of radius 0.6*radius; Newton runs in complex
     arithmetic so that conjugate zero pairs produced by perturbation are found
-    too.  Raises NewtonDivergence when no start converges and BoundaryZero
+    too.  Raises DomainError when no start converges and BoundaryZero
     when a zero lies within ``cfg.dedupe_radius`` of the boundary, on either
     side: a zero just outside that is found first would hide, by
     deduplication, one just inside.
@@ -442,7 +434,7 @@ def _zeros_near(field: Sequence[MultiPoly], coords, radius: float,
     starts = [center] + [[c + o for c, o in zip(center, offsets)] for offsets in grid]
     zeros = _newton_zeros(field, starts, cfg, center, 10 * radius)
     if not zeros:
-        raise NewtonDivergence("no Newton start converged")
+        raise DomainError("no Newton start converged")
     dists = [_dist(x, center) for x in zeros]
     for dist in dists:
         if abs(dist - radius) <= cfg.dedupe_radius:
@@ -526,7 +518,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
     for i in levels:
         (n1, *at1), (n2, *at2) = (total[i] for total in sums)
         if n1 != n2:
-            raise ZeroCountUnstable(f"zero counts {n1} vs {n2} at eps levels {cfg.eps_levels}")
+            raise DomainError(f"zero counts {n1} vs {n2} at eps levels {cfg.eps_levels}")
         values = [((eps1 * v2 - eps2 * v1) / (eps1 - eps2)).real for v1, v2 in zip(at1, at2)]
         err = max(abs(v1 - v2) for v1, v2 in zip(at1, at2))
         out.append(ResidueRecord(point, i, *values, "perturbation", err))

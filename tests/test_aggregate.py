@@ -172,6 +172,19 @@ def test_partial_point_set_of_linear_charts_is_detected():
     assert verify_identities(P2, points=enumerate_singularities(P2)).level == "proved-on-instance"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: `_covers_linear_zeros` returns True "
+                   "when `linear_zeros` raises `NonLinearField`")
+def test_partial_point_set_of_a_non_diagonal_linear_field_is_detected():
+    # The matrix [[1, 1, 0], [0, 2, 0], [0, 0, 3]] has the eigenvectors
+    # [1:0:0], [1:1:0] and [0:0:1]; [1:1:0] is not given.
+    z0, z1, z2 = (MultiPoly.variable(Z3, v) for v in Z3)
+    problem = make_problem(Z3, [z0 + z1, 2 * z1, 3 * z2], z2)
+    pts = [SingularPoint(c, (Fraction(0), Fraction(0))) for c in (0, 2)]
+    with pytest.warns(IncompletePointSet):
+        report = verify_identities(problem, points=pts)
+    assert not report.complete and report.level == "partial"
+
+
 def test_given_points_on_a_line_of_zeros_raise_like_discovery():
     # diag(1, 1, 2): the line z2 = 0 is a line of zeros.
     problem = diag_problem((1, 1, 2), Z3)
@@ -293,7 +306,7 @@ def test_records_are_immutable_and_the_frozen_ones_hashable():
     cyclic = cyclic_quotient_model(5)
     surface = surface_report(P2)
     hashable = [residue.NumericConfig(), record.point, residue.local_data(cf, record.point),
-                record, P2, cf, foliation.ChernExpectations(P2.n, P2.d, P2.m)]
+                record, P2, cf]
     others = [parse._tokenize("z0")[0], doc, poincare_check(P2), surface.rows[0], surface,
               DiscrepancyProblem(cyclic.M, (Fraction(2),)), cyclic]
     for value in hashable + others:

@@ -77,22 +77,32 @@ def test_not_tangent_in_chart_1(capsys, tmp_path):
                "by f\n")
 
 
-@pytest.mark.parametrize("entry, code, message", [
-    ("{chart: 0, coords: [1, 1]}", 2, "field does not vanish at (1, 1)"),
+# A point-entry error is a parse error at the coordinate, the chart or the
+# scalar entry it is about, else at the points value (line 1, column 10).
+@pytest.mark.parametrize("entry, code, message, at", [
+    ("{chart: 0, coords: [1, 1]}", 2, "field does not vanish at (1, 1)", None),
     ("{chart: 0}", 1, "point entry needs 'chart' (scalar) and 'coords' (list): "
-                      "{'chart': '0'}"),
+                      "{'chart': '0'}", "1:10"),
     # A scalar coords would be read one character at a time, a list chart
     # would end in a TypeError.
     ("{chart: 0, coords: 00}", 1, "point entry needs 'chart' (scalar) and 'coords' (list): "
-                                  "{'chart': '0', 'coords': '00'}"),
+                                  "{'chart': '0', 'coords': '00'}", "1:10"),
     ("{chart: [0], coords: [0, 0]}", 1, "point entry needs 'chart' (scalar) and 'coords' "
-                                        "(list): {'chart': ['0'], 'coords': ['0', '0']}"),
-    ("{chart: 0, coords: [0, 0, 0]}", 1, "point in chart 0 has 3 coordinates, expected 2"),
+                                        "(list): {'chart': ['0'], 'coords': ['0', '0']}", "1:10"),
+    ("{chart: 0, coords: [0, 0, 0]}", 1, "point in chart 0 has 3 coordinates, expected 2",
+     "1:19"),
+    ("3", 1, "point entry needs 'chart' (scalar) and 'coords' (list): '3'", "1:11"),
+    ("{chart: 0, coords: [0,  x]}", 1,
+     "bad rational literal 'x': Invalid literal for Fraction: 'x'", "1:35"),
+    # A nested list has no column of its own: the chart's is reported.
+    ("{chart: 0, coords: [[1], 0]}", 1,
+     "bad rational literal \"['1']\": Invalid literal for Fraction: \"['1']\"", "1:19"),
 ])
-def test_bad_points_file_exit_code_without_traceback(capsys, tmp_path, entry, code, message):
+def test_bad_points_file_exit_code_without_traceback(capsys, tmp_path, entry, code, message, at):
     pts = tmp_path / "pts.txt"
     pts.write_text(f"points = [{entry}]\n")
-    assert run(capsys, "verify", P2, "--points", str(pts)) == (code, "", f"error: {message}\n")
+    prefix = f"parse error at {at}" if at else "error"
+    assert run(capsys, "verify", P2, "--points", str(pts)) == (code, "", f"{prefix}: {message}\n")
 
 
 def test_verify_points_file_builds_each_chart_field_and_local_data_once(
@@ -125,9 +135,9 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     ("p.fol", "numeric.eps_levels = [1e-3, 1e-5]", 0, None),
     ("p.fol", "space.dim = 0", 1, "space.dim must be at least 1, got 0"),
     ("p.fol", "field.vars = [z0, z0, z2]", 1, "field.vars contains duplicate names"),
-    # Python prints this JSON number as 1e-05, which is no rational literal.
-    ("m.json", '{"M": [[-2]], "I": [0.00001]}', 1,
-     "bad rational literal '1e-05': Invalid literal for Fraction: '1e-05'"),
+    # A JSON number is read by its literal, and an exponent is no rational literal.
+    ("m.json", '{"M": [[-2]], "I": [1e-5]}', 1,
+     "bad rational literal '1e-5': Invalid literal for Fraction: '1e-5'"),
 ])
 def test_malformed_input_exits_without_traceback(capsys, tmp_path, name, text, code, message):
     path = tmp_path / name
@@ -137,6 +147,20 @@ def test_malformed_input_exits_without_traceback(capsys, tmp_path, name, text, c
     argv = ["discrepancy", str(path)] if name.endswith(".json") else ["verify", str(path)]
     got, _, err = run(capsys, *argv)
     assert (got, err) == (code, f"error: {message.format(path=path)}\n" if message else "")
+
+
+@pytest.mark.parametrize("literal, code, line", [
+    ("0.12345678901234567890123", 0, "b = (12345678901234567890123/100000000000000000000000)"),
+    ("1e2", 1, "error: bad rational literal '1e2': Invalid literal for Fraction: '1e2'"),
+    ("1E-3", 1, "error: bad rational literal '1E-3': Invalid literal for Fraction: '1E-3'"),
+    ("0.00001", 0, "b = (1/100000)"),
+])
+def test_discrepancy_reads_a_json_number_by_its_literal(capsys, tmp_path, literal, code, line):
+    # Not through a float: 23 digits stay exact, and Python's 1e-05 never appears.
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"M": [[-1]], "I": [{literal}]}}\n')
+    got, out, err = run(capsys, "discrepancy", str(path))
+    assert got == code and line in (out + err).splitlines(), (out, err)
 
 
 HEADER = "space.dim = 2\nfield.vars = [z0, z1, z2]\n"
@@ -191,19 +215,19 @@ NUMBER_SITES = {
                    else f"error: field.vars has 3 entries, expected space.dim+1 = {v + 1}")),
     "chart in the file": (
         lambda d, x: ["verify", _write(d, "p.fol", P2_TEXT + _points(x, 0))],
-        "error: point chart must be an integer, got {x!r}",
+        "parse error at 6:19: point chart must be an integer, got {x!r}",
         lambda v: (1, f"error: point chart {v} is out of range 0..2")),
     "chart in --points": (
         lambda d, x: ["verify", P2, "--points", _write(d, "pts.txt", _points(x, 0))],
-        "error: point chart must be an integer, got {x!r}",
+        "parse error at 1:19: point chart must be an integer, got {x!r}",
         lambda v: (1, f"error: point chart {v} is out of range 0..2")),
     "coordinate in the file": (
         lambda d, x: ["verify", _write(d, "p.fol", P2_TEXT + _points(0, x))],
-        "error: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
+        "parse error at 6:31: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
         lambda v: (2, f"error: field does not vanish at ({v}, 0)")),
     "coordinate in --points": (
         lambda d, x: ["verify", P2, "--points", _write(d, "pts.txt", _points(0, x))],
-        "error: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
+        "parse error at 1:31: bad rational literal {x!r}: Invalid literal for Fraction: {x!r}",
         lambda v: (2, f"error: field does not vanish at ({v}, 0)")),
     "entry of M": (
         lambda d, x: ["discrepancy", _write(d, "m.json", json.dumps(
@@ -472,10 +496,10 @@ def test_given_chart_out_of_range_exits_1(capsys, tmp_path, chart, via):
         1, "", f"error: point chart {chart} is out of range 0..2\n")
 
 
-@pytest.mark.parametrize("via", ["file", "--points"])
-def test_given_chart_not_an_integer_exits_1(capsys, tmp_path, via):
+@pytest.mark.parametrize("via, line", [("file", 6), ("--points", 1)], ids=["file", "--points"])
+def test_given_chart_not_an_integer_exits_1(capsys, tmp_path, via, line):
     assert run(capsys, *verify_given_chart(tmp_path, via, "x")) == (
-        1, "", "error: point chart must be an integer, got 'x'\n")
+        1, "", f"parse error at {line}:19: point chart must be an integer, got 'x'\n")
 
 
 def test_two_components_on_p2_exit_1(capsys, tmp_path):
@@ -621,7 +645,8 @@ def test_points_value_at_the_nesting_limit_reaches_the_schema_check(capsys, tmp_
     path.write_text(Path(P2).read_text() + "points = " + "[" * 100 + "]" * 100 + "\n")
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: point entry needs 'chart' (scalar) and 'coords' (list)")
+    assert err.startswith("parse error at 6:10: point entry needs 'chart' (scalar) and 'coords' "
+                          "(list)")
     assert err.count("\n") == 1
 
 

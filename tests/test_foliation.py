@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from resilog.algebra import MultiPoly
 from resilog.foliation import (
-    ChernExpectations,
     NotTangent,
     chart_cofactor,
     chart_field,
     chart_fields,
+    chern_totals,
     dehomogenize_field,
     make_problem,
     verify_tangency,
@@ -361,17 +361,16 @@ def test_nonlinear_tangent_divisor():
 
 
 def test_chern_expectations_values():
-    e = ChernExpectations(n=2, d=1, m=1)
-    assert e.c1_NF == 3 and e.c1_Nlog == 2
-    assert e.ordinary_total(0) == 9 and e.log_total(0) == 4 and e.var_total(0) == 5
-    assert e.ordinary_total(1) == 3 and e.log_total(1) == 2 and e.var_total(1) == 1
-    with pytest.raises(ValueError):
-        e.ordinary_total(2)
+    # c1(N_F) = 3 and c1(N^log) = 2 on P^2 with d = m = 1.
+    assert chern_totals(2, 1, 1, 0) == (9, 4, 5)
+    assert chern_totals(2, 1, 1, 1) == (3, 2, 1)
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            chern_totals(2, 1, 1, i)
 
 
 def test_chern_expectations_p3():
-    e = ChernExpectations(n=3, d=1, m=1)
-    assert [e.var_total(i) for i in range(3)] == [37, 7, 1]
+    assert [chern_totals(3, 1, 1, i)[2] for i in range(3)] == [37, 7, 1]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -379,8 +378,7 @@ def test_chart_field_consistency_random_diag(seed):
     rng = random.Random(seed)
     eigs = rng.sample(range(-9, 10), 3)
     p = diag_problem(eigs, 2)
-    e = ChernExpectations(p.n, p.d, p.m)
-    assert e.n == 2 and e.d == 1 and e.m == 1
+    assert (p.n, p.d, p.m) == (2, 1, 1)
     for cf in chart_fields(p):
         assert cf.k is not None
         assert len(cf.a) == 2
