@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .foliation import ChartField, FoliationProblem, chart_fields, chern_totals
+from .foliation import (ChartField, FoliationProblem, chart_fields, chern_totals,
+                        dehomogenize_field, tangency_cofactor)
 from .residue import (
     NonLinearField,
     NumericConfig,
@@ -23,10 +24,10 @@ from .residue import (
     SingularPoint,
     classify_point,
     closed_form_residues,
+    diagonal_zeros,
     discover_zeros_numeric,
     is_exact,
     is_zero,
-    linear_zeros,
     local_data,
     perturbed_residues,
 )
@@ -64,15 +65,13 @@ def _locate(
     user_points: list[SingularPoint] | None,
     cfg: NumericConfig,
 ) -> list[tuple]:
-    """Deduplicated (point, chart field, local data) triples across all
-    charts of ``fields`` (one chart field per chart), sorted by the strings
-    of their homogeneous coordinates; each point classified once in its
-    lowest chart, a given point as exact as its coordinates.  Local data is
-    None where the divisor is singular and at numeric zeros.  A linear zero
-    of chart c is kept only where its coordinates before position c are 0,
-    in its lowest (lead) chart: every chart is diagonal (``linear_zeros``),
-    so that chart's solve returns it or raises; nothing is normalized or
-    hashed.  A given point's chart must lie in 0..n (ValueError otherwise)."""
+    """Deduplicated (point, chart field, local data) triples of given
+    ("user") or "numeric" points across all charts of ``fields`` (one chart
+    field per chart), sorted by the strings of their homogeneous
+    coordinates; each point classified once in its lowest chart, a given
+    point as exact as its coordinates.  Local data is None where the divisor
+    is singular and at numeric zeros.  A given point's chart must lie in
+    0..n (ValueError otherwise)."""
     if mode == "user":
         if user_points is None:
             raise ValueError("mode 'user' needs user_points")
@@ -80,11 +79,6 @@ def _locate(
             if not 0 <= p.chart < len(fields):
                 raise ValueError(f"point chart {p.chart} is out of range 0..{len(fields) - 1}")
         raw = user_points
-    elif mode == "exact_linear":
-        located = [(p, cf, ld) for cf in fields for p, ld in linear_zeros(cf)
-                   if not any(p.coords[:cf.chart])]
-        return sorted(located, key=lambda t: tuple(map(  # str(1) == str(Fraction(1))
-            str, t[0].coords[:t[0].chart] + (1,) + t[0].coords[t[0].chart:])))
     elif mode == "numeric":
         raw = [p for cf in fields for p in discover_zeros_numeric(cf, cfg=cfg)]
     else:
@@ -105,12 +99,12 @@ def _locate(
     return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
 
 
-def _covers_linear_zeros(fields: list[ChartField], located: list[tuple]) -> bool:
-    """Whether the located points include every zero of the chart fields when
-    all of them are affine-linear; True otherwise, where nothing certifies
+def _covers_linear_zeros(problem: FoliationProblem, K, located: list[tuple]) -> bool:
+    """Whether the located points include every zero of the field when all
+    its charts are affine-linear; True otherwise, where nothing certifies
     the zero set.  A zero set of positive dimension raises."""
     try:
-        zeros = [p for cf in fields for p, _ in linear_zeros(cf)]
+        zeros = [p for p, _ in diagonal_zeros(problem, K)]
     except NonLinearField:
         return True
 
@@ -132,8 +126,10 @@ def enumerate_singularities(
     "numeric" (multi-start Newton over the box [-2, 2]^n of each chart; may
     be incomplete), "user" (ingest user-attested points).
     """
-    fields = chart_fields(problem)
-    return [p for p, _, _ in _locate(fields, mode, user_points, cfg)]
+    K = tangency_cofactor(problem)
+    if mode == "exact_linear":
+        return [p for p, _ in diagonal_zeros(problem, K)]
+    return [p for p, _, _ in _locate(chart_fields(problem, K), mode, user_points, cfg)]
 
 
 @dataclass
@@ -197,23 +193,27 @@ def verify_identities(
 ) -> GlobalReport:
     """Check the global residue identities on this instance.
 
-    With no points given, singularities are discovered exactly (affine-linear
-    charts only); given points are deduplicated and classified here, whatever
-    their flags, and are complete unless the charts are affine-linear and a
-    zero is missing.  Simple zeros take the closed
-    forms, the others the perturbation engine.  An exact zero discrepancy at
-    every requested i certifies the identity on this instance."""
-    fields = chart_fields(problem)
-    mode = "exact_linear" if points is None else "user"
-    located = _locate(fields, mode, points, cfg)
-    complete = points is None or _covers_linear_zeros(fields, located)
+    With no points given, singularities are discovered exactly (diagonal or
+    constant fields only, with no chart field built); given points are
+    deduplicated and classified here, whatever their flags, and are complete
+    unless the charts are affine-linear and a zero is missing.  Simple zeros
+    take the closed forms, the others the perturbation engine.  An exact zero
+    discrepancy at every requested i certifies the identity on this instance."""
+    K = tangency_cofactor(problem)
+    if points is None:
+        located, complete = [(p, None, ld) for p, ld in diagonal_zeros(problem, K)], True
+    else:
+        located = _locate(chart_fields(problem, K), "user", points, cfg)
+        complete = _covers_linear_zeros(problem, K, located)
     if i_list is None:
         i_list = list(range(problem.n))
 
     # One call per point for all its levels: i = 0, and i >= 1 on D.
     by_point: list[dict[int, ResidueRecord]] = []
     for p, cf, ld in located:
-        ld = ld if ld is not None else local_data(cf, p)
+        # Without local data the divisor is singular at p, where local_data
+        # raises; only there is a discovered zero's chart built.
+        ld = ld if ld is not None else local_data(cf or dehomogenize_field(problem, p.chart, K), p)
         levels = [i for i in i_list if i == 0 or ld.s is not None]
         if levels:
             by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple

@@ -192,7 +192,7 @@ def _json_list(value, what: str) -> list:
 
 def cmd_discrepancy(args) -> Output:
     try:
-        data = json.loads(_read(args.matrix), parse_float=str)
+        data = json.loads(_read(args.matrix), parse_float=str, parse_int=parse_integer)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{args.matrix}: not a JSON document: {exc}") from None
     if not isinstance(data, dict) or "M" not in data or "I" not in data:
@@ -291,10 +291,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; each warning it raises is printed as one stderr line."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
+        try:  # parse_args too: ``--m`` past parse.MAX_DIGITS is a SchemaError
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
             code, doc, lines = args.run(args)
         except ParseError as exc:
             print(f"parse error at {exc.line}:{exc.column}: {exc.message}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 Degree bookkeeping, chart dehomogenization, tangency verification with
 cofactor extraction, and the expected Chern numbers the global identities
-are checked against.  ``chart_fields`` divides once: with K = V(F)/F, chart c
-has the cofactor k_c = (K - m*V_c) at z_c = 1 by Euler's identity (proof
-there); only a field that is not tangent is divided chart by chart.
+are checked against.  ``tangency_cofactor`` divides once, K = V(F)/F, and
+chart c has the cofactor k_c = (K - m*V_c) at z_c = 1 by Euler's identity
+(proof there); only a field that is not tangent is divided chart by chart.
 """
 
 from __future__ import annotations
@@ -142,15 +142,18 @@ def _affine(p: MultiPoly, chart: int) -> dict:
     return {e[:chart] + e[chart + 1:]: c for e, c in p.terms.items()}
 
 
-def dehomogenize_field(problem: FoliationProblem, chart: int) -> ChartField:
-    """Affine chart data (without the cofactor).
+def dehomogenize_field(problem: FoliationProblem, chart: int,
+                       K: MultiPoly | None = None) -> ChartField:
+    """Affine chart data, with the cofactor (K - m*V_c) at z_c = 1 when
+    K = ``tangency_cofactor(problem)`` is given.
 
     In chart c, the affine components are a_j = V_{sigma(j)} - x_j * V_c at
     z_c = 1, x_j running over the non-chart coordinates in index order.  Each
     a_j is read from the term dicts: every term drops its chart exponent, and
     the terms of V_c also gain one in x_j's exponent and change sign.  The
     divisor drops its chart exponent too.  Adding any multiple of the Euler
-    field to V leaves the result unchanged.
+    field to V leaves the result unchanged.  The cofactor keeps a division's
+    term order, descending lex, for float values.
     """
     if not 0 <= chart <= problem.n:
         raise ValueError(f"chart must lie in 0..{problem.n}, got {chart}")
@@ -167,7 +170,13 @@ def dehomogenize_field(problem: FoliationProblem, chart: int) -> ChartField:
     if f_aff.is_constant and not f_aff.is_zero:
         # D misses this chart's affine origin pattern entirely; normalize.
         f_aff = MultiPoly.const(affine_vars, 1)
-    return ChartField(chart=chart, variables=affine_vars, a=tuple(components), f=f_aff)
+    k = None
+    if K is not None:
+        k = _affine(K, chart)
+        for e, c in v_c:
+            k[e] = k.get(e, 0) - problem.m * c
+        k = MultiPoly._of(affine_vars, dict(sorted(k.items(), reverse=True)))
+    return ChartField(chart, affine_vars, tuple(components), f_aff, k)
 
 
 def _applied(field, f: MultiPoly) -> MultiPoly:
@@ -191,32 +200,30 @@ def chart_cofactor(cf: ChartField) -> MultiPoly:
     return k
 
 
-def chart_fields(problem: FoliationProblem) -> list[ChartField]:
-    """Every chart's data with its cofactor from one division, K = V(F)/F:
-    chart c reads k_c = (K - m*V_c) at z_c = 1 off the term dicts.  Proof: by
-    Euler's identity sum_i z_i dF/dz_i = m*F, v(f) = (V(F) - m*V_c*F) at
-    z_c = 1.  F divides V(F) exactly when every chart's f divides its v(f),
-    as each irreducible factor of F lies off some hyperplane z_c; so where K
-    is None, ``chart_cofactor`` raises NotTangent in the first failing chart.
-    Each k_c keeps a division's term order, descending lex, for float values."""
-    fields = [dehomogenize_field(problem, c) for c in range(problem.n + 1)]
+def tangency_cofactor(problem: FoliationProblem) -> MultiPoly:
+    """The homogeneous cofactor K = V(F)/F, from one division; chart c has
+    k_c = (K - m*V_c) at z_c = 1.  Proof: by Euler's identity
+    sum_i z_i dF/dz_i = m*F, v(f) = (V(F) - m*V_c*F) at z_c = 1.  F divides
+    V(F) exactly when every chart's f divides its v(f), as each irreducible
+    factor of F lies off some hyperplane z_c; so where the division fails,
+    ``chart_cofactor`` raises NotTangent in the first failing chart."""
     K = exact_divide(_applied(problem.components, problem.divisor), problem.divisor)
     if K is None:
-        for cf in fields:
-            chart_cofactor(cf)
+        for chart in range(problem.n + 1):
+            chart_cofactor(dehomogenize_field(problem, chart))
         raise AssertionError("F divides V(F) in every chart but not globally")
-    for chart, cf in enumerate(fields):
-        k = _affine(K, chart)
-        for e, c in _affine(problem.components[chart], chart).items():
-            k[e] = k.get(e, 0) - problem.m * c
-        k = MultiPoly._of(cf.variables, dict(sorted(k.items(), reverse=True)))
-        fields[chart] = ChartField(chart, cf.variables, cf.a, cf.f, k)
-    return fields
+    return K
+
+
+def chart_fields(problem: FoliationProblem, K: MultiPoly | None = None) -> list[ChartField]:
+    """Every chart's data with its cofactor, from K (divided here if not given)."""
+    K = tangency_cofactor(problem) if K is None else K
+    return [dehomogenize_field(problem, chart, K) for chart in range(problem.n + 1)]
 
 
 def chart_field(problem: FoliationProblem, chart: int) -> ChartField:
-    """``chart_fields(problem)[chart]``; a ValueError unless 0 <= chart <= n."""
-    return chart_fields(problem)[range(problem.n + 1).index(chart)]
+    """``chart_fields(problem)[chart]``, built alone; a ValueError unless 0 <= chart <= n."""
+    return dehomogenize_field(problem, chart, tangency_cofactor(problem))
 
 
 def verify_tangency(problem: FoliationProblem) -> dict[int, MultiPoly]:

@@ -14,7 +14,8 @@ non-ASCII digit too, is a ParseError at its position.  There are no
 floating literals and no division except inside a rational literal;
 implicit multiplication ("3x") is rejected.  Unary minus binds looser than
 "^", so "-x^2" is -(x^2).  "(" and unary "-" nest at most MAX_NESTING deep,
-and so do the "[" and "{" of a document value.
+and so do the "[" and "{" of a document value, and a number literal has
+at most MAX_DIGITS digits on every Python version, 3.10 too.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ _DIGITS = "0123456789"
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _NAME_CHARS = _LETTERS + _DIGITS
 MAX_NESTING = 100
+MAX_DIGITS = 4300
+
+
+def _over_cap(text: str) -> str:
+    """Past MAX_DIGITS digits, the literal's error, quoting only a prefix; else ''."""
+    digits = sum(ch in _DIGITS for ch in text) if len(text) > MAX_DIGITS else 0
+    return (f"number literal '{text.strip()[:12]}...' has {digits} digits, more than "
+            f"{MAX_DIGITS}") if digits > MAX_DIGITS else ""
 
 
 class _Token(NamedTuple):
@@ -65,6 +74,8 @@ def _tokenize(src: str, line0: int = 1, col0: int = 1) -> list[_Token]:
             kind = "int"
             while j < len(src) and src[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(line, col, _over_cap(src[i:j]))
         elif ch in _LETTERS:
             kind = "ident"
             while j < len(src) and src[j] in _NAME_CHARS:
@@ -297,19 +308,25 @@ def raw_document(src: str) -> dict[str, tuple[object, int, int]]:
 
 
 def parse_integer(text: str) -> int:
-    """'-?D+' in ASCII digits, whitespace around it ignored; else ValueError."""
+    """'-?D+' in ASCII digits, whitespace around it ignored; else ValueError
+    (a SchemaError past MAX_DIGITS digits, which no caller rewords)."""
     if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
         raise ValueError(f"invalid integer literal {text!r}")
+    if message := _over_cap(text):
+        raise SchemaError(message)
     return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """'p', '-p', 'p/q' or the decimal 'p.q' in ASCII digits, whitespace around
     it ignored, as a Fraction; any other form (an exponent, '+', '_') fails
-    before a Fraction is built, with Fraction's own message."""
+    before a Fraction is built, with Fraction's own message; past MAX_DIGITS
+    digits, with ``_over_cap``'s."""
     try:
         if not re.fullmatch(r"\s*-?[0-9]+(/[0-9]+|\.[0-9]+)?\s*", text):
             raise ValueError(f"Invalid literal for Fraction: {text.strip()!r}")
+        if message := _over_cap(text):
+            raise SchemaError(message)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational literal {text!r}: {exc}") from None

@@ -2,11 +2,10 @@
 
 A zero's data (``LocalData``) is the Jacobian trace trJ and determinant
 detJ, the cofactor value k(p), and on the divisor D the entry s of grad f
-bordering det J_D, the induced trace trJ_D = trJ - k and det J_D.  Its two
-sources share ``_divisor_data`` (the on-D test, s and k(p)): ``local_data``
-takes one jet per component at any zero, and ``linear_zeros`` reads it off
-the diagonal of an affine-linear chart, the only kind it gets (proof
-there).  At a zero p on D the determinants are tied, detJ = k(p)*detJD.
+bordering det J_D, the induced trace trJ_D = trJ - k and det J_D:
+``local_data`` takes one jet per component and one of f at any zero, and
+exact discovery (``diagonal_zeros``) reads every zero's off the homogeneous
+term dicts.  At a zero p on D the determinants are tied, detJ = k(p)*detJD.
 Proof: differentiating v(f) = k*f at p, where v and f vanish, gives
 J^T grad f = k(p) grad f, so J keeps the tangent space ker(grad f) and acts
 on the quotient line by k(p).  So ``local_data`` costs one elimination at a
@@ -43,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, det_exact
-from .foliation import ChartField, check_level
+from .foliation import ChartField, FoliationProblem, check_level, dehomogenize_field
 
 
 class NotAZero(DomainError):
@@ -217,26 +216,10 @@ def _solve(rows: list, rhs: list) -> list | None:
     return x
 
 
-def _divisor_data(cf: ChartField, coords: tuple, exact: bool) -> tuple:
-    """k(p), and on D grad f at p and its entry s that borders det J_D (None,
-    None off D), from one ``jet`` of f; DivisorSingularAt where grad f is 0 on D."""
-    f_p, grad_f = cf.f.jet(coords)
-    on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
-    if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
-        raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
-    k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
-    if not on_divisor:
-        return k_at_p, None, None
-    s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
-    if s is None:
-        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
-                                " residues there are unsupported")
-    return k_at_p, grad_f, s
-
-
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     """Traces, determinants, and cofactor value of the field at a zero of it,
-    from one ``jet`` per component and one of f."""
+    from one ``jet`` per component and one of f, whose gradient gives on D
+    the axis s bordering det J_D; DivisorSingularAt where it is 0 on D."""
     n = cf.n
     coords = tuple(p.coords)
     exact = is_exact(coords)
@@ -244,9 +227,17 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     if any(not is_zero(v, exact) for v in values):
         raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
     trJ = sum(jac[j][j] for j in range(n))
-    k_at_p, grad_f, s = _divisor_data(cf, coords, exact)
-    if s is None:
+    f_p, grad_f = cf.f.jet(coords)
+    on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
+    if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
+        raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
+    k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
+    if not on_divisor:
         return LocalData(trJ, _det(jac, exact), k_at_p, trJ - k_at_p, detJD=None, s=None)
+    s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
+    if s is None:
+        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
+                                " residues there are unsupported")
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
@@ -533,22 +524,68 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 
 # -- zero discovery --------------------------------------------------------
 
+def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
+    """Exact zeros of a diagonal linear field (V_j = lam_j*z_j) or a constant
+    one, from K = V(F)/F and the homogeneous term dicts, with no chart built:
+    each classified in its lead chart, with its local data (None where D is
+    singular), sorted by the strings of its homogeneous coordinates.  At e_c,
+    trJ = sum_{j != c}(lam_j - lam_c), detJ is the product and k = K - m*lam_c
+    (Bott 1967); PositiveDimensional at the first repeated lam_c.  A constant
+    field is lam_lead = c_lead, other lam_j = 0, at [c_0:...:c_n].  One jet of
+    F at the point, entry c dropped, is the chart's f and grad f there.  Any
+    other field raises in the first chart ``linear_zeros`` refuses (proof there)."""
+    n, zero, comps = problem.n, Fraction(0), problem.components
+    units = [tuple(int(k == j) for k in range(n + 1)) for j in range(n + 1)]
+    if problem.d <= 1 and all(v.terms.keys() <= {u} for v, u in zip(comps, units)):
+        lam = [v.terms.get(u, zero) for v, u in zip(comps, units)]
+        if len(set(lam)) <= n:
+            raise PositiveDimensional(next(r for r in (lam.count(x) - 1 for x in lam) if r))
+        points = [(c, units[c]) for c in range(n, -1, -1)]
+    elif problem.d == 0:
+        const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
+        lead = next(j for j, v in enumerate(const) if v)
+        lam = [v if j == lead else zero for j, v in enumerate(const)]
+        points = [(lead, [v / const[lead] for v in const])]
+    else:
+        for chart in range(n + 1):
+            linear_zeros(dehomogenize_field(problem, chart, K))
+        raise AssertionError("every chart is diagonal, and so is the field")
+    q = math.lcm(*(v.denominator for v in lam))
+    ints = [v.numerator * (q // v.denominator) for v in lam]
+    kappa = K.terms.get((0,) * (n + 1), zero)  # K has degree d - 1
+    zeros = []
+    for c, hom in points:
+        coords = (zero,) * n if problem.d else tuple(hom[:c] + hom[c + 1:])
+        f_p, grad = problem.divisor.jet(hom)
+        del grad[c]
+        s = None if f_p else next((j for j, g in enumerate(grad) if g), None)
+        if not f_p and s is None:
+            zeros.append((SingularPoint(c, coords, True, True, None), None))
+            continue
+        alpha = [a - ints[c] for j, a in enumerate(ints) if j != c]
+        trJ, detJ = Fraction(sum(alpha), q), Fraction(math.prod(alpha), q**n)
+        k_at_p = kappa - problem.m * lam[c]
+        zeros.append((SingularPoint(c, coords, True, s is not None, True),
+                      LocalData(trJ, detJ, k_at_p, trJ - k_at_p,
+                                None if s is None else detJ / k_at_p, s)))
+    return zeros
+
+
 def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]:
     """Exact zeros of a diagonal chart field a_j = alpha_j*x_j + beta_j,
-    classified, with their local data (None where the divisor is singular).
+    classified by ``classify_point``: the reference ``diagonal_zeros`` is
+    tested against, and its error path.
 
-    Exact discovery runs only where every chart is affine-linear, and then
-    every chart is diagonal: for d = 1 an affine-linear chart c forces
-    V_c = lam_c*z_c, so a_j = (lam_j - lam_c)*x_j; for d = 0
-    a_j = c_j - c_c*x_j; on P^1 or at a multiple of the Euler field
-    trivially.  One pass reads the terms; a term of degree > 1 in any
-    component raises NonLinearField before a linear term in another variable
-    does.  An alpha_j = 0 with beta_j != 0 leaves no zero; otherwise r zero
-    alpha_j leave a zero set of dimension r (PositiveDimensional), and r = 0
-    the zero x_j = -beta_j/alpha_j, each coordinate (one shared Fraction(0)
-    where beta_j = 0), trJ and detJ one Fraction of integers.  J =
-    diag(alpha), so detJ = prod alpha != 0: the zero is simple, and on D
-    detJ = k(p)*detJD makes k(p) nonzero.
+    Where every chart is affine-linear, the field is diagonal (d = 1),
+    constant (d = 0) or g times the Euler field E, whose charts are 0.
+    Proof: chart c's a_j is W = z_c*V_j - z_j*V_c at z_c = 1, of degree
+    <= 1 only if W lies in z_c^d*(linear forms); as W = -(the W of chart j),
+    it also lies in z_j^d*(linear forms), so for d >= 2 W = 0, V = g*E, and
+    for d = 1 W = w*z_c*z_j, so V_c = lam_c*z_c for every c.  One pass reads
+    the terms; a term of degree > 1 in any component raises NonLinearField
+    before a linear term in another variable does.  An alpha_j = 0 with
+    beta_j != 0 leaves no zero; otherwise r zero alpha_j leave a zero set of
+    dimension r (PositiveDimensional), and r = 0 the zero x_j = -beta_j/alpha_j.
     """
     zero = Fraction(0)
     alpha, beta = [zero] * cf.n, [zero] * cf.n
@@ -572,17 +609,7 @@ def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]
         return []
     if 0 in alpha:
         raise PositiveDimensional(alpha.count(0))
-    coords = tuple(Fraction(-b.numerator * a.denominator, b.denominator * a.numerator)
-                   if b else zero for a, b in zip(alpha, beta))
-    try:
-        k_at_p, _, s = _divisor_data(cf, coords, True)
-    except DivisorSingularAt:
-        return [(SingularPoint(cf.chart, coords, True, True, None), None)]
-    q = math.lcm(*(a.denominator for a in alpha))
-    trJ = Fraction(sum(a.numerator * (q // a.denominator) for a in alpha), q)
-    detJ = Fraction(math.prod(a.numerator for a in alpha), math.prod(a.denominator for a in alpha))
-    return [(SingularPoint(cf.chart, coords, True, s is not None, True),
-             LocalData(trJ, detJ, k_at_p, trJ - k_at_p, None if s is None else detJ / k_at_p, s))]
+    return [classify_point(cf, [-b / a for a, b in zip(alpha, beta)])]
 
 
 def discover_zeros_numeric(

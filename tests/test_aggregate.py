@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -5,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resilog import aggregate, foliation, parse, residue
@@ -339,42 +340,57 @@ def counted(fn, counter: Counter, key):
     return wrapper
 
 
-def count_chart_work(monkeypatch, modules=()) -> tuple[Counter, Counter, Counter]:
+def count_chart_work(monkeypatch, modules=()) -> tuple[Counter, Counter, Counter, Counter]:
     """Counters of the ``chart_fields`` calls (by the problem's variables), the
-    ``exact_divide`` calls of the tangency check (by the divisor's variables)
-    and the ``local_data`` calls (by chart and point), with the counting
-    wrappers also set on ``modules`` wherever they hold one of those names."""
-    fields, divisions, data = Counter(), Counter(), Counter()
+    ``exact_divide`` calls of the tangency check (by the divisor's variables),
+    the ``local_data`` calls (by chart and point) and the charts built by
+    ``dehomogenize_field`` (by chart), with the counting wrappers also set on
+    ``modules`` wherever they hold one of those names."""
+    fields, divisions, data, charts = Counter(), Counter(), Counter(), Counter()
     wrappers = {
-        "chart_fields": counted(foliation.chart_fields, fields, lambda p: p.variables),
+        "chart_fields": counted(foliation.chart_fields, fields, lambda p, *_: p.variables),
         "exact_divide": counted(foliation.exact_divide, divisions, lambda _, f: f.variables),
         "local_data": counted(residue.local_data, data, lambda cf, p: (cf.chart, p.coords)),
+        "dehomogenize_field": counted(foliation.dehomogenize_field, charts,
+                                      lambda _, chart, *__: chart),
     }
     for module in (foliation, aggregate, residue, *modules):
         for name, wrapper in wrappers.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    return fields, divisions, data
+    return fields, divisions, data, charts
 
 
-def test_verify_builds_each_chart_field_and_local_data_once(monkeypatch):
-    # One homogeneous division gives every chart's cofactor; discovered zeros
-    # take their local data from the linear solve itself.
+def test_verify_builds_no_chart_on_the_exact_path(monkeypatch):
+    # One homogeneous division; the zeros of a diagonal field and their local
+    # data are read off the homogeneous term dicts.
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
-    fields, divisions, data = count_chart_work(monkeypatch)
+    fields, divisions, data, charts = count_chart_work(monkeypatch)
     report = verify_identities(problem)
     assert report.all_ok and len(report.checks[0].records) == 4
-    assert fields == divisions == {problem.variables: 1}
-    assert data == {}
+    assert divisions == {problem.variables: 1}
+    assert fields == data == charts == {}
+
+
+def test_verify_builds_one_chart_at_a_singular_point_of_the_divisor(monkeypatch):
+    # z1*z2 is singular at [1:0:0]: that point's chart alone is built, for
+    # local_data to raise there.
+    problem = diag_problem((1, 2, 3), Z3)._replace(divisor=parse.parse_poly("z1*z2", Z3), m=2)
+    fields, divisions, data, charts = count_chart_work(monkeypatch)
+    with pytest.raises(residue.DivisorSingularAt, match=r"^divisor is singular at \(0, 0\);"):
+        verify_identities(problem)
+    assert divisions == {Z3: 1} and fields == {}
+    assert charts == {0: 1} and data == {(0, (0, 0)): 1}
 
 
 def test_verify_given_points_takes_local_data_once_per_point(monkeypatch):
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
     points = [SingularPoint(c, (Fraction(0),) * 3) for c in range(4)]
-    fields, divisions, data = count_chart_work(monkeypatch)
+    fields, divisions, data, charts = count_chart_work(monkeypatch)
     report = verify_identities(problem, points)
     assert report.all_ok and report.level == "proved-on-instance"
     assert fields == divisions == {problem.variables: 1}
+    assert charts == {c: 1 for c in range(4)}
     assert data == {(c, p.coords): 1 for c, p in enumerate(points)}
 
 
@@ -396,16 +412,15 @@ def diagonal_problems(draw):
 @settings(max_examples=80, deadline=None)
 @given(diagonal_problems())
 def test_linear_route_matches_classify_point(case):
-    # The linear solve classifies each zero itself; classify_point, which
-    # takes the jets and determinants again, must agree exactly.
+    # diagonal_zeros classifies each zero off the term dicts; classify_point,
+    # which takes the jets and determinants in its chart, must agree exactly.
     problem, planes = case
     fields = foliation.chart_fields(problem)
-    located = aggregate._locate(fields, "exact_linear", None, residue.NumericConfig())
+    located = residue.diagonal_zeros(problem, foliation.tangency_cofactor(problem))
     assert len(located) == problem.n + 1
-    assert any(p.simple is None for p, _, _ in located) == (planes == 2)
-    for point, cf, ld in located:
-        assert cf is fields[point.chart]
-        want_point, want_ld = residue.classify_point(cf, point.coords)
+    assert any(p.simple is None for p, _ in located) == (planes == 2)
+    for point, ld in located:
+        want_point, want_ld = residue.classify_point(fields[point.chart], point.coords)
         assert point == want_point and all(type(c) is Fraction for c in point.coords)
         if want_ld is None:
             assert ld is None and point.simple is None
@@ -428,23 +443,61 @@ def reference_locate(fields):
 
 
 def assert_locates_like_the_reference(problem):
+    """``diagonal_zeros`` gives the reference's points, flags and local data,
+    in its order and types, or raises its error, type and text."""
     try:
-        fields = foliation.chart_fields(problem)
+        K = foliation.tangency_cofactor(problem)
     except foliation.NotTangent:
         return
     try:
-        want = reference_locate(fields)
+        want = reference_locate(foliation.chart_fields(problem, K))
     except DomainError as exc:
         with pytest.raises(type(exc)) as got:
-            aggregate._locate(fields, "exact_linear", None, residue.NumericConfig())
+            residue.diagonal_zeros(problem, K)
         assert str(got.value) == str(exc)
         return
-    located = aggregate._locate(fields, "exact_linear", None, residue.NumericConfig())
-    assert located == want
-    for (p, cf, ld), (want_p, want_cf, want_ld) in zip(located, want):
-        assert cf is want_cf
+    got = residue.diagonal_zeros(problem, K)
+    assert got == [(p, ld) for p, _, ld in want]
+    for (p, ld), (want_p, _, want_ld) in zip(got, want):
         assert list(map(type, p.coords)) == list(map(type, want_p.coords))
         assert list(map(type, ld or ())) == list(map(type, want_ld or ()))
+
+
+@st.composite
+def readable_problems(draw):
+    """Fields ``diagonal_zeros`` reads, all tangent to their divisor: a
+    diagonal field on P^1..P^6 (eigenvalues from a small pool; half the time
+    they need not be distinct, and then often repeat) with a product of
+    coordinate hyperplanes, singular at the coordinate points off two of
+    them, or, on P^2 and up, with the conic z0*z1 - z2^2, invariant as
+    lam0 + lam1 = 2*lam2 and singular at the coordinate points past z2; or a
+    constant field with a product of the hyperplanes z_k where c_k = 0, or
+    the line c_1*z0 - c_0*z1 through its zero."""
+    n = draw(st.integers(1, 6))
+    zs = tuple(f"z{j}" for j in range(n + 1))
+    z = [MultiPoly.variable(zs, v) for v in zs]
+    kind = draw(st.sampled_from(["planes", "constant"] + ["conic"] * (n >= 2)))
+    planes = draw(st.lists(st.integers(0, n), min_size=1, max_size=min(3, n), unique=True))
+    divisor = math.prod(z[k] for k in planes[1:]) * z[planes[0]]
+    values = st.integers(-3, 3).map(Fraction) | st.fractions(-20, 20, max_denominator=6)
+    if kind == "constant":
+        c = [Fraction(0) if j in planes else draw(values) for j in range(n + 1)]
+        if not any(c) or draw(st.booleans()):
+            c = [draw(values.filter(bool)) for _ in range(n + 1)]
+            divisor = c[1] * z[0] - c[0] * z[1]
+        return make_problem(zs, [MultiPoly.const(zs, v) for v in c], divisor)
+    lam = draw(st.lists(values, min_size=n + 1, max_size=n + 1, unique=draw(st.booleans())))
+    if kind == "conic":
+        lam[1] = 2 * lam[2] - lam[0]
+        divisor = z[0] * z[1] - z[2] * z[2]
+    assume(any(lam))
+    return make_problem(zs, [v * z_j for v, z_j in zip(lam, z)], divisor)
+
+
+@settings(max_examples=400, deadline=None)
+@given(readable_problems())
+def test_diagonal_zeros_match_linear_zeros_chart_by_chart(problem):
+    assert_locates_like_the_reference(problem)
 
 
 @settings(max_examples=300, deadline=None)

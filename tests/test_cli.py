@@ -111,7 +111,7 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     pts.write_text("points = [{chart: 0, coords: [0, 0]}, {chart: 1, coords: [0, 0]},"
                    " {chart: 2, coords: [0, 0]}]\n")
     # cli too, so that chart fields the command builds itself are counted.
-    fields, divisions, data = count_chart_work(monkeypatch, [cli])
+    fields, divisions, data, _ = count_chart_work(monkeypatch, [cli])
 
     code, doc = machine(capsys, "verify", P2, "--points", str(pts))
     assert code == 0 and doc["all_ok"]
@@ -307,6 +307,30 @@ def test_usage_error_exits_1(capsys, argv):
         main(list(argv))
     assert exc.value.code == 1
     assert "error: " in capsys.readouterr().err
+
+
+LONG = "1" * 5000
+LONG_ERROR = "number literal '111111111111...' has 5000 digits, more than 4300\n"
+
+
+@pytest.mark.parametrize("name, text, args, error", [
+    ("m.json", '{"M": [[-1]], "I": [%s]}' % LONG, ("discrepancy",), "error: "),
+    ("p.fol", f"space.dim = 2\nfield.vars = [z0, z1, z2]\nfield.components = [-3*z0, 2*z1, z2]"
+              f"\ndivisor = z2\npoints = [{{chart: 0, coords: [{LONG}, 0]}}]\n", ("verify",),
+     "parse error at 5:31: "),
+    ("p.fol", f"space.dim = {LONG}\n", ("check",), "error: "),
+    ("p.fol", f"space.dim = 2\nfield.vars = [z0, z1, z2]\nfield.components = [{LONG}*z0, z1, z2]"
+              "\ndivisor = z2\n", ("check",), "parse error at 3:21: "),
+    (None, None, ("cyclic", "--m", LONG), "error: "),
+])
+def test_an_over_long_number_literal_is_one_short_error_line(
+        capsys, tmp_path, name, text, args, error):
+    # Not Python's int_max_str_digits advice, and not the whole literal echoed.
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        args += (str(tmp_path / name),)
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (1, "", error + LONG_ERROR) and len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help"), ("cyclic", "--help")])

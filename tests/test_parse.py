@@ -211,6 +211,31 @@ def test_parse_rational_rejects_other_forms_before_building_a_fraction(monkeypat
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text, readers", [
+    ("1" * 4301, (parse_integer, parse_rational)),
+    (" -" + "9" * 4301, (parse_integer, parse_rational)),
+    ("1/" + "2" * 4300, (parse_rational,)),
+    ("3" * 2150 + "." + "4" * 2151, (parse_rational,)),
+])
+def test_number_literals_past_the_digit_cap_are_refused_before_int_or_fraction(
+        monkeypatch, text, readers):
+    # The cap holds on Python 3.10 too, which has no int_max_str_digits.
+    monkeypatch.setattr(parse, "Fraction", lambda *_: pytest.fail("a Fraction was built"))
+    message = f"number literal '{text.strip()[:12]}...' has 4301 digits, more than 4300"
+    for read in readers:
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            read(text)
+
+
+def test_number_literals_at_the_digit_cap_are_read():
+    assert parse.MAX_DIGITS == 4300
+    assert parse_integer("7" * 4300) == int("7" * 4300)
+    assert parse_rational("1/" + "3" * 4299) == Fraction(1, int("3" * 4299))
+    assert parse_poly("7" * 4300 + "*x", VARS) == parse_poly("x", VARS) * int("7" * 4300)
+    with pytest.raises(ParseError, match="^1:3: number literal '777777777777...' has 4301 "):
+        parse_poly("x+" + "7" * 4301, VARS)
+
+
 P2_SRC = """
 space.dim = 2
 field.vars = [z0, z1, z2]
