@@ -11,7 +11,6 @@ from .foliation import (
     chart_field,
     chern_totals,
     make_problem,
-    verify_tangency,
 )
 from .parse import ParseError, SchemaError, parse_poly, parse_problem, print_poly
 from .residue import (
@@ -45,7 +44,6 @@ __all__ = [
     "chart_field",
     "chern_totals",
     "make_problem",
-    "verify_tangency",
     "ParseError",
     "SchemaError",
     "parse_poly",

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .foliation import (ChartField, FoliationProblem, chart_fields, chern_totals,
-                        dehomogenize_field, tangency_cofactor)
+from .foliation import ChartField, FoliationProblem, chart_fields, chern_totals, tangency_cofactor
 from .residue import (
+    DivisorSingularAt,
     NonLinearField,
     NumericConfig,
     ResidueRecord,
@@ -28,7 +28,6 @@ from .residue import (
     discover_zeros_numeric,
     is_exact,
     is_zero,
-    local_data,
     perturbed_residues,
 )
 
@@ -65,13 +64,12 @@ def _locate(
     user_points: list[SingularPoint] | None,
     cfg: NumericConfig,
 ) -> list[tuple]:
-    """Deduplicated (point, chart field, local data) triples of given
-    ("user") or "numeric" points across all charts of ``fields`` (one chart
-    field per chart), sorted by the strings of their homogeneous
-    coordinates; each point classified once in its lowest chart, a given
-    point as exact as its coordinates.  Local data is None where the divisor
-    is singular and at numeric zeros.  A given point's chart must lie in
-    0..n (ValueError otherwise)."""
+    """Deduplicated (point, local data) pairs of given ("user") or "numeric"
+    points across all charts of ``fields`` (one chart field per chart),
+    sorted by the strings of their homogeneous coordinates; each point
+    classified once in its lowest chart, a given point as exact as its
+    coordinates.  Local data is None where D is singular and at numeric
+    zeros.  A given point's chart must lie in 0..n (ValueError otherwise)."""
     if mode == "user":
         if user_points is None:
             raise ValueError("mode 'user' needs user_points")
@@ -93,9 +91,8 @@ def _locate(
         coords = hom[:chart] + hom[chart + 1 :]
         # A numeric zero keeps the flags it was found with: rescaled into a
         # far chart, its residual can exceed the absolute zero tolerance.
-        p, ld = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
-                 else classify_point(fields[chart], coords))
-        seen[key] = p, fields[chart], ld
+        seen[key] = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
+                     else classify_point(fields[chart], coords))
     return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
 
 
@@ -111,7 +108,7 @@ def _covers_linear_zeros(problem: FoliationProblem, K, located: list[tuple]) -> 
     def key(p):
         return tuple(round(float(v), 6) for v in homogeneous_representative(p))
 
-    return {key(z) for z in zeros} <= {key(p) for p, _, _ in located}
+    return {key(z) for z in zeros} <= {key(p) for p, _ in located}
 
 
 def enumerate_singularities(
@@ -129,7 +126,7 @@ def enumerate_singularities(
     K = tangency_cofactor(problem)
     if mode == "exact_linear":
         return [p for p, _ in diagonal_zeros(problem, K)]
-    return [p for p, _, _ in _locate(chart_fields(problem, K), mode, user_points, cfg)]
+    return [p for p, _ in _locate(chart_fields(problem, K), mode, user_points, cfg)]
 
 
 @dataclass
@@ -201,23 +198,23 @@ def verify_identities(
     discrepancy at every requested i certifies the identity on this instance."""
     K = tangency_cofactor(problem)
     if points is None:
-        located, complete = [(p, None, ld) for p, ld in diagonal_zeros(problem, K)], True
+        fields, located, complete = None, diagonal_zeros(problem, K), True
     else:
-        located = _locate(chart_fields(problem, K), "user", points, cfg)
+        fields = chart_fields(problem, K)
+        located = _locate(fields, "user", points, cfg)
         complete = _covers_linear_zeros(problem, K, located)
     if i_list is None:
         i_list = list(range(problem.n))
 
     # One call per point for all its levels: i = 0, and i >= 1 on D.
     by_point: list[dict[int, ResidueRecord]] = []
-    for p, cf, ld in located:
-        # Without local data the divisor is singular at p, where local_data
-        # raises; only there is a discovered zero's chart built.
-        ld = ld if ld is not None else local_data(cf or dehomogenize_field(problem, p.chart, K), p)
+    for p, ld in located:
+        if ld is None:  # classification found the divisor singular at p
+            raise DivisorSingularAt(p.coords)
         levels = [i for i in i_list if i == 0 or ld.s is not None]
         if levels:
             by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
-                                     else perturbed_residues(cf, ld, p, levels, cfg))))
+                                     else perturbed_residues(fields[p.chart], ld, p, levels, cfg))))
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
     any_numeric = False

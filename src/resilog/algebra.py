@@ -122,12 +122,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -194,7 +188,9 @@ class MultiPoly:
 
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to ``name``."""
-        j = self.var_index(name)
+        if name not in self.variables:
+            raise ValueError(f"unknown variable {name!r}")
+        j = self.variables.index(name)
         # Lowering e_j by one keeps the exponents of the terms with e_j > 0 distinct.
         return MultiPoly._of(self.variables, {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
                                               for e, c in self.terms.items() if e[j]})

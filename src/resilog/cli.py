@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from . import aggregate, birational
 from .algebra import DomainError, RatMatrix
-from .foliation import NotTangent, verify_tangency
+from .foliation import NotTangent, chart_fields
 from .parse import (ParseError, ProblemDocument, SchemaError, numeric_value, parse_integer,
-                    parse_points, parse_problem, parse_rational, print_poly, raw_document)
+                    parse_points, parse_problem, parse_rational, print_poly, quote, raw_document)
 from .residue import NonLinearField, NumericConfig, SingularPoint
 
 SCHEMA = "resilog/1"
@@ -86,12 +86,12 @@ def _hom(p: SingularPoint) -> str:
 def cmd_check(args) -> Output:
     doc = parse_problem(_read(args.problem))
     try:
-        cofactors = verify_tangency(doc.problem)
+        fields = chart_fields(doc.problem)
     except NotTangent as exc:
         remainder = print_poly(exc.applied)
         return 2, {"tangent": False, "chart": exc.chart, "remainder_of": remainder}, [
             f"NOT TANGENT in chart {exc.chart}: v(f) = {remainder} is not divisible by f"]
-    table = {str(chart): print_poly(k) for chart, k in sorted(cofactors.items())}
+    table = {str(cf.chart): print_poly(cf.k) for cf in fields}
     lines = ["tangent: yes", *(f"  chart {chart}: k = {k}" for chart, k in table.items())]
     return 0, {"tangent": True, "cofactors": table}, lines
 
@@ -112,7 +112,8 @@ def _identities(args):
     try:
         i_list = None if args.i == "all" else [parse_integer(part) for part in args.i.split(",")]
     except ValueError:
-        raise ValueError(f"--i must be 'all' or a comma list of integers, got {args.i!r}") from None
+        raise ValueError("--i must be 'all' or a comma list of integers, got "
+                         f"{quote(args.i)}") from None
     return aggregate.verify_identities(doc.problem, points, i_list, cfg=cfg)
 
 
@@ -186,7 +187,7 @@ def cmd_surface(args) -> Output:
 
 def _json_list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a list, got {value!r}")
+        raise SchemaError(f"{what} must be a list, got {quote(value)}")
     return value
 
 

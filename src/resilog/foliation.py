@@ -224,8 +224,3 @@ def chart_fields(problem: FoliationProblem, K: MultiPoly | None = None) -> list[
 def chart_field(problem: FoliationProblem, chart: int) -> ChartField:
     """``chart_fields(problem)[chart]``, built alone; a ValueError unless 0 <= chart <= n."""
     return dehomogenize_field(problem, chart, tangency_cofactor(problem))
-
-
-def verify_tangency(problem: FoliationProblem) -> dict[int, MultiPoly]:
-    """Per-chart cofactors; raises NotTangent on the first failing chart."""
-    return {cf.chart: cf.k for cf in chart_fields(problem)}

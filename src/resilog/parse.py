@@ -32,11 +32,11 @@ from .residue import NumericConfig, SingularPoint
 class ParseError(Exception):
     """Syntax error with a 1-based source position."""
 
-    def __init__(self, line: int, column: int, message: str, snippet: str = ""):
+    def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
         self.message = message
-        super().__init__(f"{line}:{column}: {message}" + (f" near {snippet!r}" if snippet else ""))
+        super().__init__(f"{line}:{column}: {message}")
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -49,9 +49,18 @@ MAX_NESTING = 100
 MAX_DIGITS = 4300
 
 
+def quote(value) -> str:
+    """``repr(value)``, for every message that echoes input; past 40 characters (of the
+    repr of a value that is not a string), the first 40 of them, quoted, and the length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _over_cap(text: str) -> str:
     """Past MAX_DIGITS digits, the literal's error, quoting only a prefix; else ''."""
-    digits = sum(ch in _DIGITS for ch in text) if len(text) > MAX_DIGITS else 0
+    digits = len(re.findall("[0-9]", text)) if len(text) > MAX_DIGITS else 0  # TypeError on a list
     return (f"number literal '{text.strip()[:12]}...' has {digits} digits, more than "
             f"{MAX_DIGITS}") if digits > MAX_DIGITS else ""
 
@@ -86,7 +95,7 @@ def _tokenize(src: str, line0: int = 1, col0: int = 1) -> list[_Token]:
             line, col, i = (line + 1, 1, j) if ch == "\n" else (line, col + 1, j)
             continue
         else:
-            raise ParseError(line, col, f"unexpected character {ch!r}", ch)
+            raise ParseError(line, col, f"unexpected character {ch!r}")
         tokens.append(_Token(kind, src[i:j], line, col))
         col += j - i
         i = j
@@ -110,7 +119,7 @@ class _Parser:
         return t
 
     def fail(self, tok: _Token, message: str):
-        raise ParseError(tok.line, tok.column, message, tok.text)
+        raise ParseError(tok.line, tok.column, message)
 
     def expr(self) -> MultiPoly:
         value = self.term()
@@ -156,7 +165,7 @@ class _Parser:
         if tok.kind == "ident":
             self.take()
             if tok.text not in self.variables:
-                self.fail(tok, f"unknown variable {tok.text!r}")
+                self.fail(tok, f"unknown variable {quote(tok.text)}")
             return MultiPoly.variable(self.variables, tok.text)
         if tok.kind in ("(", "-"):
             self.take()
@@ -282,7 +291,7 @@ def _parse_value(text: str, line: int, column: int, depth: int = 0):
             if not colon:
                 col += len(part) - len(part.lstrip())
                 raise ParseError(line, col, f"expected 'key: value' in object, got "
-                                            f"{part.strip()!r}", part.strip())
+                                            f"{quote(part.strip())}")
             obj[key.strip()] = _parse_value(val, line, col + len(key) + 1, depth + 1)
         return obj
     return _Text(text, column)
@@ -298,10 +307,10 @@ def raw_document(src: str) -> dict[str, tuple[object, int, int]]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParseError(lineno, 1, "expected 'key = value'", stripped)
+            raise ParseError(lineno, 1, "expected 'key = value'")
         key, _, value = text.partition("=")
         if not key.strip():
-            raise ParseError(lineno, 1, "missing key before '='", stripped)
+            raise ParseError(lineno, 1, "missing key before '='")
         column = len(key) + 2 + len(value) - len(value.lstrip())
         doc[key.strip()] = (_parse_value(value.lstrip(), lineno, column), lineno, column)
     return doc
@@ -309,11 +318,11 @@ def raw_document(src: str) -> dict[str, tuple[object, int, int]]:
 
 def parse_integer(text: str) -> int:
     """'-?D+' in ASCII digits, whitespace around it ignored; else ValueError
-    (a SchemaError past MAX_DIGITS digits, which no caller rewords)."""
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
-        raise ValueError(f"invalid integer literal {text!r}")
+    (first a SchemaError past MAX_DIGITS digits, which no caller rewords)."""
     if message := _over_cap(text):
         raise SchemaError(message)
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise ValueError(f"invalid integer literal {quote(text)}")
     return int(text)
 
 
@@ -321,15 +330,15 @@ def parse_rational(text: str) -> Fraction:
     """'p', '-p', 'p/q' or the decimal 'p.q' in ASCII digits, whitespace around
     it ignored, as a Fraction; any other form (an exponent, '+', '_') fails
     before a Fraction is built, with Fraction's own message; past MAX_DIGITS
-    digits, with ``_over_cap``'s."""
+    digits, whatever the form, with ``_over_cap``'s."""
+    if message := _over_cap(text):
+        raise SchemaError(message)
     try:
         if not re.fullmatch(r"\s*-?[0-9]+(/[0-9]+|\.[0-9]+)?\s*", text):
-            raise ValueError(f"Invalid literal for Fraction: {text.strip()!r}")
-        if message := _over_cap(text):
-            raise SchemaError(message)
+            raise ValueError(f"Invalid literal for Fraction: {quote(text.strip())}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational literal {text!r}: {exc}") from None
+        raise SchemaError(f"bad rational literal {quote(text)}: {exc}") from None
 
 
 def numeric_value(name: str, value):
@@ -338,7 +347,7 @@ def numeric_value(name: str, value):
     its length.  The one typing path for numeric inputs."""
     defaults = NumericConfig._field_defaults
     if name not in defaults:
-        raise SchemaError(f"unknown numeric option {name!r}")
+        raise SchemaError(f"unknown numeric option {quote(name)}")
     default = defaults[name]
     try:
         if not isinstance(default, tuple):
@@ -348,7 +357,7 @@ def numeric_value(name: str, value):
             return tuple(float(x) for x in parts)
     except (TypeError, ValueError):
         pass
-    raise SchemaError(f"bad numeric value for {name!r}: {value!r}")
+    raise SchemaError(f"bad numeric value for {name!r}: {quote(value)}")
 
 
 def parse_points(value, line: int, column: int, n: int) -> list[SingularPoint]:
@@ -361,14 +370,14 @@ def parse_points(value, line: int, column: int, n: int) -> list[SingularPoint]:
     for entry in value:
         if not (isinstance(entry, dict) and isinstance(entry.get("chart"), str)
                 and isinstance(entry.get("coords"), list)):
-            raise ParseError(line, getattr(entry, "column", column),
-                             f"point entry needs 'chart' (scalar) and 'coords' (list): {entry!r}")
+            raise ParseError(line, getattr(entry, "column", column), "point entry needs "
+                             f"'chart' (scalar) and 'coords' (list): {quote(entry)}")
         at_chart = getattr(entry["chart"], "column", column)
         try:
             chart = parse_integer(entry["chart"])
         except ValueError:
-            raise ParseError(line, at_chart,
-                             f"point chart must be an integer, got {entry['chart']!r}") from None
+            raise ParseError(line, at_chart, "point chart must be an integer, got "
+                             f"{quote(entry['chart'])}") from None
         coords = []
         for c in entry["coords"]:  # a nested list has no column: report the chart's
             try:
@@ -400,7 +409,7 @@ def parse_problem(src: str) -> ProblemDocument:
         n = parse_integer(dim_text)
     except (TypeError, ValueError):
         raise ParseError(dim_line, dim_col,
-                         f"space.dim must be an integer, got {dim_text!r}") from None
+                         f"space.dim must be an integer, got {quote(dim_text)}") from None
     if n < 1:
         raise SchemaError(f"space.dim must be at least 1, got {n}")
 

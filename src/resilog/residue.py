@@ -52,6 +52,10 @@ class NotAZero(DomainError):
 class DivisorSingularAt(DomainError):
     """The point lies on the singular locus of the divisor (unsupported)."""
 
+    def __init__(self, coords):
+        super().__init__(f"divisor is singular at ({', '.join(map(str, coords))}); "
+                         "residues there are unsupported")
+
 
 class NotOnDivisor(DomainError):
     """A divisor-twisted residue (i >= 1) was requested off the divisor."""
@@ -236,8 +240,7 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
         return LocalData(trJ, _det(jac, exact), k_at_p, trJ - k_at_p, detJD=None, s=None)
     s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
     if s is None:
-        raise DivisorSingularAt(f"divisor is singular at ({', '.join(map(str, coords))});"
-                                " residues there are unsupported")
+        raise DivisorSingularAt(coords)
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
@@ -409,8 +412,8 @@ def _zeros_near(field: Sequence[MultiPoly], coords, radius: float,
                 cfg: NumericConfig) -> list[list[complex]]:
     """All zeros of the field within L-inf radius of the point ``coords``.
 
-    Starts cover a polydisk: the center, then per axis the center plus points
-    on a complex circle of radius 0.6*radius; Newton runs in complex
+    Starts cover a polydisk, the center first: per axis the center plus 0
+    or a point on a complex circle of radius 0.6*radius; Newton runs in complex
     arithmetic so that conjugate zero pairs produced by perturbation are found
     too.  Raises DomainError when no start converges and BoundaryZero
     when a zero lies within ``cfg.dedupe_radius`` of the boundary, on either
@@ -422,7 +425,7 @@ def _zeros_near(field: Sequence[MultiPoly], coords, radius: float,
     angles = [2 * math.pi * t / (g - 1) for t in range(g - 1)]
     ring = [0j] + [0.6 * radius * complex(math.cos(a), math.sin(a)) for a in angles]
     grid = itertools.product(ring, repeat=len(field))
-    starts = [center] + [[c + o for c, o in zip(center, offsets)] for offsets in grid]
+    starts = [[c + o for c, o in zip(center, offsets)] for offsets in grid]
     zeros = _newton_zeros(field, starts, cfg, center, 10 * radius)
     if not zeros:
         raise DomainError("no Newton start converged")

@@ -372,15 +372,26 @@ def test_verify_builds_no_chart_on_the_exact_path(monkeypatch):
     assert fields == data == charts == {}
 
 
-def test_verify_builds_one_chart_at_a_singular_point_of_the_divisor(monkeypatch):
-    # z1*z2 is singular at [1:0:0]: that point's chart alone is built, for
-    # local_data to raise there.
-    problem = diag_problem((1, 2, 3), Z3)._replace(divisor=parse.parse_poly("z1*z2", Z3), m=2)
+CORNER = diag_problem((1, 2, 3), Z3)._replace(divisor=parse.parse_poly("z1*z2", Z3), m=2)
+
+
+def test_verify_builds_no_chart_at_a_singular_point_of_the_divisor(monkeypatch):
+    # z1*z2 is singular at [1:0:0]: diagonal_zeros found that, and verify
+    # raises from it, with no chart built and no local_data call.
     fields, divisions, data, charts = count_chart_work(monkeypatch)
     with pytest.raises(residue.DivisorSingularAt, match=r"^divisor is singular at \(0, 0\);"):
-        verify_identities(problem)
-    assert divisions == {Z3: 1} and fields == {}
-    assert charts == {0: 1} and data == {(0, (0, 0)): 1}
+        verify_identities(CORNER)
+    assert divisions == {Z3: 1} and fields == charts == data == {}
+
+
+def test_verify_raises_at_a_given_singular_point_of_the_divisor(monkeypatch):
+    # Given, the corner is classified once, by the local_data call that finds
+    # D singular there; verify raises the same text from that classification.
+    fields, divisions, data, charts = count_chart_work(monkeypatch)
+    with pytest.raises(residue.DivisorSingularAt,
+                       match=r"^divisor is singular at \(0, 0\); residues there are unsupported$"):
+        verify_identities(CORNER, [SingularPoint(0, (Fraction(0), Fraction(0)))])
+    assert data == {(0, (0, 0)): 1}
 
 
 def test_verify_given_points_takes_local_data_once_per_point(monkeypatch):

@@ -294,6 +294,44 @@ def test_cyclic_order_in_the_grammar_reads_as_its_value(capsys):
         1, "", "error: cyclic quotient order must be at least 2, got -7\n")
 
 
+ONES_X, LETTERS = "1" * 5000 + "x", "a" * 5000
+# Each place an error line echoes its input, with 5000 characters of input
+# there: the argv (files under directory d).
+ECHO_SITES = {
+    "space.dim": lambda d: ["check", _write(d, "p.fol", P2_TEXT.replace(
+        "space.dim = 2", f"space.dim = {ONES_X}"))],
+    "coordinate": lambda d: ["verify", _write(d, "p.fol", P2_TEXT + _points(0, ONES_X))],
+    "variable": lambda d: ["check", _write(d, "p.fol", P2_TEXT.replace(
+        "2*z1", f"2*{LETTERS}"))],
+    "point entry": lambda d: ["verify", _write(d, "p.fol", P2_TEXT + f"points = [{LETTERS}]\n")],
+    "object entry": lambda d: ["verify", _write(d, "p.fol",
+                                                P2_TEXT + f"points = [{{{LETTERS}}}]\n")],
+    "numeric.seed": lambda d: ["zeros", _write(d, "p.fol", P2_TEXT + f"numeric.seed = {LETTERS}\n")],
+    # The digit cap runs first, and a list is no number literal however long.
+    "numeric.seed list": lambda d: ["zeros", _write(d, "p.fol", P2_TEXT + "numeric.seed = ["
+                                                    + ", ".join("1" * 5000) + "]\n")],
+    "key of M": lambda d: ["discrepancy", _write(d, "m.json", json.dumps(
+        {"M": {"k" * 5000: 1}, "I": ["1"]}))],
+    "--i": lambda d: ["verify", P2, "--i", LETTERS],
+}
+
+
+@pytest.mark.parametrize("site", ECHO_SITES)
+def test_an_error_line_quotes_long_input_short(capsys, tmp_path, site):
+    # parse.quote: past 40 characters, the first 40 and the length.
+    code, out, err = run(capsys, *ECHO_SITES[site](tmp_path))
+    assert (code, out, err.count("\n")) == (1, "", 1) and len(err.encode()) <= 160, err
+
+
+@pytest.mark.parametrize("x, shown", [
+    ("a" * 40, repr("a" * 40)),
+    ("a" * 41, repr("a" * 40) + "... (41 characters)"),
+])
+def test_an_input_of_40_characters_is_quoted_whole(capsys, x, shown):
+    assert run(capsys, "verify", P2, "--i", x) == (
+        1, "", f"error: --i must be 'all' or a comma list of integers, got {shown}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", P2, "--bogus"),
     ("cyclic", "--m", "x"),

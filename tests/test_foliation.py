@@ -16,7 +16,6 @@ from resilog.foliation import (
     chern_totals,
     dehomogenize_field,
     make_problem,
-    verify_tangency,
 )
 from resilog.parse import SchemaError, parse_poly
 
@@ -198,7 +197,7 @@ def test_make_problem_reads_components_in_the_declared_order():
 
 def test_cofactor_and_tangency():
     p = diag_problem((-3, 2, 1), 2)
-    ks = verify_tangency(p)
+    ks = [cf.k for cf in chart_fields(p)]
     assert ks[0] == MultiPoly.const(("z1", "z2"), 4)
     assert ks[1] == MultiPoly.const(("z0", "z2"), -1)
     assert ks[2].is_zero  # divisor misses this chart; f normalized to 1
@@ -208,7 +207,7 @@ def test_not_tangent_raises():
     comps = [zvar("z1"), zvar("z0"), zvar("z0")]
     p = make_problem(Z, comps, zvar("z2"))
     with pytest.raises(NotTangent) as exc:
-        verify_tangency(p)
+        chart_fields(p)
     assert exc.value.chart == 0
     assert exc.value.applied == reference_vf(dehomogenize_field(p, 0))
 
@@ -356,8 +355,8 @@ def test_nonlinear_tangent_divisor():
     # v = (x^2, xy, xz) is radial-proportional; any divisor is invariant.
     comps = [zvar("z0") * zvar(v) for v in Z]
     p = make_problem(Z, comps, zvar("z0") + zvar("z1"))
-    ks = verify_tangency(p)
-    assert all(k is not None for k in ks.values())
+    ks = [cf.k for cf in chart_fields(p)]
+    assert len(ks) == 3 and all(k is not None for k in ks)
 
 
 def test_chern_expectations_values():

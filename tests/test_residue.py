@@ -479,6 +479,24 @@ def test_zero_next_to_the_search_boundary_raises_on_either_side(shear):
         _zeros_near(field, (0, Fraction(1, 10)), 0.5, NumericConfig())
 
 
+def test_each_newton_start_runs_once(monkeypatch):
+    """fixtures/p2_jordan.fol has one degenerate zero: two eps levels, one
+    search each from the 5^2 grid starts, whose first is the center itself.
+    A separate center start (52 runs) found nothing the grid does not."""
+    runs = []
+
+    def counted(field, jac, x0, *args):
+        runs.append(list(x0))
+        return _newton(field, jac, x0, *args)
+
+    monkeypatch.setattr(residue, "_newton", counted)
+    doc = parse_problem((Path(__file__).resolve().parent.parent
+                         / "fixtures" / "p2_jordan.fol").read_text())
+    assert verify_identities(doc.problem, doc.points).all_ok
+    assert len(runs) == 2 * NumericConfig().grid_per_axis ** 2 == 50
+    assert all(len({tuple(x0) for x0 in search}) == 25 for search in (runs[:25], runs[25:]))
+
+
 class TestSimpleResidues:
     def test_off_divisor_ordinary(self):
         cf = chart_field(P2, 2)
