@@ -18,6 +18,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -31,6 +32,11 @@ class DomainError(Exception):
 
 class SchemaError(Exception):
     """Structurally valid document with a missing or malformed field (CLI exit code 1)."""
+
+
+def clip(text: str) -> str:
+    """``text`` up to 40 characters, else its first 40, quoted, and its length."""
+    return text if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 class SingularMatrix(DomainError):
@@ -100,7 +106,8 @@ class MultiPoly:
         vs = tuple(variables)
         if name not in vs:
             raise ValueError(f"unknown variable {name!r}")
-        return cls._of(vs, {tuple(int(v == name) for v in vs): Fraction(1)})
+        unit, i = (0,) * len(vs), vs.index(name)
+        return cls._of(vs, {unit[:i] + (1,) + unit[i + 1:]: Fraction(1)})
 
     # -- structure ---------------------------------------------------------
 
@@ -149,7 +156,8 @@ class MultiPoly:
             out[e] = out[e] + c if e in out else c
         return MultiPoly._of(a.variables, out)
 
-    __radd__ = __add__
+    def __radd__(self, other) -> "MultiPoly":  # c + p as const(c) + p: eval's term order
+        return self._coerce(other) + self
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._of(self.variables, {e: -c for e, c in self.terms.items()})
@@ -161,11 +169,14 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
-        a, b = align(self, self._coerce(other))
+        if not isinstance(other, MultiPoly):  # a scalar scales each coefficient
+            s = _as_fraction(other)
+            return MultiPoly._of(self.variables, {e: c * s for e, c in self.terms.items()})
+        a, b = align(self, other)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return MultiPoly._of(a.variables, out)
 

@@ -15,7 +15,9 @@ floating literals and no division except inside a rational literal;
 implicit multiplication ("3x") is rejected.  Unary minus binds looser than
 "^", so "-x^2" is -(x^2).  "(" and unary "-" nest at most MAX_NESTING deep,
 and so do the "[" and "{" of a document value, and a number literal has
-at most MAX_DIGITS digits on every Python version, 3.10 too.
+at most MAX_DIGITS digits on every Python version, 3.10 too.  A number
+stays an int or a Fraction until it meets a variable; ``parse_poly`` wraps
+a constant result in ``MultiPoly.const`` once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import MultiPoly, SchemaError
+from .algebra import MultiPoly, Scalar, SchemaError, clip
 from .foliation import FoliationProblem, make_problem
 from .residue import NumericConfig, SingularPoint
 
@@ -51,11 +53,9 @@ MAX_DIGITS = 4300
 
 def quote(value) -> str:
     """``repr(value)``, for every message that echoes input; past 40 characters (of the
-    repr of a value that is not a string), the first 40 of them, quoted, and the length."""
+    repr of a value that is not a string), ``clip``'s form."""
     text = value if isinstance(value, str) else repr(value)
-    if len(text) <= 40:
-        return repr(value)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+    return repr(value) if len(text) <= 40 else clip(text)
 
 
 def _over_cap(text: str) -> str:
@@ -121,7 +121,7 @@ class _Parser:
     def fail(self, tok: _Token, message: str):
         raise ParseError(tok.line, tok.column, message)
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> MultiPoly | Scalar:
         value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
@@ -129,14 +129,14 @@ class _Parser:
             value = value + rhs if op.kind == "+" else value - rhs
         return value
 
-    def term(self) -> MultiPoly:
+    def term(self) -> MultiPoly | Scalar:
         value = self.factor()
         while self.peek().kind == "*":
             self.take()
             value = value * self.factor()
         return value
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> MultiPoly | Scalar:
         base = self.base()
         if self.peek().kind == "^":
             caret = self.take()
@@ -147,7 +147,7 @@ class _Parser:
             base = base ** int(tok.text)
         return base
 
-    def base(self) -> MultiPoly:
+    def base(self) -> MultiPoly | Scalar:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
@@ -160,8 +160,8 @@ class _Parser:
                 self.take()
                 if int(den_tok.text) == 0:
                     self.fail(den_tok, "zero denominator")
-                return MultiPoly.const(self.variables, Fraction(num, int(den_tok.text)))
-            return MultiPoly.const(self.variables, num)
+                return Fraction(num, int(den_tok.text))
+            return num
         if tok.kind == "ident":
             self.take()
             if tok.text not in self.variables:
@@ -197,7 +197,7 @@ def parse_poly(src: str, variables: Sequence[str], line0: int = 1, col0: int = 1
     trailing = parser.peek()
     if trailing.kind != "end":
         parser.fail(trailing, "unexpected trailing input")
-    return value
+    return value if isinstance(value, MultiPoly) else MultiPoly.const(vs, value)
 
 
 # -- canonical printing ----------------------------------------------------

@@ -41,8 +41,13 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import DomainError, MultiPoly, RatMatrix, det_exact
+from .algebra import DomainError, MultiPoly, RatMatrix, clip, det_exact
 from .foliation import ChartField, FoliationProblem, check_level, dehomogenize_field
+
+
+def _at(coords) -> str:
+    """The coordinates of a point for a message, each ``clip``ped."""
+    return f"({', '.join(clip(str(x)) for x in coords)})"
 
 
 class NotAZero(DomainError):
@@ -53,8 +58,7 @@ class DivisorSingularAt(DomainError):
     """The point lies on the singular locus of the divisor (unsupported)."""
 
     def __init__(self, coords):
-        super().__init__(f"divisor is singular at ({', '.join(map(str, coords))}); "
-                         "residues there are unsupported")
+        super().__init__(f"divisor is singular at {_at(coords)}; residues there are unsupported")
 
 
 class NotOnDivisor(DomainError):
@@ -229,7 +233,7 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     exact = is_exact(coords)
     values, jac = zip(*(a.jet(coords) for a in cf.a))
     if any(not is_zero(v, exact) for v in values):
-        raise NotAZero(f"field does not vanish at ({', '.join(map(str, coords))})")
+        raise NotAZero(f"field does not vanish at {_at(coords)}")
     trJ = sum(jac[j][j] for j in range(n))
     f_p, grad_f = cf.f.jet(coords)
     on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
@@ -533,44 +537,54 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
     each classified in its lead chart, with its local data (None where D is
     singular), sorted by the strings of its homogeneous coordinates.  At e_c,
     trJ = sum_{j != c}(lam_j - lam_c), detJ is the product and k = K - m*lam_c
-    (Bott 1967); PositiveDimensional at the first repeated lam_c.  A constant
-    field is lam_lead = c_lead, other lam_j = 0, at [c_0:...:c_n].  One jet of
-    F at the point, entry c dropped, is the chart's f and grad f there.  Any
-    other field raises in the first chart ``linear_zeros`` refuses (proof there)."""
-    n, zero, comps = problem.n, Fraction(0), problem.components
+    (Bott 1967), each one Fraction of integers over one denominator q;
+    PositiveDimensional at the first repeated lam_c.  F(e_c) and dF/dz_j(e_c)
+    are F's coefficients of z_c^m and z_c^(m-1)*z_j, from one pass over its
+    terms; a constant field is lam_lead = c_lead, other lam_j = 0, at
+    [c_0:...:c_n], where one jet of F gives them.  Entry c dropped, they are
+    the chart's f and grad f.  Any other field raises in the first chart
+    ``linear_zeros`` refuses (proof there)."""
+    n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
     units = [tuple(int(k == j) for k in range(n + 1)) for j in range(n + 1)]
     if problem.d <= 1 and all(v.terms.keys() <= {u} for v, u in zip(comps, units)):
         lam = [v.terms.get(u, zero) for v, u in zip(comps, units)]
         if len(set(lam)) <= n:
             raise PositiveDimensional(next(r for r in (lam.count(x) - 1 for x in lam) if r))
-        points = [(c, units[c]) for c in range(n, -1, -1)]
+        at = [[0] * (n + 2) for _ in range(n + 1)]  # at e_c: grad F, then F
+        for e, coef in problem.divisor.terms.items():
+            for c, k in enumerate(e):
+                if k == m:
+                    at[c][n + 1] = coef
+                elif k == m - 1:  # the one other variable has exponent 1
+                    at[c][next(j for j, x in enumerate(e) if x and j != c)] = coef
+        points = [(c, units[c], at[c][n + 1], at[c][:n + 1]) for c in range(n, -1, -1)]
     elif problem.d == 0:
         const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
         lead = next(j for j, v in enumerate(const) if v)
         lam = [v if j == lead else zero for j, v in enumerate(const)]
-        points = [(lead, [v / const[lead] for v in const])]
+        hom = [v / const[lead] for v in const]
+        points = [(lead, hom, *problem.divisor.jet(hom))]
     else:
         for chart in range(n + 1):
             linear_zeros(dehomogenize_field(problem, chart, K))
         raise AssertionError("every chart is diagonal, and so is the field")
-    q = math.lcm(*(v.denominator for v in lam))
-    ints = [v.numerator * (q // v.denominator) for v in lam]
     kappa = K.terms.get((0,) * (n + 1), zero)  # K has degree d - 1
+    q = math.lcm(kappa.denominator, *(v.denominator for v in lam))
+    ints = [v.numerator * (q // v.denominator) for v in lam]
+    kq = kappa.numerator * (q // kappa.denominator)
     zeros = []
-    for c, hom in points:
+    for c, hom, f_p, grad in points:
         coords = (zero,) * n if problem.d else tuple(hom[:c] + hom[c + 1:])
-        f_p, grad = problem.divisor.jet(hom)
         del grad[c]
         s = None if f_p else next((j for j, g in enumerate(grad) if g), None)
         if not f_p and s is None:
             zeros.append((SingularPoint(c, coords, True, True, None), None))
             continue
         alpha = [a - ints[c] for j, a in enumerate(ints) if j != c]
-        trJ, detJ = Fraction(sum(alpha), q), Fraction(math.prod(alpha), q**n)
-        k_at_p = kappa - problem.m * lam[c]
-        zeros.append((SingularPoint(c, coords, True, s is not None, True),
-                      LocalData(trJ, detJ, k_at_p, trJ - k_at_p,
-                                None if s is None else detJ / k_at_p, s)))
+        tr, det, k = sum(alpha), math.prod(alpha), kq - m * ints[c]
+        detJD = None if s is None else Fraction(det, q ** (n - 1) * k)  # detJ / k
+        zeros.append((SingularPoint(c, coords, True, s is not None, True), LocalData(
+            Fraction(tr, q), Fraction(det, q**n), Fraction(k, q), Fraction(tr - k, q), detJD, s)))
     return zeros
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -372,6 +373,15 @@ def test_verify_builds_no_chart_on_the_exact_path(monkeypatch):
     assert fields == data == charts == {}
 
 
+def test_verify_takes_no_jet_on_the_exact_path(monkeypatch):
+    # F and grad F at each coordinate point are coefficients of F: no jet.
+    problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
+    jets = Counter()
+    monkeypatch.setattr(MultiPoly, "jet", counted(MultiPoly.jet, jets, lambda p, _: p.variables))
+    assert verify_identities(problem).all_ok
+    assert jets == {}
+
+
 CORNER = diag_problem((1, 2, 3), Z3)._replace(divisor=parse.parse_poly("z1*z2", Z3), m=2)
 
 
@@ -516,6 +526,43 @@ def test_diagonal_zeros_match_linear_zeros_chart_by_chart(problem):
 def test_lead_chart_rule_locates_like_normalizing(problem):
     # A degree-0 field's zero lies in every chart where it is nonzero; only
     # its lowest chart keeps it.
+    assert_locates_like_the_reference(problem)
+
+
+@st.composite
+def weighted_divisor_problems(draw):
+    """A diagonal field on P^2..P^5 with distinct eigenvalues lam_j = (t + l_j)/q
+    (l_j distinct small integers) and a divisor of degree m = 2..4 made of
+    monomials of one weight sum(e_j*l_j), so it is invariant: a seed monomial,
+    z_c^m, z_c^(m-1)*z_j or any other, and some of the monomials of its
+    weight, with nonzero coefficients.  A seed off two coordinates whose
+    weight no other monomial has leaves the coordinate points off its support
+    singular on D."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    zs = tuple(f"z{j}" for j in range(n + 1))
+    ls = draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1, unique=True))
+    t, q = draw(st.fractions(-3, 3, max_denominator=4)), draw(st.integers(1, 5))
+    lam = [(t + v) / q for v in ls]
+    c, j = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    monomials = [e for e in itertools.product(range(m + 1), repeat=n + 1) if sum(e) == m]
+    seed = draw(st.sampled_from([tuple(m * (k == c) for k in range(n + 1)),
+                                 tuple((m - 1) * (k == c) + (k == j) for k in range(n + 1)),
+                                 draw(st.sampled_from(monomials))]))
+    weight = sum(e * v for e, v in zip(seed, ls))
+    same = [e for e in monomials if e != seed and sum(a * v for a, v in zip(e, ls)) == weight]
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction) | st.sampled_from([Fraction(1, 2)])
+    terms = {e: draw(coeff) for e in [seed] + draw(st.lists(st.sampled_from(same), max_size=4)
+                                                   if same else st.just([]))}
+    comps = tuple(MultiPoly(zs, {tuple(int(k == i) for k in range(n + 1)): v})
+                  for i, v in enumerate(lam))
+    return foliation.FoliationProblem(n, zs, comps, MultiPoly(zs, terms), 1, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_divisor_problems())
+def test_diagonal_zeros_read_f_and_grad_f_off_the_coefficients(problem):
+    # At e_c, F is the coefficient of z_c^m and dF/dz_j that of z_c^(m-1)*z_j,
+    # whatever else of degree m the divisor holds.
     assert_locates_like_the_reference(problem)
 
 

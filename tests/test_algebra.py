@@ -28,6 +28,17 @@ def random_poly(rng, variables=VARS, max_terms=5, max_exp=3):
     return MultiPoly(variables, terms)
 
 
+def test_scalar_multiplication():
+    p = MultiPoly(VARS, {(1, 0, 2): Fraction(3, 4), (0, 1, 0): Fraction(-2)})
+    assert p * 3 == 3 * p == p * MultiPoly.const(VARS, 3)
+    assert p * Fraction(1, 3) == MultiPoly(VARS, {(1, 0, 2): Fraction(1, 4), (0, 1, 0): Fraction(-2, 3)})
+    assert (p * 0).is_zero and (p * 0).variables == VARS
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        p * 1.5
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        1.5 * p
+
+
 def test_constructors_and_zero():
     z = MultiPoly.zero(VARS)
     assert z.is_zero and z.degree() == -1

@@ -332,6 +332,16 @@ def test_an_input_of_40_characters_is_quoted_whole(capsys, x, shown):
         1, "", f"error: --i must be 'all' or a comma list of integers, got {shown}\n")
 
 
+@pytest.mark.parametrize("x, shown", [
+    ("1" * 4000, repr("1" * 40) + "... (4000 characters)"),  # under the digit cap
+    ("1" * 40, "1" * 40),
+], ids=["4000 digits", "40 digits"])
+def test_a_domain_error_clips_a_long_coordinate(capsys, tmp_path, x, shown):
+    code, out, err = run(capsys, "verify", _write(tmp_path, "p.fol", P2_TEXT + _points(0, x)))
+    assert (code, out, err.count("\n")) == (2, "", 1) and len(err.encode()) <= 200, err
+    assert err == f"error: field does not vanish at ({shown}, 0)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", P2, "--bogus"),
     ("cyclic", "--m", "x"),

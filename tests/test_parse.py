@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilog import parse
 from resilog.algebra import MultiPoly
@@ -34,10 +36,18 @@ VARS = ("x", "y", "z")
         ("(x + y)^2", (MultiPoly.variable(VARS, "x") + MultiPoly.variable(VARS, "y")) ** 2),
         ("x - - y", MultiPoly.variable(VARS, "x") + MultiPoly.variable(VARS, "y")),
         ("1/2*x*y", Fraction(1, 2) * MultiPoly.variable(VARS, "x") * MultiPoly.variable(VARS, "y")),
+        # Constant input folds to one constant polynomial.
+        ("2^3", MultiPoly.const(VARS, 8)),
+        ("(1/2)*4", MultiPoly.const(VARS, 2)),
+        ("-(3)", MultiPoly.const(VARS, -3)),
+        ("0^0", MultiPoly.const(VARS, 1)),
+        ("2 - 2", MultiPoly.zero(VARS)),
     ],
 )
 def test_parse_cases(src, expected):
-    assert parse_poly(src, VARS) == expected
+    got = parse_poly(src, VARS)
+    assert got == expected and got.variables == VARS
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_cancelled_terms_leave_the_later_terms_in_order():
@@ -45,6 +55,47 @@ def test_cancelled_terms_leave_the_later_terms_in_order():
     # the terms in this order.
     p = parse_poly("x - x + y + x", ("x", "y"))
     assert list(p.terms.items()) == [((0, 1), Fraction(1)), ((1, 0), Fraction(1))]
+
+
+def test_a_number_meets_a_variable_as_a_scalar(monkeypatch):
+    # -11 stays an int until it scales z0: no constant polynomial is built.
+    calls, const = [], MultiPoly.const
+    want = MultiPoly(("z0", "z1"), {(1, 0): -11})
+    monkeypatch.setattr(MultiPoly, "const", lambda *args: calls.append(args) or const(*args))
+    got = parse_poly("-11*z0", ("z0", "z1"))
+    assert (got, calls) == (want, [])
+
+
+def expression_trees(max_leaves=8):
+    """(text, the same tree built with MultiPoly arithmetic), every subtree in
+    parentheses: literals, variables, +, -, *, unary - and ^0..3."""
+    def leaf_of(value):
+        return (str(value), MultiPoly.const(VARS, value))
+
+    leaves = (st.integers(0, 12).map(leaf_of)
+              | st.fractions(0, 12, max_denominator=7).map(leaf_of)
+              | st.sampled_from(VARS).map(lambda v: (v, MultiPoly.variable(VARS, v))))
+
+    def extend(trees):
+        binary = st.tuples(trees, st.sampled_from("+-*"), trees).map(lambda t: (
+            f"({t[0][0]}) {t[1]} ({t[2][0]})",
+            {"+": t[0][1] + t[2][1], "-": t[0][1] - t[2][1], "*": t[0][1] * t[2][1]}[t[1]]))
+        power = st.tuples(trees, st.integers(0, 3)).map(
+            lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] ** t[1]))
+        return binary | power | trees.map(lambda t: (f"-({t[0]})", -t[1]))
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_trees())
+def test_parse_builds_what_polynomial_arithmetic_builds(tree):
+    # Numbers fold as scalars, yet every term and its place in the dict, which
+    # eval sums in order, match the tree built from constant polynomials.
+    text, want = tree
+    got = parse_poly(text, VARS)
+    assert list(got.terms.items()) == list(want.terms.items()) and got.variables == VARS
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_unary_minus_binds_looser_than_power():

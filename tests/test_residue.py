@@ -639,6 +639,16 @@ class TestPerturbedResidue:
         with pytest.raises(DivisorSingularAt, match=r"divisor is singular at \(0, 0\)"):
             perturbed_residue(chart_field(problem, 2), ORIGIN2, 0)
 
+    @pytest.mark.parametrize("x, shown", [
+        (Fraction(int("1" * 4000)), repr("1" * 40) + "... (4000 characters)"),
+        (Fraction(-int("3" * 37), 2), "-" + "3" * 37 + "/2"),  # 40 characters: whole
+        (Fraction(int("3" * 39), 2), repr("3" * 39 + "/") + "... (41 characters)"),
+    ], ids=["4000 digits", "40 characters", "41 characters"])
+    def test_a_long_coordinate_is_clipped(self, x, shown):
+        message = str(DivisorSingularAt((x, Fraction(0))))
+        assert message == f"divisor is singular at ({shown}, 0); residues there are unsupported"
+        assert len(message) <= 200
+
     def test_seeded_determinism(self):
         x, y = (zv(v, ("x", "y")) for v in ("x", "y"))
         cf = ChartField(0, ("x", "y"), (x**2, -y), MultiPoly.const(("x", "y"), 1),
