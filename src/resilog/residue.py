@@ -552,10 +552,10 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
             raise PositiveDimensional(next(r for r in (lam.count(x) - 1 for x in lam) if r))
         at = [[0] * (n + 2) for _ in range(n + 1)]  # at e_c: grad F, then F
         for e, coef in problem.divisor.terms.items():
-            for c, k in enumerate(e):
-                if k == m:
+            for c, e_c in enumerate(e):
+                if e_c == m:
                     at[c][n + 1] = coef
-                elif k == m - 1:  # the one other variable has exponent 1
+                elif e_c == m - 1:  # the one other variable has exponent 1
                     at[c][next(j for j, x in enumerate(e) if x and j != c)] = coef
         points = [(c, units[c], at[c][n + 1], at[c][:n + 1]) for c in range(n, -1, -1)]
     elif problem.d == 0:
