@@ -10,6 +10,7 @@ tolerance 1e-6), "partial" (point set not certified complete).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .residue import (
     ResidueRecord,
     SingularPoint,
     classify_point,
-    closed_form_residues,
+    closed_forms,
     diagonal_zeros,
     discover_zeros_numeric,
     is_exact,
@@ -171,14 +172,9 @@ class GlobalReport:
 
 
 def _total(values):
-    """Sum of the values: None if any is None, a Fraction if all are exact
-    (summed as integers over the lcm of their denominators), else a float."""
+    """Sum of values of which one is inexact: None if any is None, else a float."""
     if any(v is None for v in values):
         return None
-    if is_exact(values):
-        ratios = [v.as_integer_ratio() for v in values]
-        q = math.lcm(*(d for _, d in ratios))
-        return Fraction(sum(a * (q // d) for a, d in ratios), q)
     return float(sum(float(v) for v in values))
 
 
@@ -206,38 +202,43 @@ def verify_identities(
     if i_list is None:
         i_list = list(range(problem.n))
 
-    # One call per point for all its levels: i = 0, and i >= 1 on D.
-    by_point: list[dict[int, ResidueRecord]] = []
+    # One call per point for all its levels: i = 0, and i >= 1 on D.  An exact
+    # value is an integer N over its point's D_p; L is the lcm of all D_p.
+    by_point: list[tuple] = []  # (records by level, numerators by level, D_p, then L // D_p)
     for p, ld in located:
         if ld is None:  # classification found the divisor singular at p
             raise DivisorSingularAt(p.coords)
         levels = [i for i in i_list if i == 0 or ld.s is not None]
         if levels:
-            by_point.append(dict(zip(levels, closed_form_residues(ld, p, levels) if p.simple
-                                     else perturbed_residues(fields[p.chart], ld, p, levels, cfg))))
+            records, den, numerators = (
+                closed_forms(ld, p, levels) if p.simple
+                else (perturbed_residues(fields[p.chart], ld, p, levels, cfg), None, None))
+            by_point.append((dict(zip(levels, records)),
+                             den and dict(zip(levels, numerators)), den))
+    L = math.lcm(*(den for *_, den in by_point if den))
+    by_point = [(records, numerators, den and L // den) for records, numerators, den in by_point]
     checks: dict[int, IdentityCheck] = {}
     notes: list[str] = []
     any_numeric = False
 
     for i in i_list:
-        records = [at_point[i] for at_point in by_point if i in at_point]
+        here = [at_point for at_point in by_point if i in at_point[0]]
+        records = [at_i[i] for at_i, _, _ in here]
         any_numeric = any_numeric or any(not r.point.exact for r in records)
         if any(r.ordinary is None for r in records):
             notes.append(
                 f"i={i}: a zero with vanishing cofactor leaves the ordinary/log "
                 "split undefined; only the variational total is certified"
             )
+        scales = [scale for _, _, scale in here]
+        if all(scales):  # the closed forms' integers: Fraction(sum N*(L//D_p), L)
+            columns = [[numerators[i][j] for _, numerators, _ in here] for j in range(3)]
+            totals = [None if None in N else Fraction(sum(map(operator.mul, N, scales)), L)
+                      for N in columns]
+        else:
+            totals = [_total([getattr(r, kind) for r in records]) for kind in KINDS]
         ordinary, log, var = chern_totals(problem.n, problem.d, problem.m, i)
-        checks[i] = IdentityCheck(
-            i=i,
-            records=records,
-            ordinary_total=_total([r.ordinary for r in records]),
-            log_total=_total([r.log for r in records]),
-            var_total=_total([r.var for r in records]),
-            expected_ordinary=ordinary,
-            expected_log=log,
-            expected_var=var,
-        )
+        checks[i] = IdentityCheck(i, records, *totals, ordinary, log, var)
 
     if not complete:
         level = "partial"

@@ -341,16 +341,6 @@ class RatMatrix:
     def __repr__(self) -> str:
         return f"RatMatrix({self.entries!r})"
 
-    def submatrix(self, k: int) -> "RatMatrix":
-        """Leading principal k-by-k block."""
-        return RatMatrix([row[:k] for row in self.entries[:k]])
-
-    def mul_vector(self, x: Sequence[Scalar]) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        xs = [_as_fraction(v) for v in x]
-        return [sum((a * b for a, b in zip(row, xs)), Fraction(0)) for row in self.entries]
-
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -361,17 +351,27 @@ class RatMatrix:
         )
 
 
-def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], Fraction]:
-    """Fraction-free (Bareiss) row echelon form over the integers: each row is
-    first multiplied by the lcm of its denominators, and each division by the
-    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  Returns the
-    integer echelon rows, the pivot column of each nonzero row, and the factor
-    sign / (product of the row lcms), sign being that of the row permutation.
-    For a square nonsingular matrix, factor times the last diagonal entry is
-    the determinant; scaling rows of [A | b] leaves its solutions unchanged."""
+def integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as ints, and those lcms."""
     lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    a = [[x.numerator * (lcm // x.denominator) for x in row] for row, lcm in zip(rows, lcms)]
+    return [[x.numerator * (lcm // x.denominator) for x in row]
+            for row, lcm in zip(rows, lcms)], lcms
+
+
+def echelon(rows: Sequence[Sequence[Scalar]]
+            ) -> tuple[list[list[int]], list[int], Fraction, list[int]]:
+    """Fraction-free (Bareiss) row echelon form of the ``integer_rows``; each
+    division by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    Returns the integer echelon rows, the pivot column of each nonzero row,
+    the factor sign / (product of the row lcms), sign being that of the row
+    permutation, and the row order (echelon row j is input row order[j]).
+    For a square nonsingular matrix, factor times the last diagonal entry is
+    the determinant; scaling rows of [A | b] leaves its solutions unchanged.
+    Rows are exchanged only where the pivot in place is 0; until then the
+    k-th diagonal entry is the k-th leading principal minor of the rows."""
+    a, lcms = integer_rows(rows)
     n_rows, n_cols = len(a), len(a[0])
+    order = list(range(n_rows))
     pivots: list[int] = []
     sign = 1
     prev = 1
@@ -384,6 +384,7 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
+            order[r], order[pivot_row] = order[pivot_row], order[r]
             sign = -sign
         piv, top = a[r][c], a[r][c + 1:]
         for row in a[r + 1:]:
@@ -391,34 +392,41 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
             row[c + 1:] = [(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)]
         prev = piv
         pivots.append(c)
-    return a, pivots, Fraction(sign, math.prod(lcms))
+    return a, pivots, Fraction(sign, math.prod(lcms)), order
+
+
+def back_substitute(a: list[list[int]]) -> tuple[list[int], int]:
+    """X and d with A*(X/d) = b, from the n ``echelon`` rows of [A | b], each
+    pivot on the diagonal: d = +-det of the row-scaled A (Cramer), so ``//`` is exact."""
+    n = len(a)
+    d = a[n - 1][n - 1]
+    X = [0] * n
+    for k in range(n - 1, -1, -1):
+        X[k] = (d * a[k][n] - sum(a[k][j] * X[j] for j in range(k + 1, n))) // a[k][k]
+    return X, d
 
 
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    a, pivots, factor = echelon(m.entries)
+    a, pivots, factor, _ = echelon(m.entries)
     return factor * a[-1][-1] if len(pivots) == m.rows else Fraction(0)
 
 
 def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
     """Exact solution of m*x = rhs by elimination of the augmented matrix and
-    back substitution.  The last pivot d is +-det of the row-scaled matrix, so
-    X = d*x is integral (Cramer) and each ``//`` below is exact."""
+    ``back_substitute``."""
     if m.rows != m.cols:
         raise ValueError("solve_linear needs a square matrix")
     n = m.rows
     if len(rhs) != n:
         raise ValueError("right-hand side has the wrong length")
-    a, pivots, _ = echelon([row + [_as_fraction(b)] for row, b in zip(m.entries, rhs)])
+    a, pivots, _, _ = echelon([row + [_as_fraction(b)] for row, b in zip(m.entries, rhs)])
     missing = next((k for k in range(n) if k not in pivots), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")
-    d = a[n - 1][n - 1]
-    X = [0] * n
-    for k in range(n - 1, -1, -1):
-        X[k] = (d * a[k][n] - sum(a[k][j] * X[j] for j in range(k + 1, n))) // a[k][k]
+    X, d = back_substitute(a)
     return [Fraction(v, d) for v in X]
 
 

@@ -9,13 +9,15 @@ the residues on the two resolution charts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import DomainError, MultiPoly, RatMatrix, det_exact, solve_linear
+from .algebra import (DomainError, MultiPoly, RatMatrix, back_substitute, echelon, integer_rows,
+                      solve_linear)
 from .foliation import ChartField
-from .residue import ResidueRecord, SingularPoint, simple_residues
+from .residue import ResidueRecord, SingularPoint, is_exact, simple_residues
 
 
 class NotNegativeDefinite(DomainError):
@@ -40,18 +42,25 @@ class DiscrepancyResult:
     classification: str
 
 
+def _sylvester(M: RatMatrix, rows) -> tuple[int | None, list[list[int]]]:
+    """The first k with (-1)^k * (k-th leading minor of M) <= 0, or None, and the
+    ``echelon`` of ``rows`` (M's, columns appended) that finds it: until a row
+    exchange, which a zero minor forces, its k-th pivot is that minor times
+    positive row lcms."""
+    if not M.is_symmetric():
+        raise ValueError("intersection matrix must be symmetric")
+    a, _, _, order = echelon(rows)
+    return next((k for k in range(1, M.rows + 1)
+                 if order[k - 1] != k - 1 or (-1) ** k * a[k - 1][k - 1] <= 0), None), a
+
+
 def check_negative_definite(M: RatMatrix) -> tuple[bool, int | None]:
     """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k.
 
     Returns (True, None) or (False, first violating k).
     """
-    if not M.is_symmetric():
-        raise ValueError("intersection matrix must be symmetric")
-    for k in range(1, M.rows + 1):
-        minor = det_exact(M.submatrix(k))
-        if (-1) ** k * minor <= 0:
-            return False, k
-    return True, None
+    k, _ = _sylvester(M, M.entries)
+    return k is None, k
 
 
 def classify(a) -> str:
@@ -69,13 +78,21 @@ def classify(a) -> str:
 
 
 def solve_discrepancies(problem: DiscrepancyProblem) -> DiscrepancyResult:
-    """Exact b = -M^{-1} I with the defining identity re-checked."""
-    ok, k = check_negative_definite(problem.M)
-    if not ok:
+    """Exact b = -M^{-1} I and the Sylvester test from one elimination of
+    [M | -I], with I = -M b re-checked on its integer rows and X = d*b."""
+    M, I = problem
+    fits = len(I) == M.rows and is_exact(I)  # else solve_linear raises, after the test
+    rhs = [-v for v in I] if fits else [0] * M.rows
+    rows, _ = integer_rows([row + [v] for row, v in zip(M.entries, rhs)])
+    k, echelon_rows = _sylvester(M, rows)
+    if k is not None:
         raise NotNegativeDefinite(k)
-    b = solve_linear(problem.M, [-v for v in problem.I])
-    recovered = [-v for v in problem.M.mul_vector(b)]
-    assert tuple(recovered) == tuple(problem.I), "I = -M b round trip failed"
+    if not fits:
+        solve_linear(M, [-v for v in I])  # its ValueError or TypeError
+    X, d = back_substitute(echelon_rows)
+    assert all(sum(map(operator.mul, row, X)) == row[-1] * d for row in rows), \
+        "I = -M b round trip failed"
+    b = [Fraction(x, d) for x in X]
     a = [v - 1 for v in b]
     return DiscrepancyResult(b=tuple(b), a=tuple(a), classification=classify(a))
 

@@ -297,10 +297,17 @@ def main(argv=None) -> int:
         try:  # parse_args too: ``--m`` past parse.MAX_DIGITS is a SchemaError
             args = build_parser(argv[0] if argv else None).parse_args(argv)
             code, doc, lines = args.run(args)
+            text = (json.dumps({"schema": SCHEMA, "command": args.command, **to_doc(doc)},
+                               indent=2, sort_keys=True)
+                    if args.format == "machine" else "\n".join(lines))
         except ParseError as exc:
             print(f"parse error at {exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
             return 1
         except (SchemaError, OSError, ValueError) as exc:
+            if "set_int_max_str_digits" in str(exc):  # Python's int-to-text limit, kept as is
+                print(f"error: a result has an integer of more than {sys.get_int_max_str_digits()} "
+                      "digits, Python's limit for printing one", file=sys.stderr)
+                return 2
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except NonLinearField as exc:
@@ -316,11 +323,7 @@ def main(argv=None) -> int:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
     try:
-        if args.format == "machine":
-            print(json.dumps({"schema": SCHEMA, "command": args.command, **to_doc(doc)},
-                             indent=2, sort_keys=True))
-        else:
-            print("\n".join(lines))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``| head -1``).  Pointing stdout at

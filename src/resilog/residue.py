@@ -12,13 +12,13 @@ on the quotient line by k(p).  So ``local_data`` costs one elimination at a
 zero on D, of the bordered matrix behind det J_D.  Exactness (``is_exact``)
 and the zero test (``is_zero``) are defined once, here, for every module.
 Classification (``classify_point``) and the closed forms of all i-levels in
-one call (``closed_form_residues``) decide nothing of the data again: the
+one call (``closed_forms``) decide nothing of the data again: the
 ordinary residue is trJ^n/detJ, and the excess (variational) one has the
 numerator Delta_i = k^(i-1)*((trJD + k)^(n-i) - trJD^(n-i)), one binomial
 sum for every i (``delta_numerator``); these are the only copies of the
 residue formulas.  On the divisor every numerator is homogeneous of degree
 n - 1 in (trJ, trJD, k): exact values enter as integers over one denominator
-and each leaves as one Fraction.
+and each leaves as one Fraction, its integer numerator kept for the totals.
 Degenerate zeros go through a seeded perturbation engine,
 ``perturbed_residues``: it deforms the chart field along a random field
 tangent to the divisor, so each nearby perturbed zero is simple, and
@@ -283,15 +283,21 @@ def simple_residues(cf: ChartField, p: SingularPoint, i: int) -> ResidueRecord:
 
 
 def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> list:
-    """One ResidueRecord per i in ``levels`` from the point's local data; raises
-    DegenerateZero where the relevant determinant vanishes.  On the divisor
-    the numerators are homogeneous of degree n - 1 in (trJ, trJD, k): exact
-    values go in as integers a, t, c over q = lcm(den trJ, den k), found once
-    for all levels, so each residue is built once, as one Fraction of an
-    integer over q^(n-1)*detJD, not a chain of Fraction steps; as a = t + c,
-    the excess numerator at i >= 1 is the ordinary one minus the log one.
-    Inexact values go in unscaled, alike.  The point is rebuilt only where
-    its on_divisor flag changes.  Each i must lie in 0..n-1 (ValueError)."""
+    """One ResidueRecord per i in ``levels``: the records of ``closed_forms``."""
+    return closed_forms(ld, p, levels)[0]
+
+
+def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tuple:
+    """(records, D_p, numerators): one ResidueRecord per i in ``levels`` from
+    the point's local data, each exact value Fraction(N, D_p) of the level's
+    (ordinary, log, var) numerators N (None where the value is); D_p and the
+    numerators are None at an inexact point.  DegenerateZero where the
+    relevant determinant vanishes.  On the divisor the numerators are
+    homogeneous of degree n - 1 in (trJ, trJD, k): exact values go in as
+    integers a, t, c over q = lcm(den trJ, den k), so D_p = c*q^(n-1)*num(detJD)
+    (no c where k(p) = 0), as detJ = k*detJD.  Off it D_p is the denominator
+    of trJ^n/detJ.  Inexact values go in unscaled.  The point is rebuilt only
+    where its on_divisor flag changes.  Each i must lie in 0..n-1 (ValueError)."""
     n = len(p.coords)
     for i in levels:
         check_level(n, i)
@@ -306,42 +312,47 @@ def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int])
         point = p._replace(on_divisor=False) if p.on_divisor else p
         record = ResidueRecord(point, 0, ordinary, ordinary, Fraction(0) if exact else 0.0,
                                "closed_form")
-        return [record for _ in levels]
+        if not exact:
+            return [record for _ in levels], None, None
+        N = ordinary.numerator
+        return [record for _ in levels], ordinary.denominator, [(N, N, 0) for _ in levels]
 
     if is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
     point = p if p.on_divisor else p._replace(on_divisor=True)
-    if exact:  # v/(w*detJD*q^(n-1)) is Fraction(v*num, w*den)
-        q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
-        a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
-        t, num, den = a - c, ld.detJD.denominator, q ** (n - 1) * ld.detJD.numerator
-    else:
-        a, t, c = ld.trJ, ld.trJD, ld.k_at_p
     records = []
-    for i in levels:
-        if i == 0:
-            var = delta_numerator(t, c, n, 0)
-            var = Fraction(var * num, den) if exact else var / ld.detJD
-            if is_zero(ld.k_at_p, exact):
-                # detJ = k*detJD vanishes; the ordinary/log split has no closed
-                # form here, only the excess is defined.
-                ordinary = log = None
-            elif exact:  # trJ^n/detJ and trJD^n/detJ, as detJ = k*detJD
-                ordinary, log = Fraction(a**n * num, c * den), Fraction(t**n * num, c * den)
+    if not exact:
+        a, t, c, detJD = ld.trJ, ld.trJD, ld.k_at_p, ld.detJD
+        for i in levels:
+            var = delta_numerator(t, c, n, i) / detJD
+            if i == 0:
+                # detJ = k*detJD vanishes with k; the ordinary/log split has no
+                # closed form there, only the excess is defined.
+                ordinary = None if is_zero(c, False) else ld.trJ**n / ld.detJ
+                log = None if ordinary is None else ordinary - var
             else:
-                ordinary = ld.trJ**n / ld.detJ
-                log = ordinary - var
+                ordinary = a ** (n - i) * c ** (i - 1) / detJD
+                log = t ** (n - i) * c ** (i - 1) / detJD
+            records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
+        return records, None, None
+    q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
+    a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
+    t, num, w = a - c, ld.detJD.denominator, c or 1
+    den, wnum = w * q ** (n - 1) * ld.detJD.numerator, w * num
+    numerators = []
+    for i in levels:
+        if i == 0:  # trJ^n/detJ and trJD^n/detJ
+            o, l = (a**n * num, t**n * num) if c else (None, None)
+            v = delta_numerator(t, c, n, 0) * wnum
         else:
             o, l = a ** (n - i) * c ** (i - 1), t ** (n - i) * c ** (i - 1)
             # a = t + c, so o - l is the excess numerator k^(i-1)*((T+k)^(n-i) - T^(n-i))
-            if exact:
-                ordinary, log = Fraction(o * num, den), Fraction(l * num, den)
-                var = Fraction((o - l) * num, den)
-            else:
-                ordinary, log = o / ld.detJD, l / ld.detJD
-                var = delta_numerator(t, c, n, i) / ld.detJD
-        records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
-    return records
+            o, l, v = o * wnum, l * wnum, (o - l) * wnum
+        numerators.append((o, l, v))
+        records.append(ResidueRecord(point, i, None if o is None else Fraction(o, den),
+                                     None if l is None else Fraction(l, den), Fraction(v, den),
+                                     "closed_form"))
+    return records, den, numerators
 
 
 # -- numeric engine --------------------------------------------------------
@@ -538,18 +549,17 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
     singular), sorted by the strings of its homogeneous coordinates.  At e_c,
     trJ = sum_{j != c}(lam_j - lam_c), detJ is the product and k = K - m*lam_c
     (Bott 1967), each one Fraction of integers over one denominator q;
-    PositiveDimensional at the first repeated lam_c.  F(e_c) and dF/dz_j(e_c)
-    are F's coefficients of z_c^m and z_c^(m-1)*z_j, from one pass over its
-    terms; a constant field is lam_lead = c_lead, other lam_j = 0, at
-    [c_0:...:c_n], where one jet of F gives them.  Entry c dropped, they are
-    the chart's f and grad f.  Any other field raises in the first chart
-    ``linear_zeros`` refuses (proof there)."""
+    PositiveDimensional where a lam_c repeats, as its integer over q does.
+    F(e_c) and dF/dz_j(e_c) are F's coefficients of z_c^m and z_c^(m-1)*z_j,
+    from one pass over its terms; a constant field is lam_lead = c_lead,
+    other lam_j = 0, at [c_0:...:c_n], where one jet of F gives them.  Entry
+    c dropped, they are the chart's f and grad f.  Any other field raises in
+    the first chart ``linear_zeros`` refuses (proof there)."""
     n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
     units = [tuple(int(k == j) for k in range(n + 1)) for j in range(n + 1)]
-    if problem.d <= 1 and all(v.terms.keys() <= {u} for v, u in zip(comps, units)):
+    diagonal = problem.d <= 1 and all(v.terms.keys() <= {u} for v, u in zip(comps, units))
+    if diagonal:
         lam = [v.terms.get(u, zero) for v, u in zip(comps, units)]
-        if len(set(lam)) <= n:
-            raise PositiveDimensional(next(r for r in (lam.count(x) - 1 for x in lam) if r))
         at = [[0] * (n + 2) for _ in range(n + 1)]  # at e_c: grad F, then F
         for e, coef in problem.divisor.terms.items():
             for c, e_c in enumerate(e):
@@ -572,6 +582,8 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
     q = math.lcm(kappa.denominator, *(v.denominator for v in lam))
     ints = [v.numerator * (q // v.denominator) for v in lam]
     kq = kappa.numerator * (q // kappa.denominator)
+    if diagonal and len(set(ints)) <= n:  # ints hash faster than Fractions
+        raise PositiveDimensional(next(r for r in (ints.count(x) - 1 for x in ints) if r))
     zeros = []
     for c, hom, f_p, grad in points:
         coords = (zero,) * n if problem.d else tuple(hom[:c] + hom[c + 1:])

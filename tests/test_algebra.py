@@ -20,6 +20,11 @@ from resilog.algebra import (
 VARS = ("x", "y", "z")
 
 
+def times(A: RatMatrix, x) -> list[Fraction]:
+    """A*x, entry by entry."""
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in A.entries]
+
+
 def random_poly(rng, variables=VARS, max_terms=5, max_exp=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -335,7 +340,7 @@ def test_solve_linear_roundtrip(seed):
         if det_exact(A) != 0:
             break
     x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-    assert solve_linear(A, A.mul_vector(x)) == x
+    assert solve_linear(A, times(A, x)) == x
 
 
 def test_solve_linear_singular():
@@ -432,9 +437,9 @@ def test_solve_linear_roundtrip_rational(m, data):
                            min_size=len(m), max_size=len(m)))
     if leibniz_det(m) == 0:
         with pytest.raises(SingularMatrix):
-            solve_linear(A, A.mul_vector(x))
+            solve_linear(A, times(A, x))
         return
-    got = solve_linear(A, A.mul_vector(x))
+    got = solve_linear(A, times(A, x))
     assert all(isinstance(v, Fraction) for v in got)
     assert got == x
 

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resilog.algebra import RatMatrix
+from resilog import algebra, birational
+from resilog.algebra import RatMatrix, det_exact, echelon, solve_linear
 from resilog.birational import (
     DiscrepancyProblem,
     NotNegativeDefinite,
@@ -82,3 +85,100 @@ def test_cyclic_quotient_sweep(m):
 def test_cyclic_quotient_rejects_small_order():
     with pytest.raises(ValueError):
         cyclic_quotient_model(1)
+
+
+def leading_minor_violation(M: RatMatrix):
+    """The first k with (-1)^k * det(leading k-by-k block) <= 0, by definition."""
+    return next((k for k in range(1, M.rows + 1)
+                 if (-1) ** k * det_exact(RatMatrix([row[:k] for row in M.entries[:k]])) <= 0),
+                None)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric M of size 1..6 with integer or rational entries, often
+    negative definite (-(A^T A) - I), and at times with its k-th leading minor
+    forced to 0 through its k-th diagonal entry, which makes echelon exchange
+    rows or skip a column there."""
+    r = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4).map(Fraction) | st.fractions(-4, 4, max_denominator=6)
+    if draw(st.booleans()):
+        A = [[draw(entry) for _ in range(r)] for _ in range(r)]
+        M = [[-sum(A[k][i] * A[k][j] for k in range(r)) - (i == j) for j in range(r)]
+             for i in range(r)]
+    else:
+        M = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                M[i][j] = M[j][i] = draw(entry)
+    k = draw(st.integers(0, r))
+    if k:  # the k-th minor is affine in M[k-1][k-1], with slope the (k-1)-th minor
+        slope = det_exact(RatMatrix([row[:k - 1] for row in M[:k - 1]])) if k > 1 else 1
+        minor = det_exact(RatMatrix([row[:k] for row in M[:k]]))
+        if slope:
+            M[k - 1][k - 1] -= minor / slope
+    return RatMatrix(M)
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_matrices(), st.data())
+def test_sylvester_and_solve_match_the_leading_minor_definition(M, data):
+    # One elimination of [M | -I] must find the violating minor the
+    # definition finds, also where a zero minor makes echelon exchange rows.
+    want = leading_minor_violation(M)
+    assert check_negative_definite(M) == (want is None, want)
+    I = tuple(data.draw(st.fractions(-6, 6, max_denominator=4)) for _ in range(M.rows))
+    if want is not None:
+        with pytest.raises(NotNegativeDefinite) as caught:
+            solve_discrepancies(DiscrepancyProblem(M, I))
+        assert caught.value.k == want
+        return
+    result = solve_discrepancies(DiscrepancyProblem(M, I))
+    assert list(result.b) == solve_linear(M, [-v for v in I])
+    assert all(type(v) is Fraction for v in result.b + result.a)
+    assert result.a == tuple(v - 1 for v in result.b)
+    assert result.classification == classify(result.a)
+
+
+@pytest.mark.parametrize("M, k", [
+    ([[0, 1], [1, -2]], 1),  # echelon exchanges rows at the first pivot
+    ([[-1, 1, 0], [1, -1, 1], [0, 1, -2]], 2),  # and at the second
+    ([[-1, 1, 1], [1, -1, -1], [1, -1, -2]], 2),  # column 1 has no pivot at all
+])
+def test_a_zero_leading_minor_is_a_violation(M, k):
+    assert check_negative_definite(RatMatrix(M)) == (False, k)
+    with pytest.raises(NotNegativeDefinite, match=f"minor {k} "):
+        solve_discrepancies(DiscrepancyProblem(RatMatrix(M), (Fraction(1),) * len(M)))
+
+
+def test_solve_discrepancies_runs_one_elimination(monkeypatch):
+    # The Sylvester test and the solve share one echelon of [M | -I]; the
+    # r leading minors and the solve took r + 1 before.
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(algebra, "echelon", counted)
+    monkeypatch.setattr(birational, "echelon", counted)
+    M = RatMatrix([[-2, 1, 0, 0], [1, -3, 1, 0], [0, 1, -2, 1], [0, 0, 1, -5]])
+    result = solve_discrepancies(DiscrepancyProblem(M, (Fraction(1),) * 4))
+    assert calls == [4]
+    assert [sum(a * b for a, b in zip(row, result.b)) for row in M.entries] == [-1] * 4
+
+
+@pytest.mark.parametrize("M, I, error, message", [
+    ([[-2, 1], [1, -2]], (Fraction(1),), ValueError, "right-hand side has the wrong length"),
+    ([[-2]], (1.5,), TypeError, "expected an exact rational, got float"),
+    ([[1, 2], [3, 4]], (Fraction(1),) * 2, ValueError, "intersection matrix must be symmetric"),
+])
+def test_solve_discrepancies_errors(M, I, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        solve_discrepancies(DiscrepancyProblem(RatMatrix(M), I))
+
+
+def test_the_sylvester_test_runs_before_the_length_check():
+    # A matrix that is not negative definite is reported as such, whatever I is.
+    with pytest.raises(NotNegativeDefinite):
+        solve_discrepancies(DiscrepancyProblem(RatMatrix([[2]]), (Fraction(1), Fraction(2))))

@@ -342,6 +342,32 @@ def test_a_domain_error_clips_a_long_coordinate(capsys, tmp_path, x, shown):
     assert err == f"error: field does not vanish at ({shown}, 0)\n"
 
 
+BIG = ("space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+       "field.components = [2^20000*z0, 2*z1, z2]\ndivisor = z2\n")
+BIG_ERROR = ("error: a result has an integer of more than 4300 digits, "
+             "Python's limit for printing one\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit")
+@pytest.mark.parametrize("argv", [
+    ("check",), ("check", "--format", "machine"), ("residues",),
+    ("residues", "--format", "machine"), ("verify", "--format", "machine"), ("surface",),
+])
+def test_a_result_past_the_int_to_text_limit_exits_2(capsys, tmp_path, argv):
+    # 2^20000 has 6021 digits; the cofactor table and the residues print it.
+    code, out, err = run(capsys, argv[0], _write(tmp_path, "big.fol", BIG), *argv[1:])
+    assert (code, out, err) == (2, "", BIG_ERROR) and len(err.encode()) < 200
+
+
+def test_a_result_past_the_int_to_text_limit_leaves_small_output_alone(capsys, tmp_path):
+    # verify's table prints only the totals, which are small.
+    code, out, err = run(capsys, "verify", _write(tmp_path, "big.fol", BIG))
+    assert (code, err) == (0, "")
+    assert out == ("certification level: proved-on-instance\n"
+                   "i=0: ordinary 9 vs 9 [ok], log 4 vs 4 [ok], var 5 vs 5 [ok]\n"
+                   "i=1: ordinary 3 vs 3 [ok], log 2 vs 2 [ok], var 1 vs 1 [ok]\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", P2, "--bogus"),
     ("cyclic", "--m", "x"),
