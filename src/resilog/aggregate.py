@@ -25,10 +25,12 @@ from .residue import (
     SingularPoint,
     classify_point,
     closed_forms,
+    diagonal_eigenvalues,
     diagonal_zeros,
     discover_zeros_numeric,
     is_exact,
     is_zero,
+    linear_zeros,
     perturbed_residues,
 )
 
@@ -97,19 +99,21 @@ def _locate(
     return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
 
 
-def _covers_linear_zeros(problem: FoliationProblem, K, located: list[tuple]) -> bool:
+def _covers_linear_zeros(problem: FoliationProblem, K, fields, located: list[tuple]) -> bool:
     """Whether the located points include every zero of the field when all
-    its charts are affine-linear; True otherwise, where nothing certifies
-    the zero set.  A zero set of positive dimension raises."""
+    its charts are affine-linear, read chart by chart off ``fields`` for a
+    field neither diagonal nor constant; True otherwise, where nothing
+    certifies the zero set.  A zero set of positive dimension raises."""
     try:
-        zeros = [p for p, _ in diagonal_zeros(problem, K)]
+        zeros = (diagonal_zeros(problem, K) if not problem.d or diagonal_eigenvalues(problem)
+                 else [z for cf in fields for z in linear_zeros(cf)])
     except NonLinearField:
         return True
 
     def key(p):
         return tuple(round(float(v), 6) for v in homogeneous_representative(p))
 
-    return {key(z) for z in zeros} <= {key(p) for p, _ in located}
+    return {key(z) for z, _ in zeros} <= {key(p) for p, _ in located}
 
 
 def enumerate_singularities(
@@ -198,7 +202,7 @@ def verify_identities(
     else:
         fields = chart_fields(problem, K)
         located = _locate(fields, "user", points, cfg)
-        complete = _covers_linear_zeros(problem, K, located)
+        complete = _covers_linear_zeros(problem, K, fields, located)
     if i_list is None:
         i_list = list(range(problem.n))
 

@@ -4,15 +4,16 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  Polynomials are sparse: a map from
 exponent tuples to nonzero rational coefficients; ``MultiPoly.jet`` gives a
 value and gradient at once, bit for bit ``eval``'s.  Matrices carry exact
-rational entries; one fraction-free (Bareiss) row echelon routine gives the
-determinant, the rank and exact linear solves; it clears each row's
-denominators and runs on Python ints.  The ``MultiPoly`` constructor checks
-outside input; ``MultiPoly._of`` trusts a term dict built here (exponent
-tuples of the right length, Fraction coefficients).  ``DomainError`` is the
-base of every exception that reports input outside the supported
-mathematics; ``SchemaError`` reports a malformed document.
+rational entries; one fraction-free (Bareiss) row echelon routine on Python
+ints gives the determinant, the rank and exact linear solves, each caller
+clearing the rows' denominators with ``integer_rows``.  The ``MultiPoly``
+constructor checks outside input; ``MultiPoly._of`` trusts a term dict built
+here (exponent tuples of the right length, Fraction coefficients).
+``DomainError`` is the base of every exception that reports input outside
+the supported mathematics; ``SchemaError`` reports a malformed document.
 
-Everything here is immutable after construction and all operations are pure.
+Everything here is immutable after construction and all operations are pure,
+but ``echelon``, which works in place on the integer rows it is given.
 """
 
 from __future__ import annotations
@@ -358,18 +359,14 @@ def integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], lis
             for row, lcm in zip(rows, lcms)], lcms
 
 
-def echelon(rows: Sequence[Sequence[Scalar]]
-            ) -> tuple[list[list[int]], list[int], Fraction, list[int]]:
-    """Fraction-free (Bareiss) row echelon form of the ``integer_rows``; each
-    division by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
-    Returns the integer echelon rows, the pivot column of each nonzero row,
-    the factor sign / (product of the row lcms), sign being that of the row
-    permutation, and the row order (echelon row j is input row order[j]).
-    For a square nonsingular matrix, factor times the last diagonal entry is
-    the determinant; scaling rows of [A | b] leaves its solutions unchanged.
-    Rows are exchanged only where the pivot in place is 0; until then the
-    k-th diagonal entry is the k-th leading principal minor of the rows."""
-    a, lcms = integer_rows(rows)
+def echelon(a: list[list[int]]) -> tuple[list[int], int, list[int]]:
+    """Fraction-free (Bareiss) row echelon form of the integer rows ``a``, in
+    place; each division by the previous pivot is exact (Bareiss, Math. Comp.
+    22, 1968).  Returns the pivot column of each nonzero row, the sign of the
+    row permutation and the row order (echelon row j is input row order[j]).
+    For a square nonsingular matrix, sign times the last diagonal entry is the
+    determinant.  Rows are exchanged only where the pivot in place is 0; until
+    then the k-th diagonal entry is the k-th leading principal minor of the rows."""
     n_rows, n_cols = len(a), len(a[0])
     order = list(range(n_rows))
     pivots: list[int] = []
@@ -392,7 +389,7 @@ def echelon(rows: Sequence[Sequence[Scalar]]
             row[c + 1:] = [(y * piv - x * t) // prev for y, t in zip(row[c + 1:], top)]
         prev = piv
         pivots.append(c)
-    return a, pivots, Fraction(sign, math.prod(lcms)), order
+    return pivots, sign, order
 
 
 def back_substitute(a: list[list[int]]) -> tuple[list[int], int]:
@@ -410,8 +407,9 @@ def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    a, pivots, factor, _ = echelon(m.entries)
-    return factor * a[-1][-1] if len(pivots) == m.rows else Fraction(0)
+    a, lcms = integer_rows(m.entries)
+    pivots, sign, _ = echelon(a)
+    return Fraction(sign * a[-1][-1], math.prod(lcms)) if len(pivots) == m.rows else Fraction(0)
 
 
 def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
@@ -422,7 +420,8 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
     n = m.rows
     if len(rhs) != n:
         raise ValueError("right-hand side has the wrong length")
-    a, pivots, _, _ = echelon([row + [_as_fraction(b)] for row, b in zip(m.entries, rhs)])
+    a, _ = integer_rows([row + [_as_fraction(b)] for row, b in zip(m.entries, rhs)])
+    pivots, _, _ = echelon(a)  # scaling a row of [A | b] leaves the solution as it is
     missing = next((k for k in range(n) if k not in pivots), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")
@@ -432,4 +431,4 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals: the number of echelon pivots."""
-    return len(echelon(m.entries)[1])
+    return len(echelon(integer_rows(m.entries)[0])[0])

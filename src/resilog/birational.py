@@ -42,27 +42,6 @@ class DiscrepancyResult:
     classification: str
 
 
-def _sylvester(M: RatMatrix, rows) -> tuple[int | None, list[list[int]]]:
-    """The first k with (-1)^k * (k-th leading minor of M) <= 0, or None, and the
-    ``echelon`` of ``rows`` (M's, columns appended) that finds it: until a row
-    exchange, which a zero minor forces, its k-th pivot is that minor times
-    positive row lcms."""
-    if not M.is_symmetric():
-        raise ValueError("intersection matrix must be symmetric")
-    a, _, _, order = echelon(rows)
-    return next((k for k in range(1, M.rows + 1)
-                 if order[k - 1] != k - 1 or (-1) ** k * a[k - 1][k - 1] <= 0), None), a
-
-
-def check_negative_definite(M: RatMatrix) -> tuple[bool, int | None]:
-    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k.
-
-    Returns (True, None) or (False, first violating k).
-    """
-    k, _ = _sylvester(M, M.entries)
-    return k is None, k
-
-
 def classify(a) -> str:
     """Finest nested class of a discrepancy vector."""
     a = [Fraction(x) for x in a]
@@ -78,18 +57,25 @@ def classify(a) -> str:
 
 
 def solve_discrepancies(problem: DiscrepancyProblem) -> DiscrepancyResult:
-    """Exact b = -M^{-1} I and the Sylvester test from one elimination of
-    [M | -I], with I = -M b re-checked on its integer rows and X = d*b."""
+    """Exact b = -M^{-1} I and the Sylvester test from one ``echelon`` of the
+    integer rows of [M | -I]: NotNegativeDefinite(k) at the first k with
+    (-1)^k * (k-th leading principal minor of M) <= 0.  Until a row exchange,
+    which a zero minor forces, the k-th pivot is that minor times positive row
+    lcms.  I = -M b is re-checked on the integer rows, with X = d*b."""
     M, I = problem
+    if not M.is_symmetric():
+        raise ValueError("intersection matrix must be symmetric")
     fits = len(I) == M.rows and is_exact(I)  # else solve_linear raises, after the test
     rhs = [-v for v in I] if fits else [0] * M.rows
     rows, _ = integer_rows([row + [v] for row, v in zip(M.entries, rhs)])
-    k, echelon_rows = _sylvester(M, rows)
-    if k is not None:
-        raise NotNegativeDefinite(k)
+    u = [row[:] for row in rows]  # echelon works in place; the round trip reads rows
+    _, _, order = echelon(u)
+    for k in range(1, M.rows + 1):
+        if order[k - 1] != k - 1 or (-1) ** k * u[k - 1][k - 1] <= 0:
+            raise NotNegativeDefinite(k)
     if not fits:
         solve_linear(M, [-v for v in I])  # its ValueError or TypeError
-    X, d = back_substitute(echelon_rows)
+    X, d = back_substitute(u)
     assert all(sum(map(operator.mul, row, X)) == row[-1] * d for row in rows), \
         "I = -M b round trip failed"
     b = [Fraction(x, d) for x in X]

@@ -279,12 +279,7 @@ def delta_numerator(T, k, n: int, i: int):
 
 def simple_residues(cf: ChartField, p: SingularPoint, i: int) -> ResidueRecord:
     """Closed-form ordinary/logarithmic/variational residues at a simple zero."""
-    return closed_form_residues(local_data(cf, p), p, [i])[0]
-
-
-def closed_form_residues(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> list:
-    """One ResidueRecord per i in ``levels``: the records of ``closed_forms``."""
-    return closed_forms(ld, p, levels)[0]
+    return closed_forms(local_data(cf, p), p, [i])[0][0]
 
 
 def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tuple:
@@ -489,7 +484,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
     one seeded random field tangent to the divisor, so its zeros on the
     divisor are zeros of the whole perturbed field: one ``_zeros_near`` search
     per eps serves every level.  At each (simple) perturbed zero one
-    ``closed_form_residues`` call gives the levels it carries, all on the
+    ``closed_forms`` call gives the levels it carries, all on the
     divisor and i = 0 off it; per level the zero counts must agree between the
     two eps, and the sums are Richardson-extrapolated to eps = 0."""
     if ld.s is None:
@@ -509,7 +504,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
             zld = local_data(perturbed, q)
             carried = [i for i in total if i == 0 or zld.s is not None]
             try:  # a vanishing cofactor leaves detJ = k*detJD = 0 at i = 0
-                records = closed_form_residues(zld, q, carried) if carried else []
+                records = closed_forms(zld, q, carried)[0] if carried else []
                 if any(rec.ordinary is None for rec in records):
                     raise DegenerateZero
             except DegenerateZero:
@@ -542,6 +537,13 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 
 # -- zero discovery --------------------------------------------------------
 
+def diagonal_eigenvalues(problem: FoliationProblem) -> list | None:
+    """lam_0, ..., lam_n if the field is diagonal, V_j = lam_j*z_j (each term of
+    V_j is z_j), else None; with d = 0, the fields ``diagonal_zeros`` reads."""
+    diagonal = all(e[j] == sum(e) == 1 for j, v in enumerate(problem.components) for e in v.terms)
+    return [next(iter(v.terms.values()), 0) for v in problem.components] if diagonal else None
+
+
 def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
     """Exact zeros of a diagonal linear field (V_j = lam_j*z_j) or a constant
     one, from K = V(F)/F and the homogeneous term dicts, with no chart built:
@@ -556,10 +558,9 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
     c dropped, they are the chart's f and grad f.  Any other field raises in
     the first chart ``linear_zeros`` refuses (proof there)."""
     n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
-    units = [tuple(int(k == j) for k in range(n + 1)) for j in range(n + 1)]
-    diagonal = problem.d <= 1 and all(v.terms.keys() <= {u} for v, u in zip(comps, units))
+    lam = diagonal_eigenvalues(problem)
+    diagonal = lam is not None
     if diagonal:
-        lam = [v.terms.get(u, zero) for v, u in zip(comps, units)]
         at = [[0] * (n + 2) for _ in range(n + 1)]  # at e_c: grad F, then F
         for e, coef in problem.divisor.terms.items():
             for c, e_c in enumerate(e):
@@ -567,7 +568,7 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
                     at[c][n + 1] = coef
                 elif e_c == m - 1:  # the one other variable has exponent 1
                     at[c][next(j for j, x in enumerate(e) if x and j != c)] = coef
-        points = [(c, units[c], at[c][n + 1], at[c][:n + 1]) for c in range(n, -1, -1)]
+        points = [(c, None, at[c][n + 1], at[c][:n + 1]) for c in range(n, -1, -1)]
     elif problem.d == 0:
         const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
         lead = next(j for j, v in enumerate(const) if v)

@@ -25,7 +25,7 @@ from resilog.algebra import DomainError, MultiPoly
 from resilog.birational import DiscrepancyProblem, cyclic_quotient_model
 from resilog.foliation import make_problem
 from resilog.parse import parse_problem
-from resilog.residue import PositiveDimensional, SingularPoint
+from resilog.residue import PositiveDimensional, SingularPoint, classify_point
 from test_residue import sparse_homogeneous_fields
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -142,6 +142,19 @@ def test_enumerate_numeric_matches_exact():
         assert homogeneous_representative(p)[p.chart] == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_numeric_discovery_flags_a_slow_zero_on_the_divisor():
+    # At [1:0:0] Newton converges only linearly and stops 3.9e-7 from the
+    # zero, outside the 1e-9 divisor test; the exact zero lies on the divisor.
+    z0, z1, z2 = (MultiPoly.variable(Z3, v) for v in Z3)
+    problem = make_problem(Z3, [z0 * (z0 + z1), z1 * (2 * z1 - z2), z2 * (z0 + 3 * z2)], z2)
+    exact, _ = classify_point(foliation.chart_field(problem, 0), (Fraction(0), Fraction(0)))
+    assert exact.on_divisor
+    [near] = [p for p in enumerate_singularities(problem, "numeric")
+              if p.chart == 0 and max(map(abs, p.coords)) < 1e-3]
+    assert near.on_divisor
+
+
 def test_verify_identities_p2_exact():
     report = verify_identities(P2)
     assert report.level == "proved-on-instance"
@@ -194,6 +207,14 @@ def test_given_points_on_a_line_of_zeros_raise_like_discovery():
     with pytest.raises(PositiveDimensional):
         verify_identities(problem)
     with pytest.raises(PositiveDimensional):
+        verify_identities(problem, points=[SingularPoint(2, (Fraction(0), Fraction(0)))])
+    # Not diagonal, but chart 0 is: the eigenvalue 1 of [[1, 0, 0], [1, 2, 0],
+    # [0, 0, 1]] has the line of eigenvectors [a:-a:b].
+    z0, z1, z2 = (MultiPoly.variable(Z3, v) for v in Z3)
+    problem = make_problem(Z3, [z0, z0 + 2 * z1, z2], z2)
+    with pytest.raises(PositiveDimensional, match="^zero set has dimension 1$"):
+        verify_identities(problem)
+    with pytest.raises(PositiveDimensional, match="^zero set has dimension 1$"):
         verify_identities(problem, points=[SingularPoint(2, (Fraction(0), Fraction(0)))])
 
 
@@ -494,6 +515,16 @@ def test_verify_given_points_takes_local_data_once_per_point(monkeypatch):
     assert fields == divisions == {problem.variables: 1}
     assert charts == {c: 1 for c in range(4)}
     assert data == {(c, p.coords): 1 for c, p in enumerate(points)}
+
+
+def test_verify_given_points_of_a_non_diagonal_field_builds_each_chart_once(monkeypatch):
+    # The Jordan field is neither diagonal nor constant: the coverage check
+    # reads the chart fields built for the given points, and builds none.
+    doc = parse_problem((FIXTURES / "p2_jordan.fol").read_text())
+    fields, divisions, data, charts = count_chart_work(monkeypatch)
+    report = verify_identities(doc.problem, doc.points)
+    assert report.complete and report.level == "numeric"
+    assert charts == {0: 1, 1: 1, 2: 1}
 
 
 @st.composite

@@ -9,7 +9,6 @@ from resilog.algebra import RatMatrix, det_exact, echelon, solve_linear
 from resilog.birational import (
     DiscrepancyProblem,
     NotNegativeDefinite,
-    check_negative_definite,
     classify,
     cyclic_quotient_model,
     expected_exceptional_residues,
@@ -19,14 +18,21 @@ from resilog.birational import (
 A2 = RatMatrix([[-2, 1], [1, -2]])
 
 
+def violation(M: RatMatrix):
+    """The k of the NotNegativeDefinite that ``solve_discrepancies`` raises at M, or None."""
+    try:
+        solve_discrepancies(DiscrepancyProblem(M, (Fraction(1),) * M.rows))
+    except NotNegativeDefinite as exc:
+        return exc.k
+    return None
+
+
 def test_negative_definite():
-    assert check_negative_definite(A2) == (True, None)
-    ok, k = check_negative_definite(RatMatrix([[2]]))
-    assert not ok and k == 1
-    ok, k = check_negative_definite(RatMatrix([[-1, 2], [2, -1]]))
-    assert not ok and k == 2
-    with pytest.raises(ValueError):
-        check_negative_definite(RatMatrix([[1, 2], [3, 4]]))
+    assert violation(A2) is None
+    assert violation(RatMatrix([[2]])) == 1
+    assert violation(RatMatrix([[-1, 2], [2, -1]])) == 2
+    with pytest.raises(ValueError, match="must be symmetric"):
+        violation(RatMatrix([[1, 2], [3, 4]]))
 
 
 @pytest.mark.parametrize(
@@ -126,7 +132,6 @@ def test_sylvester_and_solve_match_the_leading_minor_definition(M, data):
     # One elimination of [M | -I] must find the violating minor the
     # definition finds, also where a zero minor makes echelon exchange rows.
     want = leading_minor_violation(M)
-    assert check_negative_definite(M) == (want is None, want)
     I = tuple(data.draw(st.fractions(-6, 6, max_denominator=4)) for _ in range(M.rows))
     if want is not None:
         with pytest.raises(NotNegativeDefinite) as caught:
@@ -146,9 +151,9 @@ def test_sylvester_and_solve_match_the_leading_minor_definition(M, data):
     ([[-1, 1, 1], [1, -1, -1], [1, -1, -2]], 2),  # column 1 has no pivot at all
 ])
 def test_a_zero_leading_minor_is_a_violation(M, k):
-    assert check_negative_definite(RatMatrix(M)) == (False, k)
-    with pytest.raises(NotNegativeDefinite, match=f"minor {k} "):
+    with pytest.raises(NotNegativeDefinite, match=f"minor {k} ") as caught:
         solve_discrepancies(DiscrepancyProblem(RatMatrix(M), (Fraction(1),) * len(M)))
+    assert caught.value.k == k
 
 
 def test_solve_discrepancies_runs_one_elimination(monkeypatch):

@@ -835,10 +835,10 @@ def test_degenerate_perturbed_zero_exits_2(capsys, tmp_path, monkeypatch):
     fol = tmp_path / "jordan.fol"
     fol.write_text(JORDAN_WITH_POINTS)
 
-    def degenerate(ld, p, i):
+    def degenerate(ld, p, levels):
         raise residue.DegenerateZero("detJ = 0")
 
-    monkeypatch.setattr(residue, "closed_form_residues", degenerate)
+    monkeypatch.setattr(residue, "closed_forms", degenerate)
     assert run(capsys, "verify", str(fol)) == (
         2, "", "error: a perturbed zero near chart0:0,0 is still degenerate at eps=0.001\n")
 
@@ -850,9 +850,10 @@ def test_perturbed_zero_with_an_undefined_split_exits_2(capsys, tmp_path, monkey
     fol.write_text(JORDAN_WITH_POINTS)
 
     def split_undefined(ld, p, levels):
-        return [residue.ResidueRecord(p, i, None, None, 0.0, "closed_form") for i in levels]
+        return [residue.ResidueRecord(p, i, None, None, 0.0, "closed_form")
+                for i in levels], None, None
 
-    monkeypatch.setattr(residue, "closed_form_residues", split_undefined)
+    monkeypatch.setattr(residue, "closed_forms", split_undefined)
     assert run(capsys, "verify", str(fol)) == (
         2, "", "error: a perturbed zero near chart0:0,0 is still degenerate at eps=0.001\n")
 

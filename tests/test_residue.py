@@ -33,7 +33,7 @@ from resilog.residue import (
     _solve,
     _zeros_near,
     classify_point,
-    closed_form_residues,
+    closed_forms,
     delta_numerator,
     discover_zeros_numeric,
     linear_zeros,
@@ -292,7 +292,7 @@ RATIONALS = st.fractions(-40, 40, max_denominator=12)
 @given(st.one_of(st.integers(-40, 40), RATIONALS), st.one_of(st.integers(-40, 40), RATIONALS),
        st.integers(1, 30), st.integers(1, 8))
 def test_delta_numerator_is_homogeneous_of_degree_n_minus_1(T, k, q, n):
-    # closed_form_residues relies on this to feed it integer numerators.
+    # closed_forms relies on this to feed it integer numerators.
     for i in range(n):
         assert delta_numerator(q * T, q * k, n, i) == q ** (n - 1) * delta_numerator(T, k, n, i)
 
@@ -320,7 +320,7 @@ def test_exact_closed_forms_match_the_textbook_formulas(case):
     ld, p = case
     n, trJ, k, trJD = len(p.coords), Fraction(ld.trJ), Fraction(ld.k_at_p), Fraction(ld.trJD)
     levels = range(n if ld.s is not None else 1)
-    for i, r in zip(levels, closed_form_residues(ld, p, levels), strict=True):
+    for i, r in zip(levels, closed_forms(ld, p, levels)[0], strict=True):
         if ld.s is None:
             ordinary = trJ**n / ld.detJ
             want = (ordinary, ordinary, 0)
@@ -365,7 +365,7 @@ def test_inexact_closed_forms_keep_their_bits(n, complex_values, data):
     detJ = data.draw(scalar.filter(lambda v: abs(v) > 1e-3))
     point = SingularPoint(0, tuple(data.draw(st.lists(scalar, min_size=n, max_size=n))), False)
     ld = LocalData(trJ, detJ, k, trJ - k, detJD, 0)
-    for i, r in zip(range(n), closed_form_residues(ld, point, range(n)), strict=True):
+    for i, r in zip(range(n), closed_forms(ld, point, range(n))[0], strict=True):
         assert repr((r.ordinary, r.log, r.var)) == repr(reference_closed_forms(ld, n, i))
 
 
