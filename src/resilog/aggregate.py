@@ -25,12 +25,10 @@ from .residue import (
     SingularPoint,
     classify_point,
     closed_forms,
-    diagonal_eigenvalues,
     diagonal_zeros,
     discover_zeros_numeric,
     is_exact,
     is_zero,
-    linear_zeros,
     perturbed_residues,
 )
 
@@ -101,12 +99,11 @@ def _locate(
 
 def _covers_linear_zeros(problem: FoliationProblem, K, fields, located: list[tuple]) -> bool:
     """Whether the located points include every zero of the field when all
-    its charts are affine-linear, read chart by chart off ``fields`` for a
-    field neither diagonal nor constant; True otherwise, where nothing
-    certifies the zero set.  A zero set of positive dimension raises."""
+    its charts are affine-linear: ``diagonal_zeros`` over the chart fields
+    ``fields`` already built; True where it refuses the field as not linear,
+    as nothing certifies the zero set.  A zero set of positive dimension raises."""
     try:
-        zeros = (diagonal_zeros(problem, K) if not problem.d or diagonal_eigenvalues(problem)
-                 else [z for cf in fields for z in linear_zeros(cf)])
+        zeros = diagonal_zeros(problem, K, fields)
     except NonLinearField:
         return True
 
@@ -191,11 +188,12 @@ def verify_identities(
     """Check the global residue identities on this instance.
 
     With no points given, singularities are discovered exactly (diagonal or
-    constant fields only, with no chart field built); given points are
-    deduplicated and classified here, whatever their flags, and are complete
-    unless the charts are affine-linear and a zero is missing.  Simple zeros
-    take the closed forms, the others the perturbation engine.  An exact zero
-    discrepancy at every requested i certifies the identity on this instance."""
+    constant fields only, a chart field built for a constant one alone);
+    given points are deduplicated and classified here, whatever their flags,
+    and are complete unless the charts are affine-linear and a zero is
+    missing.  Simple zeros take the closed forms, the others the perturbation
+    engine.  An exact zero discrepancy at every requested i certifies the
+    identity on this instance."""
     K = tangency_cofactor(problem)
     if points is None:
         fields, located, complete = None, diagonal_zeros(problem, K), True
@@ -212,7 +210,7 @@ def verify_identities(
     for p, ld in located:
         if ld is None:  # classification found the divisor singular at p
             raise DivisorSingularAt(p.coords)
-        levels = [i for i in i_list if i == 0 or ld.s is not None]
+        levels = [i for i in i_list if i == 0 or ld.detJD is not None]
         if levels:
             records, den, numerators = (
                 closed_forms(ld, p, levels) if p.simple

@@ -1,10 +1,10 @@
 """Local residues at singular points.
 
-A zero's data (``LocalData``) is the Jacobian trace trJ and determinant
-detJ, the cofactor value k(p), and on the divisor D the entry s of grad f
-bordering det J_D, the induced trace trJ_D = trJ - k and det J_D:
-``local_data`` takes one jet per component and one of f at any zero, and
-exact discovery (``diagonal_zeros``) reads every zero's off the homogeneous
+A zero's data (``LocalData``) is four values: the Jacobian trace trJ and
+determinant detJ, the cofactor value k(p), and det J_D, None off the
+divisor D; trJD = trJ - k is computed where read.  ``local_data`` takes one
+jet per component and one of f at any zero, and exact discovery
+(``diagonal_zeros``) reads a diagonal field's zeros off the homogeneous
 term dicts.  At a zero p on D the determinants are tied, detJ = k(p)*detJD.
 Proof: differentiating v(f) = k*f at p, where v and f vanish, gives
 J^T grad f = k(p) grad f, so J keeps the tangent space ker(grad f) and acts
@@ -136,14 +136,13 @@ class SingularPoint(NamedTuple):
 
 
 class LocalData(NamedTuple):
-    """Jacobian data of the field at a zero, in ambient and induced form."""
+    """Jacobian data of the field at a zero: trJ, detJ, the cofactor value
+    k(p) and det J_D, which is None off the divisor (and only there)."""
 
     trJ: object
     detJ: object
     k_at_p: object
-    trJD: object
     detJD: object | None
-    s: int | None
 
 
 class ResidueRecord(NamedTuple):
@@ -241,14 +240,14 @@ def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
         raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
     if not on_divisor:
-        return LocalData(trJ, _det(jac, exact), k_at_p, trJ - k_at_p, detJD=None, s=None)
+        return LocalData(trJ, _det(jac, exact), k_at_p, detJD=None)
     s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
     if s is None:
         raise DivisorSingularAt(coords)
     rows = [jac[j] for j in range(n) if j != s] + [grad_f]
     sign = -1 if (n - 1 - s) % 2 else 1
     detJD = sign * _det(rows, exact) / grad_f[s]
-    return LocalData(trJ, k_at_p * detJD, k_at_p, trJ - k_at_p, detJD, s)  # detJ = k*detJD
+    return LocalData(trJ, k_at_p * detJD, k_at_p, detJD)  # detJ = k*detJD
 
 
 def classify_point(cf: ChartField, coords) -> tuple[SingularPoint, LocalData | None]:
@@ -261,7 +260,7 @@ def classify_point(cf: ChartField, coords) -> tuple[SingularPoint, LocalData | N
         ld = local_data(cf, SingularPoint(cf.chart, coords, exact))
     except DivisorSingularAt:
         return SingularPoint(cf.chart, coords, exact, True, None), None
-    on_divisor = ld.s is not None
+    on_divisor = ld.detJD is not None
     simple = not is_zero(ld.detJD if on_divisor else ld.detJ, exact)
     return SingularPoint(cf.chart, coords, exact, on_divisor, simple), ld
 
@@ -298,7 +297,7 @@ def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tupl
         check_level(n, i)
     exact = is_exact(p.coords)
 
-    if ld.s is None:  # off the divisor
+    if ld.detJD is None:  # off the divisor
         for i in filter(None, levels):
             raise NotOnDivisor(f"i={i} residues only exist on the divisor")
         if is_zero(ld.detJ, exact):
@@ -317,7 +316,8 @@ def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tupl
     point = p if p.on_divisor else p._replace(on_divisor=True)
     records = []
     if not exact:
-        a, t, c, detJD = ld.trJ, ld.trJD, ld.k_at_p, ld.detJD
+        a, c, detJD = ld.trJ, ld.k_at_p, ld.detJD
+        t = a - c
         for i in levels:
             var = delta_numerator(t, c, n, i) / detJD
             if i == 0:
@@ -487,7 +487,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
     ``closed_forms`` call gives the levels it carries, all on the
     divisor and i = 0 off it; per level the zero counts must agree between the
     two eps, and the sums are Richardson-extrapolated to eps = 0."""
-    if ld.s is None:
+    if ld.detJD is None:
         for i in filter(None, levels):
             raise NotOnDivisor(f"i={i} residues only exist on the divisor")
     point_id = f"chart{p.chart}:" + ",".join(str(c) for c in p.coords)
@@ -502,7 +502,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
         for z in _zeros_near(perturbed.a, p.coords, cfg.search_radius, cfg):
             q = SingularPoint(p.chart, tuple(z), exact=False)
             zld = local_data(perturbed, q)
-            carried = [i for i in total if i == 0 or zld.s is not None]
+            carried = [i for i in total if i == 0 or zld.detJD is not None]
             try:  # a vanishing cofactor leaves detJ = k*detJD = 0 at i = 0
                 records = closed_forms(zld, q, carried)[0] if carried else []
                 if any(rec.ordinary is None for rec in records):
@@ -517,7 +517,7 @@ def perturbed_residues(cf: ChartField, ld: LocalData, p: SingularPoint, levels: 
     # One direction scaled by each eps: the leading error term has the same
     # coefficient at both levels and Richardson cancels it.
     eps1, eps2 = cfg.eps_levels
-    point = p._replace(on_divisor=ld.s is not None, exact=False)
+    point = p._replace(on_divisor=ld.detJD is not None, exact=False)
     out = []
     for i in levels:
         (n1, *at1), (n2, *at2) = (total[i] for total in sums)
@@ -537,67 +537,55 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 
 # -- zero discovery --------------------------------------------------------
 
-def diagonal_eigenvalues(problem: FoliationProblem) -> list | None:
-    """lam_0, ..., lam_n if the field is diagonal, V_j = lam_j*z_j (each term of
-    V_j is z_j), else None; with d = 0, the fields ``diagonal_zeros`` reads."""
-    diagonal = all(e[j] == sum(e) == 1 for j, v in enumerate(problem.components) for e in v.terms)
-    return [next(iter(v.terms.values()), 0) for v in problem.components] if diagonal else None
-
-
-def diagonal_zeros(problem: FoliationProblem, K: MultiPoly) -> list:
-    """Exact zeros of a diagonal linear field (V_j = lam_j*z_j) or a constant
-    one, from K = V(F)/F and the homogeneous term dicts, with no chart built:
-    each classified in its lead chart, with its local data (None where D is
-    singular), sorted by the strings of its homogeneous coordinates.  At e_c,
-    trJ = sum_{j != c}(lam_j - lam_c), detJ is the product and k = K - m*lam_c
-    (Bott 1967), each one Fraction of integers over one denominator q;
-    PositiveDimensional where a lam_c repeats, as its integer over q does.
-    F(e_c) and dF/dz_j(e_c) are F's coefficients of z_c^m and z_c^(m-1)*z_j,
-    from one pass over its terms; a constant field is lam_lead = c_lead,
-    other lam_j = 0, at [c_0:...:c_n], where one jet of F gives them.  Entry
-    c dropped, they are the chart's f and grad f.  Any other field raises in
-    the first chart ``linear_zeros`` refuses (proof there)."""
+def diagonal_zeros(problem: FoliationProblem, K: MultiPoly, fields: list | None = None) -> list:
+    """Exact zeros of a diagonal linear field (each term of V_j is z_j, so
+    V_j = lam_j*z_j) or a constant one, each classified in its lead chart with
+    its local data (None where D is singular), sorted by the strings of its
+    homogeneous coordinates.  A diagonal field's zeros e_c come off K = V(F)/F
+    and the term dicts, with no chart built: trJ = sum_{j != c}(lam_j - lam_c),
+    detJ is the product and k = K - m*lam_c (Bott 1967), each one Fraction of
+    integers over one denominator q; PositiveDimensional where a lam_c
+    repeats.  F(e_c) is F's coefficient of z_c^m, and D is smooth at e_c where
+    some z_c^(m-1)*z_j has one, from one pass over F's terms.  A constant
+    field's zero [c_0:...:c_n] goes to ``classify_point`` in its lead chart.
+    Any other field raises in the first chart ``linear_zeros`` refuses (proof
+    there).  Charts are read from ``fields`` (one per chart) if given, else built."""
     n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
-    lam = diagonal_eigenvalues(problem)
-    diagonal = lam is not None
-    if diagonal:
-        at = [[0] * (n + 2) for _ in range(n + 1)]  # at e_c: grad F, then F
-        for e, coef in problem.divisor.terms.items():
-            for c, e_c in enumerate(e):
-                if e_c == m:
-                    at[c][n + 1] = coef
-                elif e_c == m - 1:  # the one other variable has exponent 1
-                    at[c][next(j for j, x in enumerate(e) if x and j != c)] = coef
-        points = [(c, None, at[c][n + 1], at[c][:n + 1]) for c in range(n, -1, -1)]
-    elif problem.d == 0:
-        const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
-        lead = next(j for j, v in enumerate(const) if v)
-        lam = [v if j == lead else zero for j, v in enumerate(const)]
-        hom = [v / const[lead] for v in const]
-        points = [(lead, hom, *problem.divisor.jet(hom))]
-    else:
-        for chart in range(n + 1):
-            linear_zeros(dehomogenize_field(problem, chart, K))
+    if not all(e[j] == sum(e) == 1 for j, v in enumerate(comps) for e in v.terms):
+        if problem.d == 0:
+            const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
+            lead = next(j for j, v in enumerate(const) if v)
+            hom = [v / const[lead] for v in const]
+            cf = fields[lead] if fields else dehomogenize_field(problem, lead, K)
+            return [classify_point(cf, hom[:lead] + hom[lead + 1:])]
+        for cf in fields or (dehomogenize_field(problem, c, K) for c in range(n + 1)):
+            linear_zeros(cf)
         raise AssertionError("every chart is diagonal, and so is the field")
+    lam = [next(iter(v.terms.values()), 0) for v in comps]
+    f_at, smooth = [0] * (n + 1), [False] * (n + 1)  # at e_c: F, and whether grad f != 0
+    for e, coef in problem.divisor.terms.items():
+        for c, e_c in enumerate(e):
+            if e_c == m:
+                f_at[c] = coef
+            elif e_c == m - 1:  # a term z_c^(m-1)*z_j, j != c: df/dx_j at e_c
+                smooth[c] = True
     kappa = K.terms.get((0,) * (n + 1), zero)  # K has degree d - 1
     q = math.lcm(kappa.denominator, *(v.denominator for v in lam))
     ints = [v.numerator * (q // v.denominator) for v in lam]
     kq = kappa.numerator * (q // kappa.denominator)
-    if diagonal and len(set(ints)) <= n:  # ints hash faster than Fractions
+    if len(set(ints)) <= n:  # ints hash faster than Fractions
         raise PositiveDimensional(next(r for r in (ints.count(x) - 1 for x in ints) if r))
-    zeros = []
-    for c, hom, f_p, grad in points:
-        coords = (zero,) * n if problem.d else tuple(hom[:c] + hom[c + 1:])
-        del grad[c]
-        s = None if f_p else next((j for j, g in enumerate(grad) if g), None)
-        if not f_p and s is None:
+    zeros, coords = [], (zero,) * n
+    for c in range(n, -1, -1):
+        on_divisor = not f_at[c]
+        if on_divisor and not smooth[c]:
             zeros.append((SingularPoint(c, coords, True, True, None), None))
             continue
         alpha = [a - ints[c] for j, a in enumerate(ints) if j != c]
         tr, det, k = sum(alpha), math.prod(alpha), kq - m * ints[c]
-        detJD = None if s is None else Fraction(det, q ** (n - 1) * k)  # detJ / k
-        zeros.append((SingularPoint(c, coords, True, s is not None, True), LocalData(
-            Fraction(tr, q), Fraction(det, q**n), Fraction(k, q), Fraction(tr - k, q), detJD, s)))
+        detJD = Fraction(det, q ** (n - 1) * k) if on_divisor else None  # detJ / k
+        zeros.append((SingularPoint(c, coords, True, on_divisor, True), LocalData(
+            Fraction(tr, q), Fraction(det, q**n), Fraction(k, q), detJD)))
     return zeros
 
 

@@ -130,7 +130,7 @@ def test_criterion_4_local_structure():
             for chart, cf in enumerate(chart_fields(problem)):
                 p = SingularPoint(chart, (Fraction(0),) * problem.n)
                 ld = local_data(cf, p)
-                if ld.s is None:
+                if ld.detJD is None:
                     continue  # off the divisor
                 assert ld.detJ == ld.k_at_p * ld.detJD
                 for i in range(problem.n):
@@ -210,7 +210,7 @@ def test_criterion_9_numeric_engine():
                 p = SingularPoint(chart, (Fraction(0),) * problem.n)
                 for i in range(problem.n):
                     ld = local_data(cf, p)
-                    if i > 0 and ld.s is None:
+                    if i > 0 and ld.detJD is None:
                         continue
                     exact = simple_residues(cf, p, i)
                     approx = perturbed_residue(cf, p, i, NumericConfig(seed=0))

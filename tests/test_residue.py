@@ -84,15 +84,14 @@ class TestLocalData:
     def test_off_divisor(self):
         cf = chart_field(P2, 2)  # divisor misses this chart
         ld = local_data(cf, ORIGIN2)
-        assert ld.s is None and ld.detJD is None
+        assert ld.detJD is None
         assert ld.trJ == -3 and ld.detJ == -4  # eigenvalues -4, 1
 
     def test_on_divisor_triangular_factorization(self):
         cf = chart_field(P2, 0)  # eigenvalues 5, 4; k = 4
         ld = local_data(cf, ORIGIN2)
-        assert ld.s == 1
         assert (ld.trJ, ld.detJ, ld.k_at_p) == (9, 20, 4)
-        assert ld.trJD == 5 and ld.detJD == 5
+        assert ld.trJ - ld.k_at_p == 5 and ld.detJD == 5  # trJD and detJD
         assert ld.detJ == ld.k_at_p * ld.detJD
 
     def test_adapted_index_invariance(self):
@@ -105,7 +104,7 @@ class TestLocalData:
         ld1 = local_data(cf1, ORIGIN2)
         ld2 = local_data(cf2, ORIGIN2)
         assert ld1.detJD == ld2.detJD == 2
-        assert ld1.trJD == ld2.trJD == 2
+        assert ld1.trJ - ld1.k_at_p == ld2.trJ - ld2.k_at_p == 2  # trJD
         r1 = simple_residues(cf1, ORIGIN2, 1)
         r2 = simple_residues(cf2, ORIGIN2, 1)
         assert (r1.ordinary, r1.log, r1.var) == (r2.ordinary, r2.log, r2.var)
@@ -167,13 +166,13 @@ def test_exact_detJ_on_the_divisor_is_the_jacobian_determinant(case):
     # not; at the rounded point that is the determinant up to rounding.
     cf, p, k_vanishes = case
     ld = local_data(cf, SingularPoint(0, p))
-    assert ld.s is not None
+    assert ld.detJD is not None
     jac = [[a.partial(v).eval(p) for v in cf.variables] for a in cf.a]
     assert ld.detJ == det_exact(RatMatrix(jac)) and type(ld.detJ) is Fraction
     if k_vanishes:
         assert ld.k_at_p == 0 == ld.detJ
     rounded = local_data(cf, SingularPoint(0, tuple(map(float, p)), exact=False))
-    assert rounded.s == ld.s and rounded.detJ == rounded.k_at_p * rounded.detJD
+    assert rounded.detJD is not None and rounded.detJ == rounded.k_at_p * rounded.detJD
     assert rounded.detJ == pytest.approx(float(ld.detJ), rel=1e-9, abs=1e-9)
 
 
@@ -244,7 +243,7 @@ def test_local_data_matches_sympy_jacobian(name, problem, zeros):
             at = dict(zip(xs, map(rat, x)))
             J = sympy.Matrix([expr(a, xs) for a in cf.a]).jacobian(xs).subs(at)
             k_at_p = expr(cf.k, xs).subs(at)
-            want = [J.trace(), J.det(), k_at_p, J.trace() - k_at_p, None]
+            want = [J.trace(), J.det(), k_at_p, None]
             s = None
             f = expr(cf.f, xs)
             if not cf.f.is_constant and f.subs(at) == 0:
@@ -253,12 +252,10 @@ def test_local_data_matches_sympy_jacobian(name, problem, zeros):
                 rows = J.copy()
                 rows.row_del(s)
                 sign = -1 if (cf.n - 1 - s) % 2 else 1
-                want[4] = sign * rows.col_join(grad).det() / grad[s]
+                want[3] = sign * rows.col_join(grad).det() / grad[s]
             ld = local_data(cf, SingularPoint(chart, x))
-            got = [ld.trJ, ld.detJ, ld.k_at_p, ld.trJD, ld.detJD]
-            assert all(isinstance(v, Fraction) for v in got if v is not None)
-            assert got == [None if v is None else frac(v) for v in want]
-            assert ld.s == s
+            assert all(isinstance(v, Fraction) for v in ld if v is not None)
+            assert list(ld) == [None if v is None else frac(v) for v in want]
             on_divisor += s is not None
     assert on_divisor  # every case has zeros on its divisor
 
@@ -308,9 +305,9 @@ def exact_local_data(draw):
     point = SingularPoint(0, tuple(draw(st.lists(RATIONALS, min_size=n, max_size=n))))
     if draw(st.booleans()):
         detJD = draw(nonzero)
-        ld = LocalData(trJ, k * detJD, k, trJ - k, detJD, draw(st.integers(0, n - 1)))
+        ld = LocalData(trJ, k * detJD, k, detJD)
     else:
-        ld = LocalData(trJ, draw(nonzero), k, trJ - k, None, None)
+        ld = LocalData(trJ, draw(nonzero), k, None)
     return ld, point
 
 
@@ -318,10 +315,11 @@ def exact_local_data(draw):
 @given(exact_local_data())
 def test_exact_closed_forms_match_the_textbook_formulas(case):
     ld, p = case
-    n, trJ, k, trJD = len(p.coords), Fraction(ld.trJ), Fraction(ld.k_at_p), Fraction(ld.trJD)
-    levels = range(n if ld.s is not None else 1)
+    n, trJ, k = len(p.coords), Fraction(ld.trJ), Fraction(ld.k_at_p)
+    trJD = trJ - k
+    levels = range(n if ld.detJD is not None else 1)
     for i, r in zip(levels, closed_forms(ld, p, levels)[0], strict=True):
-        if ld.s is None:
+        if ld.detJD is None:
             ordinary = trJ**n / ld.detJ
             want = (ordinary, ordinary, 0)
         elif i == 0 and k == 0:
@@ -341,15 +339,16 @@ def test_exact_closed_forms_match_the_textbook_formulas(case):
 def reference_closed_forms(ld, n, i):
     """The on-divisor closed forms as written before exact values went in as
     integer numerators; inexact records must keep these bits."""
+    trJD = ld.trJ - ld.k_at_p
     if i == 0:
-        var = delta_numerator(ld.trJD, ld.k_at_p, n, 0) / ld.detJD
+        var = delta_numerator(trJD, ld.k_at_p, n, 0) / ld.detJD
         if abs(ld.k_at_p) < 1e-9:
             return None, None, var
         ordinary = ld.trJ**n / ld.detJ
         return ordinary, ordinary - var, var
     ordinary = ld.trJ ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
-    log = ld.trJD ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
-    var = delta_numerator(ld.trJD, ld.k_at_p, n, i) / ld.detJD
+    log = trJD ** (n - i) * ld.k_at_p ** (i - 1) / ld.detJD
+    var = delta_numerator(trJD, ld.k_at_p, n, i) / ld.detJD
     return ordinary, log, var
 
 
@@ -364,7 +363,7 @@ def test_inexact_closed_forms_keep_their_bits(n, complex_values, data):
     detJD = data.draw(scalar.filter(lambda v: abs(v) > 1e-3))
     detJ = data.draw(scalar.filter(lambda v: abs(v) > 1e-3))
     point = SingularPoint(0, tuple(data.draw(st.lists(scalar, min_size=n, max_size=n))), False)
-    ld = LocalData(trJ, detJ, k, trJ - k, detJD, 0)
+    ld = LocalData(trJ, detJ, k, detJD)
     for i, r in zip(range(n), closed_forms(ld, point, range(n))[0], strict=True):
         assert repr((r.ordinary, r.log, r.var)) == repr(reference_closed_forms(ld, n, i))
 
