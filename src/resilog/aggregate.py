@@ -4,7 +4,7 @@ specialize to the surface (GSV / Camacho-Sad) report.
 
 Certification levels: "proved-on-instance" (complete point set, all values
 exact), "numeric" (a point is inexact: perturbed, or given by floats;
-tolerance 1e-6), "partial" (point set not certified complete).
+tolerance 1e-6), "partial" (point set not certified complete by ``zero_set``).
 """
 
 from __future__ import annotations
@@ -59,58 +59,64 @@ def homogeneous_representative(p: SingularPoint):
     return _normalized(p)[1]
 
 
-def _locate(
-    fields: list[ChartField],
-    mode: str,
-    user_points: list[SingularPoint] | None,
-    cfg: NumericConfig,
-) -> list[tuple]:
-    """Deduplicated (point, local data) pairs of given ("user") or "numeric"
-    points across all charts of ``fields`` (one chart field per chart),
-    sorted by the strings of their homogeneous coordinates; each point
-    classified once in its lowest chart, a given point as exact as its
-    coordinates.  Local data is None where D is singular and at numeric
-    zeros.  A given point's chart must lie in 0..n (ValueError otherwise)."""
-    if mode == "user":
-        if user_points is None:
-            raise ValueError("mode 'user' needs user_points")
-        for p in user_points:
-            if not 0 <= p.chart < len(fields):
-                raise ValueError(f"point chart {p.chart} is out of range 0..{len(fields) - 1}")
-        raw = user_points
-    elif mode == "numeric":
-        raw = [p for cf in fields for p in discover_zeros_numeric(cf, cfg=cfg)]
-    else:
-        raise ValueError(f"unknown discovery mode {mode!r}")
+class ZeroSet(NamedTuple):
+    """A run's (point, local data) pairs, the chart fields they were classified
+    in (None where exact discovery built none), and whether they are all zeros."""
+
+    pairs: list[tuple]
+    fields: list[ChartField] | None
+    complete: bool
+
+
+def zero_set(
+    problem: FoliationProblem,
+    points: list[SingularPoint] | None = None,
+    numeric: bool = False,
+    cfg: NumericConfig = NumericConfig(),
+) -> ZeroSet:
+    """The zeros a run holds, and whether they are every zero of the field.
+
+    No points and not ``numeric``: ``diagonal_zeros``, complete.  Else the
+    given points (ValueError unless each chart lies in 0..n), classified, or
+    with ``numeric`` Newton's zeros in each chart, which keep the flags they
+    were found with (in a far chart the residual can pass the tolerance) and
+    are never complete; each kept once, in its lead chart, sorted by the
+    strings of its homogeneous coordinates.  Given points are complete where
+    they cover, to 6 decimals, ``diagonal_zeros`` over the same charts, which
+    raises PositiveDimensional where a chart shows a line of zeros.  On any
+    other field they are unless all are exact with det J != 0 (multiplicity 1)
+    and fewer than sum_{k<=n} d^k: with multiplicity, isolated zeros number
+    c_n(TP^n(d-1)), the h^n coefficient of (1 + d*h)^(n+1) / (1 + (d-1)*h)."""
+    K = tangency_cofactor(problem)
+    if points is None and not numeric:
+        return ZeroSet(diagonal_zeros(problem, K), None, True)
+    fields = chart_fields(problem, K)
+    raw = [p for cf in fields for p in discover_zeros_numeric(cf, cfg=cfg)] if numeric else points
+    for p in raw:
+        if not 0 <= p.chart < len(fields):
+            raise ValueError(f"point chart {p.chart} is out of range 0..{len(fields) - 1}")
+
+    def rounded(hom):
+        return tuple(round(float(v), 6) for v in hom)
 
     seen: dict = {}
     for p in raw:
         chart, hom = _normalized(p)
-        key = hom if is_exact(hom) else tuple(round(float(v), 6) for v in hom)
-        if key in seen:
-            continue
-        coords = hom[:chart] + hom[chart + 1 :]
-        # A numeric zero keeps the flags it was found with: rescaled into a
-        # far chart, its residual can exceed the absolute zero tolerance.
-        seen[key] = ((p._replace(chart=chart, coords=coords), None) if mode == "numeric"
-                     else classify_point(fields[chart], coords))
-    return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
-
-
-def _covers_linear_zeros(problem: FoliationProblem, K, fields, located: list[tuple]) -> bool:
-    """Whether the located points include every zero of the field when all
-    its charts are affine-linear: ``diagonal_zeros`` over the chart fields
-    ``fields`` already built; True where it refuses the field as not linear,
-    as nothing certifies the zero set.  A zero set of positive dimension raises."""
+        key = hom if is_exact(hom) else rounded(hom)
+        if key not in seen:
+            coords = hom[:chart] + hom[chart + 1 :]
+            seen[key] = ((p._replace(chart=chart, coords=coords), None) if numeric
+                         else classify_point(fields[chart], coords))
+    pairs = [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
+    if numeric:
+        return ZeroSet(pairs, fields, False)
     try:
         zeros = diagonal_zeros(problem, K, fields)
+        complete = {rounded(_normalized(z)[1]) for z, _ in zeros} <= set(map(rounded, seen))
     except NonLinearField:
-        return True
-
-    def key(p):
-        return tuple(round(float(v), 6) for v in homogeneous_representative(p))
-
-    return {key(z) for z, _ in zeros} <= {key(p) for p, _ in located}
+        simple = all(p.exact and ld is not None and ld.detJ != 0 for p, ld in pairs)
+        complete = not simple or len(pairs) >= sum(problem.d**k for k in range(problem.n + 1))
+    return ZeroSet(pairs, fields, complete)
 
 
 def enumerate_singularities(
@@ -119,16 +125,15 @@ def enumerate_singularities(
     user_points: list[SingularPoint] | None = None,
     cfg: NumericConfig = NumericConfig(),
 ) -> list[SingularPoint]:
-    """Deduplicated singular points across all charts.
-
-    Modes: "exact_linear" (certified complete for affine-linear charts),
-    "numeric" (multi-start Newton over the box [-2, 2]^n of each chart; may
-    be incomplete), "user" (ingest user-attested points).
-    """
-    K = tangency_cofactor(problem)
-    if mode == "exact_linear":
-        return [p for p, _ in diagonal_zeros(problem, K)]
-    return [p for p, _ in _locate(chart_fields(problem, K), mode, user_points, cfg)]
+    """The points of ``zero_set``: "exact_linear" (certified complete for
+    affine-linear charts), "numeric" (multi-start Newton over the box
+    [-2, 2]^n of each chart; may be incomplete) or "user" (``user_points``)."""
+    if mode not in ("exact_linear", "numeric", "user"):
+        raise ValueError(f"unknown discovery mode {mode!r}")
+    if mode == "user" and user_points is None:
+        raise ValueError("mode 'user' needs user_points")
+    zeros = zero_set(problem, user_points if mode == "user" else None, mode == "numeric", cfg)
+    return [p for p, _ in zeros.pairs]
 
 
 @dataclass
@@ -187,20 +192,11 @@ def verify_identities(
 ) -> GlobalReport:
     """Check the global residue identities on this instance.
 
-    With no points given, singularities are discovered exactly (diagonal or
-    constant fields only, a chart field built for a constant one alone);
-    given points are deduplicated and classified here, whatever their flags,
-    and are complete unless the charts are affine-linear and a zero is
-    missing.  Simple zeros take the closed forms, the others the perturbation
-    engine.  An exact zero discrepancy at every requested i certifies the
-    identity on this instance."""
-    K = tangency_cofactor(problem)
-    if points is None:
-        fields, located, complete = None, diagonal_zeros(problem, K), True
-    else:
-        fields = chart_fields(problem, K)
-        located = _locate(fields, "user", points, cfg)
-        complete = _covers_linear_zeros(problem, K, fields, located)
+    The zeros, discovered or given, and whether they are complete come from
+    ``zero_set``.  Simple zeros take the closed forms, the others the
+    perturbation engine.  An exact zero discrepancy at every requested i
+    certifies the identity on this instance."""
+    located, fields, complete = zero_set(problem, points, cfg=cfg)
     if i_list is None:
         i_list = list(range(problem.n))
 

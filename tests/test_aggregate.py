@@ -21,7 +21,7 @@ from resilog.aggregate import (
     surface_report,
     verify_identities,
 )
-from resilog.algebra import DomainError, MultiPoly
+from resilog.algebra import DomainError, MultiPoly, RatMatrix, SingularMatrix, det_exact, solve_linear
 from resilog.birational import DiscrepancyProblem, cyclic_quotient_model
 from resilog.foliation import make_problem
 from resilog.parse import parse_problem
@@ -209,8 +209,6 @@ def test_partial_point_set_of_linear_charts_is_detected():
     assert verify_identities(P2, points=enumerate_singularities(P2)).level == "proved-on-instance"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: `_covers_linear_zeros` returns True "
-                   "when `linear_zeros` raises `NonLinearField`")
 def test_partial_point_set_of_a_non_diagonal_linear_field_is_detected():
     # The matrix [[1, 1, 0], [0, 2, 0], [0, 0, 3]] has the eigenvectors
     # [1:0:0], [1:1:0] and [0:0:1]; [1:1:0] is not given.
@@ -220,6 +218,186 @@ def test_partial_point_set_of_a_non_diagonal_linear_field_is_detected():
     with pytest.warns(IncompletePointSet):
         report = verify_identities(problem, points=pts)
     assert not report.complete and report.level == "partial"
+
+
+def test_bezout_count_is_the_top_chern_number():
+    # zero_set's count: sum_{k<=n} d^k is the h^n coefficient of
+    # c(TP^n(d-1)) = (1 + d*h)^(n+1) / (1 + (d-1)*h), from the Euler sequence.
+    for n, d in itertools.product(range(1, 8), range(6)):
+        top = sum(math.comb(n + 1, j) * d**j * (1 - d) ** (n - j) for j in range(n + 1))
+        assert top == sum(d**k for k in range(n + 1))
+
+
+def lotka_volterra(L):
+    """The field z_j*L_j(z) with divisor z0 and its zeros, or None unless it is
+    generic: on each support S one zero, where z_j = 0 off S and the L_j with
+    j in S agree, taken with z_S[0] = 1 and no other entry on S zero."""
+    zs = tuple(f"z{j}" for j in range(len(L)))
+    z = [MultiPoly.variable(zs, v) for v in zs]
+    comps = [z_j * sum((Fraction(c) * z_k for c, z_k in zip(row, z)), MultiPoly.zero(zs))
+             for z_j, row in zip(z, L)]
+    zeros = []
+    for size in range(1, len(L) + 1):
+        for c, *rest in itertools.combinations(range(len(L)), size):
+            rows = [[L[j][t] - L[c][t] for t in rest] for j in rest]
+            try:
+                x = solve_linear(RatMatrix(rows), [L[c][c] - L[j][c] for j in rest]) if rest else []
+            except SingularMatrix:
+                return None
+            if 0 in x:
+                return None
+            at = dict(zip(rest, x))
+            zeros.append(SingularPoint(c, tuple(at.get(t, Fraction(0))
+                                                for t in range(len(L)) if t != c)))
+    return make_problem(zs, comps, z[0]), zeros
+
+
+def random_lotka_volterra(seed: int, n: int):
+    """The first generic ``lotka_volterra`` field on P^n with entries in -5..5."""
+    rng = random.Random(seed)
+    while True:
+        case = lotka_volterra([[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(n + 1)])
+        if case is not None:
+            return case
+
+
+def assert_every_drop_is_partial(problem, zeros):
+    """The full set is complete and proved; each set missing one zero is partial."""
+    report = verify_identities(problem, zeros)
+    assert report.complete and report.level == "proved-on-instance" and report.all_ok
+    for k in range(len(zeros)):
+        with pytest.warns(IncompletePointSet):
+            report = verify_identities(problem, zeros[:k] + zeros[k + 1:])
+        assert not report.complete and report.level == "partial", zeros[k]
+
+
+@pytest.mark.parametrize("seed, n", [(seed, 2) for seed in range(6)] + [(6, 3), (7, 3)])
+def test_lotka_volterra_sets_missing_one_zero_are_partial(seed, n):
+    # A degree-2 field: 1 + 2 + ... + 2^n zeros, each simple and exact, so the
+    # sets of one fewer fall short of the count.
+    problem, zeros = random_lotka_volterra(seed, n)
+    assert len(set(map(homogeneous_representative, zeros))) == 2 ** (n + 1) - 1
+    assert_every_drop_is_partial(problem, zeros)
+
+
+def test_a_partial_set_that_passes_every_identity_is_partial():
+    # [1:0:0] lies off D with trJ = 0, so its one residue is 0: without it every
+    # total still matches, and only the count sees the missing zero.
+    problem, zeros = lotka_volterra([[3, 5, -3], [4, 3, -5], [2, 0, 1]])
+    rest = [p for p in zeros if homogeneous_representative(p) != (1, 0, 0)]
+    assert len(rest) == 6
+    with pytest.warns(IncompletePointSet):
+        report = verify_identities(problem, rest)
+    assert report.all_ok and report.level == "partial"
+
+
+def unimodular(rng: random.Random, size: int) -> list[list[int]]:
+    while True:
+        g = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+        if abs(det_exact(RatMatrix(g))) == 1:
+            return g
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_conjugated_diagonal_sets_missing_one_zero_are_partial(seed):
+    # A = g*diag(lam)*g^-1: the zeros are the columns of g, and a row r of g^-1
+    # has r*A = lam_c*r, so the hyperplane r.z = 0 is invariant.
+    rng = random.Random(seed)
+    n = 2 + seed % 2
+    g = unimodular(rng, n + 1)
+    columns = [solve_linear(RatMatrix(g), [int(j == k) for j in range(n + 1)]) for k in range(n + 1)]
+    g_inv = [[columns[k][j] for k in range(n + 1)] for j in range(n + 1)]
+    lam = rng.sample(range(-9, 10), n + 1)
+    A = [[sum(g[j][t] * lam[t] * g_inv[t][k] for t in range(n + 1)) for k in range(n + 1)]
+         for j in range(n + 1)]
+    zs = tuple(f"z{j}" for j in range(n + 1))
+    z = [MultiPoly.variable(zs, v) for v in zs]
+
+    def linear(row):
+        return sum((Fraction(a) * z_k for a, z_k in zip(row, z)), MultiPoly.zero(zs))
+
+    problem = make_problem(zs, [linear(row) for row in A], linear(g_inv[rng.randrange(n + 1)]))
+    zeros = []
+    for k in range(n + 1):
+        h = [Fraction(g[j][k]) for j in range(n + 1)]
+        c = next(j for j, v in enumerate(h) if v)
+        zeros.append(SingularPoint(c, tuple(v / h[c] for j, v in enumerate(h) if j != c)))
+    assert_every_drop_is_partial(problem, zeros)
+
+
+def test_rotation_field_given_its_one_real_zero_is_partial():
+    # The zeros [1:i:0] and [1:-i:0] are complex; [0:0:1] alone is 1 of 3.
+    z0, z1, z2 = (MultiPoly.variable(Z3, v) for v in Z3)
+    problem = make_problem(Z3, [-z1, z0, 2 * z2], z2)
+    with pytest.warns(IncompletePointSet):
+        report = verify_identities(problem, [SingularPoint(2, (Fraction(0), Fraction(0)))])
+    assert report.level == "partial"
+
+
+def test_the_empty_point_set_is_partial_and_asserts_no_bound():
+    # Zero simple zeros fall short of any count: no bound is asserted over them.
+    problem = parse_problem((FIXTURES / "p2_jordan.fol").read_text()).problem
+    with pytest.warns(IncompletePointSet):
+        report = verify_identities(problem, [])
+        verdict = poincare_check(problem, [])
+        surface = surface_report(problem, [])
+    assert report.level == "partial" and report.checks[0].records == []
+    assert verdict.nonnegative and not verdict.bound_holds
+    assert surface.all_gsv_nonnegative and not surface.carnicer_bound_holds
+
+
+def test_a_degenerate_zero_keeps_a_short_set_complete():
+    # p2_jordan's two points fall short of 3, but its Jordan zero has det J = 0,
+    # so it may count twice: nothing shows the set partial.
+    doc = parse_problem((FIXTURES / "p2_jordan.fol").read_text())
+    zeros = aggregate.zero_set(doc.problem, list(doc.points))
+    assert len(zeros.pairs) == 2 and zeros.complete
+    assert {homogeneous_representative(p): ld.detJ == 0 for p, ld in zeros.pairs} == {
+        (1, 0, 0): True, (0, 0, 1): False}
+
+
+def test_zero_set_is_the_one_owner_of_the_zero_set(monkeypatch):
+    assert aggregate.ZeroSet._fields == ("pairs", "fields", "complete")
+    calls, zero_set = Counter(), aggregate.zero_set
+
+    def counted_zero_set(*args, **kwargs):
+        calls["zero_set"] += 1
+        return zero_set(*args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "zero_set", counted_zero_set)
+    jordan = parse_problem((FIXTURES / "p2_jordan.fol").read_text())
+    for run in (lambda: verify_identities(P2),
+                lambda: verify_identities(jordan.problem, list(jordan.points)),
+                lambda: enumerate_singularities(P2), lambda: enumerate_singularities(P2, "numeric"),
+                lambda: enumerate_singularities(P3, "user", user_points=[])):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncompletePointSet)
+            run()
+        assert calls == {"zero_set": 1}
+
+
+def test_numeric_zeros_are_never_complete():
+    zeros = aggregate.zero_set(P2, numeric=True)
+    assert len(zeros.pairs) == 3 and not zeros.complete
+    assert all(ld is None for _, ld in zeros.pairs) and zeros.fields is not None
+
+
+def test_user_mode_raises_on_a_line_of_zeros_like_verify():
+    # Chart 0 of [z0, z0 + 2*z1, z2] shows the line [a:-a:b] of zeros.
+    z0, z1, z2 = (MultiPoly.variable(Z3, v) for v in Z3)
+    problem = make_problem(Z3, [z0, z0 + 2 * z1, z2], z2)
+    with pytest.raises(PositiveDimensional, match="^zero set has dimension 1$"):
+        enumerate_singularities(problem, "user",
+                                user_points=[SingularPoint(2, (Fraction(0), Fraction(0)))])
+
+
+def test_an_unknown_mode_fails_before_the_tangency_check():
+    problem = parse_problem((FIXTURES / "not_tangent.fol").read_text()).problem
+    with pytest.raises(foliation.NotTangent):
+        enumerate_singularities(problem)
+    with pytest.raises(ValueError, match="^unknown discovery mode 'bogus'$"):
+        enumerate_singularities(problem, "bogus")
 
 
 def test_given_points_on_a_line_of_zeros_raise_like_discovery():

@@ -126,6 +126,9 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     ("m.json", '{"I": ["1"]}', 1, "{path}: expected a JSON object with 'M' and 'I'"),
     ("m.json", '{"M": [[-2]]}', 1, "{path}: expected a JSON object with 'M' and 'I'"),
     ("m.json", '{"M": [-2], "I": ["1"]}', 1, "a row of M must be a list, got -2"),
+    ("m.json", '{"M": [], "I": []}', 1, "matrix needs at least one row"),
+    ("m.json", '{"M": [[-2, 1], [1]], "I": [1, 1]}', 1, "ragged rows"),
+    ("m.json", '{"M": [[-2, 1], 3], "I": [1, 1]}', 1, "a row of M must be a list, got 3"),
     ("m.json", '{"M": [[-2.0, 1], [1, "-2"]], "I": ["1", "1"]}', 0, None),
     ("m.json", '{"M": [["x"]], "I": ["1"]}', 1,
      "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
@@ -863,6 +866,23 @@ def test_poincare(capsys):
     assert code == 0
     assert doc["i_used"] == 0 and doc["total_log_residue"] == "27"
     assert doc["bound_holds"]
+
+
+def test_poincare_with_a_negative_total_asserts_nothing(capsys, tmp_path):
+    # One of p3_example's four zeros: a partial set whose total log residue at
+    # i = 0 is negative, so the verdict neither asserts the bound nor blames
+    # the point set.
+    fol = _write(tmp_path, "p3_one.fol", Path(P3).read_text()
+                 + "points = [{chart: 3, coords: [0, 0, 0]}]\n")
+    code, out, err = run(capsys, "poincare", fol)
+    assert code == 2 and err == ("warning: point set not certified complete; identity "
+                                 "totals may miss contributions\n")
+    assert out.splitlines()[1:] == ["total logarithmic residue: -16/9",
+                                    "all local log residues non-negative: False",
+                                    "total negative: the bound hypothesis fails, nothing asserted"]
+    code, doc = machine(capsys, "poincare", fol)
+    assert code == 2 and doc["total_log_residue"] == "-16/9"
+    assert doc["nonnegative"] is False and doc["bound_holds"] is False
 
 
 def test_surface(capsys):
