@@ -255,7 +255,7 @@ class PoincareVerdict(NamedTuple):
 
     i_used: int
     total_log_residue: object
-    nonnegative: bool
+    nonnegative: bool | None  # None over a partial point set: its sum decides nothing
     bound_holds: bool  # m <= d + n, asserted when nonnegative over a complete point set
     equality: bool
     all_local_nonnegative: bool
@@ -279,7 +279,7 @@ def poincare_check(
     report = verify_identities(problem, points, [i_used], cfg=cfg)
     check = report.checks[i_used]
     total = check.log_total
-    nonneg = total is not None and total >= 0
+    nonneg = (total is not None and total >= 0) if report.complete else None
     locals_nonneg = all(r.log is not None and r.log >= 0 for r in check.records)
     return PoincareVerdict(
         i_used=i_used,

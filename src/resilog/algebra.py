@@ -2,8 +2,7 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  Polynomials are sparse: a map from
-exponent tuples to nonzero rational coefficients; ``MultiPoly.jet`` gives a
-value and gradient at once, bit for bit ``eval``'s.  Matrices carry exact
+exponent tuples to nonzero rational coefficients.  Matrices carry exact
 rational entries; one fraction-free (Bareiss) row echelon routine on Python
 ints gives the determinant, the rank and exact linear solves, each caller
 clearing the rows' denominators with ``integer_rows``.  The ``MultiPoly``
@@ -229,29 +228,6 @@ class MultiPoly:
                     term = term * x_k
             total = total + term
         return total
-
-    def jet(self, point: Sequence) -> tuple[object, list]:
-        """Value and gradient at a point in one pass over the terms, each power
-        x_i**k computed once; bit for bit eval(point) and partial(v).eval(point),
-        at Fraction, float and complex points: a term is c (or c*e_j) times its
-        powers in variable order, summed from Fraction(0) in term order."""
-        n = len(self.variables)
-        if len(point) != n:
-            raise ValueError(f"point has {len(point)} coordinates, expected {n}")
-        out: list = [Fraction(0)] * (n + 1)  # the n partials, then the value
-        powers: dict[tuple[int, int], object] = {}
-        for e, c in self.terms.items():
-            support = [(i, k) for i, k in enumerate(e) if k]
-            for j, e_j in support + [(n, 0)]:
-                term = c * e_j if e_j > 1 else c
-                for i, k in support:
-                    k -= i == j
-                    if k:
-                        if (i, k) not in powers:
-                            powers[i, k] = point[i] ** k
-                        term = term * powers[i, k]
-                out[j] = out[j] + term
-        return out[n], out[:n]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {self.terms!r})"

@@ -32,7 +32,7 @@ SCHEMA = "resilog/1"
 # A zero where the divisor is singular has no simplicity (``simple`` is None).
 SIMPLICITY = {True: "simple", False: "degenerate", None: "divisor singular"}
 Output = tuple[int, object, list[str]]  # exit code, document, table lines
-# Over a complete point set a nonnegative total forces the bound; else this:
+# Over a point set not certified complete no bound is asserted:
 INCOMPLETE = "point set not certified complete: nothing asserted"
 
 
@@ -159,10 +159,10 @@ def cmd_poincare(args) -> Output:
             f"bound asserted: m = {verdict.m} <= d + n = {verdict.d + verdict.n}"
             + (" (tight)" if verdict.equality else "")
         )
-    elif verdict.nonnegative:
-        lines.append(INCOMPLETE)
-    else:
+    elif verdict.nonnegative is False:
         lines.append("total negative: the bound hypothesis fails, nothing asserted")
+    else:
+        lines.append(INCOMPLETE)
     return 0 if verdict.bound_holds else 2, verdict, lines
 
 

@@ -2,8 +2,8 @@
 
 A zero's data (``LocalData``) is four values: the Jacobian trace trJ and
 determinant detJ, the cofactor value k(p), and det J_D, None off the
-divisor D; trJD = trJ - k is computed where read.  ``local_data`` takes one
-jet per component and one of f at any zero, and exact discovery
+divisor D; trJD = trJ - k is computed where read.  ``local_data`` evaluates
+the components, f and their first partials at any zero, and exact discovery
 (``diagonal_zeros``) reads a diagonal field's zeros off the homogeneous
 term dicts.  At a zero p on D the determinants are tied, detJ = k(p)*detJD.
 Proof: differentiating v(f) = k*f at p, where v and f vanish, gives
@@ -225,22 +225,23 @@ def _solve(rows: list, rhs: list) -> list | None:
 
 def local_data(cf: ChartField, p: SingularPoint) -> LocalData:
     """Traces, determinants, and cofactor value of the field at a zero of it,
-    from one ``jet`` per component and one of f, whose gradient gives on D
-    the axis s bordering det J_D; DivisorSingularAt where it is 0 on D."""
+    from the values and partials (``eval`` of ``partial``) of the components
+    and of f, whose gradient gives on D the axis s bordering det J_D;
+    DivisorSingularAt where it is 0 on D."""
     n = cf.n
     coords = tuple(p.coords)
     exact = is_exact(coords)
-    values, jac = zip(*(a.jet(coords) for a in cf.a))
-    if any(not is_zero(v, exact) for v in values):
+    if any(not is_zero(a.eval(coords), exact) for a in cf.a):
         raise NotAZero(f"field does not vanish at {_at(coords)}")
+    jac = [[a.partial(v).eval(coords) for v in cf.variables] for a in cf.a]
     trJ = sum(jac[j][j] for j in range(n))
-    f_p, grad_f = cf.f.jet(coords)
-    on_divisor = not cf.f.is_constant and is_zero(f_p, exact)
+    on_divisor = not cf.f.is_constant and is_zero(cf.f.eval(coords), exact)
     if cf.k is None and on_divisor:  # off D k is not read; a constant f has k = 0
         raise ValueError("a point on the divisor needs the cofactor k; use chart_field")
     k_at_p = cf.k.eval(coords) if cf.k is not None else (Fraction(0) if exact else 0.0)
     if not on_divisor:
         return LocalData(trJ, _det(jac, exact), k_at_p, detJD=None)
+    grad_f = [cf.f.partial(v).eval(coords) for v in cf.variables]
     s = next((j for j, g in enumerate(grad_f) if not is_zero(g, exact)), None)
     if s is None:
         raise DivisorSingularAt(coords)

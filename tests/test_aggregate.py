@@ -342,7 +342,7 @@ def test_the_empty_point_set_is_partial_and_asserts_no_bound():
         verdict = poincare_check(problem, [])
         surface = surface_report(problem, [])
     assert report.level == "partial" and report.checks[0].records == []
-    assert verdict.nonnegative and not verdict.bound_holds
+    assert verdict.nonnegative is None and not verdict.bound_holds
     assert surface.all_gsv_nonnegative and not surface.carnicer_bound_holds
 
 
@@ -674,13 +674,16 @@ def test_verify_builds_no_chart_on_the_exact_path(monkeypatch):
     assert fields == data == charts == {}
 
 
-def test_verify_takes_no_jet_on_the_exact_path(monkeypatch):
-    # F and grad F at each coordinate point are coefficients of F: no jet.
+def test_verify_evaluates_no_polynomial_on_the_exact_path(monkeypatch):
+    # F and grad F at each coordinate point are coefficients of F: nothing is
+    # evaluated or differentiated.
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
-    jets = Counter()
-    monkeypatch.setattr(MultiPoly, "jet", counted(MultiPoly.jet, jets, lambda p, _: p.variables))
+    calls = Counter()
+    for name in ("eval", "partial"):
+        monkeypatch.setattr(MultiPoly, name, counted(getattr(MultiPoly, name), calls,
+                                                     lambda p, _, name=name: name))
     assert verify_identities(problem).all_ok
-    assert jets == {}
+    assert calls == {}
 
 
 CORNER = diag_problem((1, 2, 3), Z3)._replace(divisor=parse.parse_poly("z1*z2", Z3), m=2)

@@ -870,8 +870,8 @@ def test_poincare(capsys):
 
 def test_poincare_with_a_negative_total_asserts_nothing(capsys, tmp_path):
     # One of p3_example's four zeros: a partial set whose total log residue at
-    # i = 0 is negative, so the verdict neither asserts the bound nor blames
-    # the point set.
+    # i = 0 is negative (-16/9; 27 over all four).  The hypothesis is about
+    # the total over every zero, so a partial sum decides nothing of it.
     fol = _write(tmp_path, "p3_one.fol", Path(P3).read_text()
                  + "points = [{chart: 3, coords: [0, 0, 0]}]\n")
     code, out, err = run(capsys, "poincare", fol)
@@ -879,10 +879,10 @@ def test_poincare_with_a_negative_total_asserts_nothing(capsys, tmp_path):
                                  "totals may miss contributions\n")
     assert out.splitlines()[1:] == ["total logarithmic residue: -16/9",
                                     "all local log residues non-negative: False",
-                                    "total negative: the bound hypothesis fails, nothing asserted"]
+                                    "point set not certified complete: nothing asserted"]
     code, doc = machine(capsys, "poincare", fol)
     assert code == 2 and doc["total_log_residue"] == "-16/9"
-    assert doc["nonnegative"] is False and doc["bound_holds"] is False
+    assert doc["nonnegative"] is None and doc["bound_holds"] is False
 
 
 def test_surface(capsys):
@@ -1014,7 +1014,7 @@ print("numpy" in sys.modules)
 
 def test_no_golden_case_loads_numpy():
     # zeros --numeric and the perturbation engine's Jordan cases included.
-    assert len(CASES) == 19
+    assert len(CASES) == 21
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY.format(cases=list(CASES.values()))],

@@ -24,6 +24,9 @@ CASES["verify_p2_partial"] = ["verify", "fixtures/p2_partial.fol"]
 # The perturbation engine's cases: a Jordan block at [1:0:0].
 CASES.update({f"{cmd}_p2_jordan": [cmd, "fixtures/p2_jordan.fol"]
               for cmd in ("residues", "verify")})
+# A degree-2 Lotka-Volterra field given all 7 zeros, four of them off the
+# coordinate vertices: exact local data at given points.
+CASES.update({f"{cmd}_lv_p2": [cmd, "fixtures/lv_p2.fol"] for cmd in ("residues", "verify")})
 
 
 def stdout_of(argv, capsys, monkeypatch) -> str:

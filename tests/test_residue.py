@@ -76,10 +76,14 @@ ORIGIN2 = SingularPoint(0, (Fraction(0), Fraction(0)))
 
 
 class TestLocalData:
-    def test_rejects_nonzero_point(self):
+    def test_rejects_nonzero_point(self, monkeypatch):
+        # The components' values decide, before anything is differentiated.
         cf = chart_field(P2, 0)
-        with pytest.raises(NotAZero):
+        partials = []
+        monkeypatch.setattr(MultiPoly, "partial", lambda p, v: partials.append(v))
+        with pytest.raises(NotAZero, match=r"^field does not vanish at \(1, 1\)$"):
             local_data(cf, SingularPoint(0, (Fraction(1), Fraction(1))))
+        assert partials == []
 
     def test_off_divisor(self):
         cf = chart_field(P2, 2)  # divisor misses this chart
