@@ -15,13 +15,19 @@ floating literals and no division except inside a rational literal;
 implicit multiplication ("3x") is rejected.  Unary minus binds looser than
 "^", so "-x^2" is -(x^2).  "(" and unary "-" nest at most MAX_NESTING deep,
 and so do the "[" and "{" of a document value, and a number literal has
-at most MAX_DIGITS digits on every Python version, 3.10 too.  A number
-stays an int or a Fraction until it meets a variable; ``parse_poly`` wraps
-a constant result in ``MultiPoly.const`` once.
+at most MAX_DIGITS digits on every Python version, 3.10 too.  One regex
+search refuses a character no token may hold or a longer literal, one
+``findall`` reads the tokens as strings, and a ParseError's position is
+computed from the offset only where one is raised.  A number stays an int
+or a Fraction until it meets a variable; a product of numbers and variable
+powers stays one (coefficient, exponents) pair until it meets a sum, a
+polynomial or the end, then enters a term dict once through
+``MultiPoly._of``, and a constant result becomes one ``MultiPoly.const``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -40,15 +46,22 @@ class ParseError(Exception):
         self.message = message
         super().__init__(f"{line}:{column}: {message}")
 
+    @classmethod
+    def at(cls, src: str, offset: int, line0: int, col0: int, message: str) -> "ParseError":
+        """The error at ``src[offset]``, ``src`` starting at column ``col0`` of line ``line0``."""
+        newline = src.rfind("\n", 0, offset)  # only "\n" starts a line
+        column = offset - newline if newline >= 0 else col0 + offset
+        return cls(line0 + src.count("\n", 0, offset), column, message)
+
 
 # -- tokenizer -------------------------------------------------------------
 
-_OPS = "+-*^()/"
-_DIGITS = "0123456789"
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_NAME_CHARS = _LETTERS + _DIGITS
 MAX_NESTING = 100
 MAX_DIGITS = 4300
+_IDENT = "[A-Za-z][A-Za-z0-9]*"
+# A character no token may hold, or a number literal (not inside an identifier) too long.
+_REFUSED = re.compile(r"[^\sA-Za-z0-9+\-*^()/]|(?<![A-Za-z0-9])[0-9]{%d,}" % (MAX_DIGITS + 1))
+_TOKEN = re.compile(rf"[0-9]+|{_IDENT}|\S")
 
 
 def quote(value) -> str:
@@ -65,126 +78,111 @@ def _over_cap(text: str) -> str:
             f"{MAX_DIGITS}") if digits > MAX_DIGITS else ""
 
 
-class _Token(NamedTuple):
-    """One token with the 1-based line and column where it starts."""
+def _tokenize(src: str, line0: int = 1, col0: int = 1) -> list[str]:
+    """The tokens of ``src`` and "" for its end."""
+    refused = _REFUSED.search(src)
+    if refused:
+        text = refused.group()
+        raise ParseError.at(src, refused.start(), line0, col0,
+                            _over_cap(text) if len(text) > 1 else f"unexpected character {text!r}")
+    return _TOKEN.findall(src) + [""]
 
-    kind: str  # "int", "ident", or one of _OPS, or "end"
-    text: str
-    line: int
-    column: int
 
-
-def _tokenize(src: str, line0: int = 1, col0: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, i = line0, col0, 0
-    while i < len(src):
-        ch, j = src[i], i + 1
-        if ch in _DIGITS:
-            kind = "int"
-            while j < len(src) and src[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise ParseError(line, col, _over_cap(src[i:j]))
-        elif ch in _LETTERS:
-            kind = "ident"
-            while j < len(src) and src[j] in _NAME_CHARS:
-                j += 1
-        elif ch in _OPS:
-            kind = ch
-        elif ch.isspace():
-            line, col, i = (line + 1, 1, j) if ch == "\n" else (line, col + 1, j)
-            continue
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-        tokens.append(_Token(kind, src[i:j], line, col))
-        col += j - i
-        i = j
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _times(c: Scalar, d: Scalar) -> Scalar:
+    """c*d, with no Fraction arithmetic where a factor is 1 (a variable's coefficient)."""
+    return c if d == 1 else d if c == 1 else c * d
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-        self.depth = 0  # open "(" and unary "-" around the current token
+    """Recursive descent over the tokens of ``src``; values as in the module docstring."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def __init__(self, src: str, variables: tuple[str, ...], line0: int, col0: int):
+        self.src, self.variables, self.line0, self.col0 = src, variables, line0, col0
+        self.tokens = _tokenize(src, line0, col0)
+        self.pos = self.depth = 0  # depth: open "(" and unary "-" around the current token
 
-    def take(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def error(self, index: int, message: str) -> ParseError:
+        """``message`` at token ``index``; the last index is the end."""
+        starts = [m.start() for m in _TOKEN.finditer(self.src)] + [len(self.src)]
+        return ParseError.at(self.src, starts[index], self.line0, self.col0, message)
 
-    def fail(self, tok: _Token, message: str):
-        raise ParseError(tok.line, tok.column, message)
+    def poly(self, value):
+        """A pair as its one-term polynomial; any other value as it is."""
+        if type(value) is tuple:
+            c, exps = value
+            return MultiPoly._of(self.variables, {exps: c if type(c) is Fraction else Fraction(c)})
+        return value
 
-    def expr(self) -> MultiPoly | Scalar:
+    def expr(self) -> MultiPoly | Scalar | tuple:
         value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
+        while self.tokens[self.pos] in ("+", "-"):
+            op = self.tokens[self.pos]
+            self.pos += 1
+            rhs = self.poly(self.term())
+            value = self.poly(value) + rhs if op == "+" else self.poly(value) - rhs
         return value
 
-    def term(self) -> MultiPoly | Scalar:
+    def term(self) -> MultiPoly | Scalar | tuple:
         value = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            value = value * self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            rhs = self.factor()
+            if type(value) is MultiPoly or type(rhs) is MultiPoly:
+                value = self.poly(value) * self.poly(rhs)
+            elif type(value) is tuple:
+                value = ((_times(value[0], rhs[0]), tuple(map(operator.add, value[1], rhs[1])))
+                         if type(rhs) is tuple else (_times(value[0], rhs), value[1]))
+            else:
+                value = (_times(value, rhs[0]), rhs[1]) if type(rhs) is tuple else value * rhs
         return value
 
-    def factor(self) -> MultiPoly | Scalar:
+    def factor(self) -> MultiPoly | Scalar | tuple:
         base = self.base()
-        if self.peek().kind == "^":
-            caret = self.take()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail(tok if tok.kind != "end" else caret, "expected a non-negative integer exponent")
-            self.take()
-            base = base ** int(tok.text)
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            exponent = self.tokens[self.pos]
+            if not exponent.isdigit():
+                raise self.error(self.pos if exponent else self.pos - 1,  # at the end, the "^"
+                                 "expected a non-negative integer exponent")
+            self.pos += 1
+            k = int(exponent)
+            base = ((base[0] ** k, tuple(k * e for e in base[1])) if type(base) is tuple
+                    else base ** k)
         return base
 
-    def base(self) -> MultiPoly | Scalar:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.take()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    self.fail(den_tok, "expected an integer denominator")
-                self.take()
-                if int(den_tok.text) == 0:
-                    self.fail(den_tok, "zero denominator")
-                return Fraction(num, int(den_tok.text))
-            return num
-        if tok.kind == "ident":
-            self.take()
-            if tok.text not in self.variables:
-                self.fail(tok, f"unknown variable {quote(tok.text)}")
-            return MultiPoly.variable(self.variables, tok.text)
-        if tok.kind in ("(", "-"):
-            self.take()
+    def base(self) -> MultiPoly | Scalar | tuple:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok.isdigit():
+            if self.tokens[self.pos] != "/":
+                return int(tok)
+            den = self.tokens[self.pos + 1]
+            if not den.isdigit():
+                raise self.error(self.pos + 1, "expected an integer denominator")
+            self.pos += 2
+            if int(den) == 0:
+                raise self.error(self.pos - 1, "zero denominator")
+            return Fraction(int(tok), int(den))
+        if tok.isalnum():
+            if tok not in self.variables:
+                raise self.error(self.pos - 1, f"unknown variable {quote(tok)}")
+            unit, i = (0,) * len(self.variables), self.variables.index(tok)
+            return 1, unit[:i] + (1,) + unit[i + 1:]
+        if tok == "(" or tok == "-":
             if self.depth == MAX_NESTING:
-                self.fail(tok, f"more than {MAX_NESTING} nested '(' and unary '-'")
+                raise self.error(self.pos - 1, f"more than {MAX_NESTING} nested '(' and unary '-'")
             self.depth += 1
-            value = self.expr() if tok.kind == "(" else -self.factor()
+            value = self.expr() if tok == "(" else self.factor()
             self.depth -= 1
-            if tok.kind == "-":
-                return value
-            closing = self.peek()
-            if closing.kind != ")":
-                self.fail(closing, "expected ')'")
-            self.take()
+            if tok == "-":
+                return (-value[0], value[1]) if type(value) is tuple else -value
+            if self.tokens[self.pos] != ")":
+                raise self.error(self.pos, "expected ')'")
+            self.pos += 1
             return value
-        if tok.kind == "/":
-            self.fail(tok, "division is only allowed inside a rational literal")
-        self.fail(tok, "expected a number, variable, or '('")
-        raise AssertionError("unreachable")
+        if tok == "/":
+            raise self.error(self.pos - 1, "division is only allowed inside a rational literal")
+        raise self.error(self.pos - 1, "expected a number, variable, or '('")
 
 
 def parse_poly(src: str, variables: Sequence[str], line0: int = 1, col0: int = 1) -> MultiPoly:
@@ -192,11 +190,10 @@ def parse_poly(src: str, variables: Sequence[str], line0: int = 1, col0: int = 1
     vs = tuple(variables)
     if not src.strip():
         raise ParseError(line0, col0, "empty expression")
-    parser = _Parser(_tokenize(src, line0, col0), vs)
-    value = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        parser.fail(trailing, "unexpected trailing input")
+    parser = _Parser(src, vs, line0, col0)
+    value = parser.poly(parser.expr())
+    if parser.tokens[parser.pos]:
+        raise parser.error(parser.pos, "unexpected trailing input")
     return value if isinstance(value, MultiPoly) else MultiPoly.const(vs, value)
 
 
@@ -416,6 +413,9 @@ def parse_problem(src: str) -> ProblemDocument:
     vars_value, vars_line, vars_col = require("field.vars")
     if not isinstance(vars_value, list) or not all(isinstance(v, str) for v in vars_value):
         raise ParseError(vars_line, vars_col, "field.vars must be a list of identifiers")
+    for v in vars_value:
+        if not re.fullmatch(_IDENT, v):
+            raise ParseError(vars_line, v.column, f"field.vars entry {quote(v)} is not an identifier")
     variables = tuple(str(v) for v in vars_value)
     if len(variables) != n + 1:
         raise SchemaError(

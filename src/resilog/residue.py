@@ -337,13 +337,12 @@ def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tupl
     den, wnum = w * q ** (n - 1) * ld.detJD.numerator, w * num
     numerators = []
     for i in levels:
-        if i == 0:  # trJ^n/detJ and trJD^n/detJ
-            o, l = (a**n * num, t**n * num) if c else (None, None)
-            v = delta_numerator(t, c, n, 0) * wnum
-        else:
-            o, l = a ** (n - i) * c ** (i - 1), t ** (n - i) * c ** (i - 1)
-            # a = t + c, so o - l is the excess numerator k^(i-1)*((T+k)^(n-i) - T^(n-i))
-            o, l, v = o * wnum, l * wnum, (o - l) * wnum
+        if i or c:  # a = t + c, so o - l = Delta_i*wnum, at i = 0 too (wnum = c*num)
+            g = c ** (i - 1) * wnum if i else num  # i = 0: trJ^n/detJ and trJD^n/detJ
+            o, l = a ** (n - i) * g, t ** (n - i) * g
+            v = o - l
+        else:  # detJ = 0: only the excess, as delta_numerator's sum at k = 0
+            o, l, v = None, None, delta_numerator(t, c, n, 0) * wnum
         numerators.append((o, l, v))
         records.append(ResidueRecord(point, i, None if o is None else Fraction(o, den),
                                      None if l is None else Fraction(l, den), Fraction(v, den),

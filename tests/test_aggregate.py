@@ -610,7 +610,7 @@ def test_records_are_immutable_and_the_frozen_ones_hashable():
     surface = surface_report(P2)
     hashable = [residue.NumericConfig(), record.point, residue.local_data(cf, record.point),
                 record, P2, cf]
-    others = [parse._tokenize("z0")[0], doc, poincare_check(P2), surface.rows[0], surface,
+    others = [doc, poincare_check(P2), surface.rows[0], surface,
               DiscrepancyProblem(cyclic.M, (Fraction(2),)), cyclic]
     for value in hashable + others:
         with pytest.raises(AttributeError):

@@ -58,12 +58,15 @@ def test_cancelled_terms_leave_the_later_terms_in_order():
 
 
 def test_a_number_meets_a_variable_as_a_scalar(monkeypatch):
-    # -11 stays an int until it scales z0: no constant polynomial is built.
-    calls, const = [], MultiPoly.const
+    # -11 stays an int until it scales z0: no constant polynomial is built, and
+    # the product enters one term dict, once.
+    calls, const, of = [], MultiPoly.const, MultiPoly._of
     want = MultiPoly(("z0", "z1"), {(1, 0): -11})
-    monkeypatch.setattr(MultiPoly, "const", lambda *args: calls.append(args) or const(*args))
+    monkeypatch.setattr(MultiPoly, "const", lambda *args: calls.append(("const", args)) or const(*args))
+    monkeypatch.setattr(MultiPoly, "_of", lambda *args: calls.append(("_of", args)) or of(*args))
     got = parse_poly("-11*z0", ("z0", "z1"))
-    assert (got, calls) == (want, [])
+    assert calls == [("_of", (("z0", "z1"), {(1, 0): Fraction(-11)}))]
+    assert got == want
 
 
 def expression_trees(max_leaves=8):
@@ -206,6 +209,8 @@ def test_roundtrip_500_random_polynomials():
 
 
 def test_fuzz_invalid_character_reports_position():
+    # The position comes from the bad character's offset: only "\n" starts a
+    # line, and col0 counts on the first line alone.
     rng = random.Random(99)
     bad = "$?!@;~"
     for _ in range(100):
@@ -216,8 +221,19 @@ def test_fuzz_invalid_character_reports_position():
         pos = rng.randrange(len(src))
         ch = rng.choice(bad)
         mutated = src[:pos] + ch + src[pos + 1 :]
-        with pytest.raises(ParseError):
-            parse_poly(mutated, VARS)
+        cut = rng.randrange(pos + 1)
+        broken = mutated[:cut] + "\n" + mutated[cut:]  # a newline before the bad character
+        line0, col0 = rng.randint(1, 9), rng.randint(1, 40)
+        for text, offsets, position in [
+            (mutated, (), (1, pos + 1)),
+            (broken, (), (2, pos - cut + 1)),
+            (mutated, (line0, col0), (line0, col0 + pos)),
+            (broken, (line0, col0), (line0 + 1, pos - cut + 1)),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse_poly(text, VARS, *offsets)
+            assert (exc.value.line, exc.value.column) == position
+            assert exc.value.message == f"unexpected character {ch!r}"
 
 
 def test_parse_rational():
@@ -338,6 +354,20 @@ def test_document_errors_point_at_the_value(old, new, position):
     with pytest.raises(ParseError) as exc:
         parse_problem(P2_SRC.replace(old, new))
     assert (exc.value.line, exc.value.column) == position
+
+
+@pytest.mark.parametrize("names, column, entry", [
+    ("z0, z1, a+b", 23, "a+b"),
+    ("z0, z1, 1x", 23, "1x"),
+    ("z0, z1, \u00e9", 23, "\u00e9"),
+    ("z0, , z2", 19, ""),  # the empty entry starts at the comma after it
+])
+def test_field_vars_entries_must_be_identifiers(names, column, entry):
+    # No polynomial could name such a variable; the entry is refused where it stands.
+    with pytest.raises(ParseError) as exc:
+        parse_problem(P2_SRC.replace("[z0, z1, z2]", f"[{names}]"))
+    assert (exc.value.line, exc.value.column) == (3, column)
+    assert exc.value.message == f"field.vars entry {entry!r} is not an identifier"
 
 
 def test_comments_and_blank_lines_ignored():
