@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
+IDENT = re.compile("[A-Za-z][A-Za-z0-9]*")  # a variable name: an ASCII letter, letters, digits
 
 
 class DomainError(Exception):
@@ -37,6 +39,13 @@ class SchemaError(Exception):
 def clip(text: str) -> str:
     """``text`` up to 40 characters, else its first 40, quoted, and its length."""
     return text if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def quote(value) -> str:
+    """``repr(value)``, for every message that echoes input; past 40 characters (of the
+    repr of a value that is not a string), ``clip``'s form."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 40 else clip(text)
 
 
 class SingularMatrix(DomainError):

@@ -13,7 +13,8 @@ import random
 import warnings
 from typing import NamedTuple
 
-from .algebra import DomainError, MultiPoly, RatMatrix, SchemaError, align, det_exact, exact_divide
+from .algebra import (IDENT, DomainError, MultiPoly, RatMatrix, SchemaError, align, det_exact,
+                      exact_divide, quote)
 
 
 class NotTangent(DomainError):
@@ -77,8 +78,12 @@ def check_level(n: int, i: int):
 
 
 def make_problem(variables, components, divisor: MultiPoly) -> FoliationProblem:
-    """Validate homogeneity and degrees and assemble a FoliationProblem."""
+    """Validate names (distinct ``IDENT``s), homogeneity and degrees, and assemble."""
     variables = tuple(variables)
+    for bad in (v for v in variables if not IDENT.fullmatch(v)):
+        raise SchemaError(f"variable {quote(bad)} is not an identifier")
+    if len(set(variables)) != len(variables):
+        raise SchemaError("field.vars contains duplicate names")
     zero = MultiPoly.zero(variables)  # charts read exponents by their place in variables
     components = tuple(align(zero, c)[1] for c in components)
     divisor = align(zero, divisor)[1]

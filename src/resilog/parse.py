@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import MultiPoly, Scalar, SchemaError, clip
+from .algebra import IDENT, MultiPoly, Scalar, SchemaError, quote
 from .foliation import FoliationProblem, make_problem
 from .residue import NumericConfig, SingularPoint
 
@@ -58,17 +58,9 @@ class ParseError(Exception):
 
 MAX_NESTING = 100
 MAX_DIGITS = 4300
-_IDENT = "[A-Za-z][A-Za-z0-9]*"
 # A character no token may hold, or a number literal (not inside an identifier) too long.
 _REFUSED = re.compile(r"[^\sA-Za-z0-9+\-*^()/]|(?<![A-Za-z0-9])[0-9]{%d,}" % (MAX_DIGITS + 1))
-_TOKEN = re.compile(rf"[0-9]+|{_IDENT}|\S")
-
-
-def quote(value) -> str:
-    """``repr(value)``, for every message that echoes input; past 40 characters (of the
-    repr of a value that is not a string), ``clip``'s form."""
-    text = value if isinstance(value, str) else repr(value)
-    return repr(value) if len(text) <= 40 else clip(text)
+_TOKEN = re.compile(rf"[0-9]+|{IDENT.pattern}|\S")
 
 
 def _over_cap(text: str) -> str:
@@ -413,9 +405,8 @@ def parse_problem(src: str) -> ProblemDocument:
     vars_value, vars_line, vars_col = require("field.vars")
     if not isinstance(vars_value, list) or not all(isinstance(v, str) for v in vars_value):
         raise ParseError(vars_line, vars_col, "field.vars must be a list of identifiers")
-    for v in vars_value:
-        if not re.fullmatch(_IDENT, v):
-            raise ParseError(vars_line, v.column, f"field.vars entry {quote(v)} is not an identifier")
+    for v in (v for v in vars_value if not IDENT.fullmatch(v)):
+        raise ParseError(vars_line, v.column, f"field.vars entry {quote(v)} is not an identifier")
     variables = tuple(str(v) for v in vars_value)
     if len(variables) != n + 1:
         raise SchemaError(

@@ -12,13 +12,10 @@ on the quotient line by k(p).  So ``local_data`` costs one elimination at a
 zero on D, of the bordered matrix behind det J_D.  Exactness (``is_exact``)
 and the zero test (``is_zero``) are defined once, here, for every module.
 Classification (``classify_point``) and the closed forms of all i-levels in
-one call (``closed_forms``) decide nothing of the data again: the
-ordinary residue is trJ^n/detJ, and the excess (variational) one has the
-numerator Delta_i = k^(i-1)*((trJD + k)^(n-i) - trJD^(n-i)), one binomial
-sum for every i (``delta_numerator``); these are the only copies of the
-residue formulas.  On the divisor every numerator is homogeneous of degree
-n - 1 in (trJ, trJD, k): exact values enter as integers over one denominator
-and each leaves as one Fraction, its integer numerator kept for the totals.
+one call (``closed_forms``) decide nothing of the data again: at level i the
+ordinary residue is trJ^(n-i)*k^i/detJ, the log one has trJD for trJ, and the
+excess (variational) one the numerator Delta_i = k^(i-1)*((trJD + k)^(n-i) -
+trJD^(n-i)), one binomial sum for every i (``delta_numerator``).
 Degenerate zeros go through a seeded perturbation engine,
 ``perturbed_residues``: it deforms the chart field along a random field
 tangent to the divisor, so each nearby perturbed zero is simple, and
@@ -137,7 +134,8 @@ class SingularPoint(NamedTuple):
 
 class LocalData(NamedTuple):
     """Jacobian data of the field at a zero: trJ, detJ, the cofactor value
-    k(p) and det J_D, which is None off the divisor (and only there)."""
+    k(p) and det J_D, which is None off the divisor (and only there).  From
+    ``diagonal_zeros``, those of q*V, q an integer: every residue has degree 0."""
 
     trJ: object
     detJ: object
@@ -287,37 +285,33 @@ def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tupl
     the point's local data, each exact value Fraction(N, D_p) of the level's
     (ordinary, log, var) numerators N (None where the value is); D_p and the
     numerators are None at an inexact point.  DegenerateZero where the
-    relevant determinant vanishes.  On the divisor the numerators are
-    homogeneous of degree n - 1 in (trJ, trJD, k): exact values go in as
-    integers a, t, c over q = lcm(den trJ, den k), so D_p = c*q^(n-1)*num(detJD)
-    (no c where k(p) = 0), as detJ = k*detJD.  Off it D_p is the denominator
-    of trJ^n/detJ.  Inexact values go in unscaled.  The point is rebuilt only
-    where its on_divisor flag changes.  Each i must lie in 0..n-1 (ValueError)."""
+    relevant determinant vanishes.  Exact data, ints or Fractions alike, give
+    integers a, c of trJ and k (0 off D) over q = lcm(den trJ, den k); with
+    D = q^n*detJ, level i's ordinary value is a^(n-i)*c^i*den(D)/num(D), the
+    log one t = a - c for a, and D_p = num(D); where k(p) = 0 on D, detJ = 0,
+    they are over q^(n-1)*detJD, the excess alone at i = 0.  Inexact values go
+    in unscaled; the point is rebuilt only where its on_divisor flag changes.
+    Each i must lie in 0..n-1 (ValueError)."""
     n = len(p.coords)
-    for i in levels:
-        check_level(n, i)
-    exact = is_exact(p.coords)
+    if levels and not 0 <= min(levels) <= max(levels) < n:
+        for i in levels:
+            check_level(n, i)
+    exact, on_divisor = is_exact(p.coords), ld.detJD is not None
+    point = p if p.on_divisor == on_divisor else p._replace(on_divisor=on_divisor)
 
-    if ld.detJD is None:  # off the divisor
+    if not on_divisor:
         for i in filter(None, levels):
             raise NotOnDivisor(f"i={i} residues only exist on the divisor")
         if is_zero(ld.detJ, exact):
             raise DegenerateZero("detJ = 0; fall back to perturbed_residue")
-        ordinary = ld.trJ**n / ld.detJ
-        point = p._replace(on_divisor=False) if p.on_divisor else p
-        record = ResidueRecord(point, 0, ordinary, ordinary, Fraction(0) if exact else 0.0,
-                               "closed_form")
         if not exact:
-            return [record for _ in levels], None, None
-        N = ordinary.numerator
-        return [record for _ in levels], ordinary.denominator, [(N, N, 0) for _ in levels]
-
-    if is_zero(ld.detJD, exact):
+            ordinary = ld.trJ**n / ld.detJ
+            return [ResidueRecord(point, 0, ordinary, ordinary, 0.0, "closed_form")
+                    for _ in levels], None, None
+    elif is_zero(ld.detJD, exact):
         raise DegenerateZero("detJD = 0; fall back to perturbed_residue")
-    point = p if p.on_divisor else p._replace(on_divisor=True)
-    records = []
-    if not exact:
-        a, c, detJD = ld.trJ, ld.k_at_p, ld.detJD
+    elif not exact:
+        a, c, detJD, records = ld.trJ, ld.k_at_p, ld.detJD, []
         t = a - c
         for i in levels:
             var = delta_numerator(t, c, n, i) / detJD
@@ -331,23 +325,24 @@ def closed_forms(ld: LocalData, p: SingularPoint, levels: Sequence[int]) -> tupl
                 log = t ** (n - i) * c ** (i - 1) / detJD
             records.append(ResidueRecord(point, i, ordinary, log, var, "closed_form"))
         return records, None, None
-    q = math.lcm(ld.trJ.denominator, ld.k_at_p.denominator)
-    a, c = (v.numerator * (q // v.denominator) for v in (ld.trJ, ld.k_at_p))
-    t, num, w = a - c, ld.detJD.denominator, c or 1
-    den, wnum = w * q ** (n - 1) * ld.detJD.numerator, w * num
-    numerators = []
-    for i in levels:
-        if i or c:  # a = t + c, so o - l = Delta_i*wnum, at i = 0 too (wnum = c*num)
-            g = c ** (i - 1) * wnum if i else num  # i = 0: trJ^n/detJ and trJD^n/detJ
-            o, l = a ** (n - i) * g, t ** (n - i) * g
-            v = o - l
-        else:  # detJ = 0: only the excess, as delta_numerator's sum at k = 0
-            o, l, v = None, None, delta_numerator(t, c, n, 0) * wnum
-        numerators.append((o, l, v))
-        records.append(ResidueRecord(point, i, None if o is None else Fraction(o, den),
-                                     None if l is None else Fraction(l, den), Fraction(v, den),
-                                     "closed_form"))
-    return records, den, numerators
+    trJ, k = ld.trJ, ld.k_at_p if on_divisor else 0
+    q = math.lcm(trJ.denominator, k.denominator)
+    a, c = trJ.numerator * (q // trJ.denominator), k.numerator * (q // k.denominator)
+    t, numerators = a - c, []
+    if c or not on_divisor:
+        D = q**n * ld.detJ
+        den, g = D.numerator, D.denominator
+        for i in levels:
+            o, l = a ** (n - i) * c**i * g, t ** (n - i) * c**i * g
+            numerators.append((o, l, o - l))
+    else:  # k(p) = 0, so detJ = 0: over detJD (t = a), the excess alone at i = 0
+        num, den = ld.detJD.denominator, q ** (n - 1) * ld.detJD.numerator
+        for i in levels:
+            o = a ** (n - i) * c ** (i - 1) * num if i else None
+            numerators.append((o, o, 0) if i else (None, None, delta_numerator(t, c, n, 0) * num))
+    return [ResidueRecord(point, i, o if o is None else Fraction(o, den),
+                          l if l is None else Fraction(l, den), Fraction(v, den), "closed_form")
+            for i, (o, l, v) in zip(levels, numerators)], den, numerators
 
 
 # -- numeric engine --------------------------------------------------------
@@ -542,14 +537,16 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly, fields: list | None 
     V_j = lam_j*z_j) or a constant one, each classified in its lead chart with
     its local data (None where D is singular), sorted by the strings of its
     homogeneous coordinates.  A diagonal field's zeros e_c come off K = V(F)/F
-    and the term dicts, with no chart built: trJ = sum_{j != c}(lam_j - lam_c),
-    detJ is the product and k = K - m*lam_c (Bott 1967), each one Fraction of
-    integers over one denominator q; PositiveDimensional where a lam_c
-    repeats.  F(e_c) is F's coefficient of z_c^m, and D is smooth at e_c where
-    some z_c^(m-1)*z_j has one, from one pass over F's terms.  A constant
-    field's zero [c_0:...:c_n] goes to ``classify_point`` in its lead chart.
-    Any other field raises in the first chart ``linear_zeros`` refuses (proof
-    there).  Charts are read from ``fields`` (one per chart) if given, else built."""
+    and the term dicts, with no chart built, as the data of q*V, which has V's
+    residues (q the lcm of the denominators of the lam_j and of K's constant):
+    trJ = sum_{j != c}(lam_j - lam_c), detJ the product and k = K - m*lam_c
+    (Bott 1967), all ints, and detJD = detJ/k one Fraction on D;
+    PositiveDimensional where a lam_c repeats.  F(e_c) is F's coefficient of
+    z_c^m, and D is smooth at e_c where some z_c^(m-1)*z_j has one, from one
+    pass over F's terms.  A constant field's zero [c_0:...:c_n] goes to
+    ``classify_point`` in its lead chart.  Any other field raises in the first
+    chart ``linear_zeros`` refuses (proof there).  Charts are read from
+    ``fields`` (one per chart) if given, else built."""
     n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
     if not all(e[j] == sum(e) == 1 for j, v in enumerate(comps) for e in v.terms):
         if problem.d == 0:
@@ -571,8 +568,7 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly, fields: list | None 
                 smooth[c] = True
     kappa = K.terms.get((0,) * (n + 1), zero)  # K has degree d - 1
     q = math.lcm(kappa.denominator, *(v.denominator for v in lam))
-    ints = [v.numerator * (q // v.denominator) for v in lam]
-    kq = kappa.numerator * (q // kappa.denominator)
+    *ints, kq = (v.numerator * (q // v.denominator) for v in lam + [kappa])
     if len(set(ints)) <= n:  # ints hash faster than Fractions
         raise PositiveDimensional(next(r for r in (ints.count(x) - 1 for x in ints) if r))
     zeros, coords = [], (zero,) * n
@@ -582,10 +578,9 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly, fields: list | None 
             zeros.append((SingularPoint(c, coords, True, True, None), None))
             continue
         alpha = [a - ints[c] for j, a in enumerate(ints) if j != c]
-        tr, det, k = sum(alpha), math.prod(alpha), kq - m * ints[c]
-        detJD = Fraction(det, q ** (n - 1) * k) if on_divisor else None  # detJ / k
+        det, k = math.prod(alpha), kq - m * ints[c]
         zeros.append((SingularPoint(c, coords, True, on_divisor, True), LocalData(
-            Fraction(tr, q), Fraction(det, q**n), Fraction(k, q), detJD)))
+            sum(alpha), det, k, Fraction(det, k) if on_divisor else None)))  # detJD = detJ/k
     return zeros
 
 

@@ -770,9 +770,11 @@ def diagonal_problems(draw):
 def test_linear_route_matches_classify_point(case):
     # diagonal_zeros classifies each zero off the term dicts; classify_point,
     # which takes the jets and determinants in its chart, must agree exactly.
+    # Its local data are those of q*V, ints but for det J_D.
     problem, planes = case
-    fields = foliation.chart_fields(problem)
-    located = residue.diagonal_zeros(problem, foliation.tangency_cofactor(problem))
+    K = foliation.tangency_cofactor(problem)
+    fields = foliation.chart_fields(problem, K)
+    located = residue.diagonal_zeros(problem, K)
     assert len(located) == problem.n + 1
     assert any(p.simple is None for p, _ in located) == (planes == 2)
     for point, ld in located:
@@ -781,10 +783,26 @@ def test_linear_route_matches_classify_point(case):
         if want_ld is None:
             assert ld is None and point.simple is None
             continue
-        for name in ("trJ", "detJ", "k_at_p", "detJD"):
+        want_ld = scaled_to_integers(problem, K, want_ld)
+        for name, kind in zip(("trJ", "detJ", "k_at_p", "detJD"), (int, int, int, Fraction)):
             got, want = getattr(ld, name), getattr(want_ld, name)
             assert got == want, name
-            assert type(got) is Fraction or got is want is None, name
+            assert type(got) is type(want) is kind or got is want is None, name
+
+
+def scaled_to_integers(problem, K, ld):
+    """The local data ``ld`` of a diagonal field V as those of q*V, q the lcm
+    of the denominators of V's eigenvalues and of K's constant term: trJ*q,
+    detJ*q^n and k*q as ints, and det J_D*q^(n-1) a Fraction (None off D).
+    Data of a constant field, and None, are returned as they are."""
+    if ld is None or problem.d == 0:
+        return ld
+    n, zero = problem.n, Fraction(0)
+    lam = [next(iter(v.terms.values()), zero) for v in problem.components]
+    q = math.lcm(*(v.denominator for v in lam), K.terms.get((0,) * (n + 1), zero).denominator)
+    scaled = [ld.trJ * q, ld.detJ * q**n, ld.k_at_p * q]
+    assert all(v.denominator == 1 for v in scaled)
+    return residue.LocalData(*map(int, scaled), None if ld.detJD is None else ld.detJD * q ** (n - 1))
 
 
 def reference_locate(fields):
@@ -799,8 +817,9 @@ def reference_locate(fields):
 
 
 def assert_locates_like_the_reference(problem):
-    """``diagonal_zeros`` gives the reference's points, flags and local data,
-    in its order and types, or raises its error, type and text."""
+    """``diagonal_zeros`` gives the reference's points, flags and local data
+    (scaled to q*V on a diagonal field), in its order and types, or raises its
+    error, type and text."""
     try:
         K = foliation.tangency_cofactor(problem)
     except foliation.NotTangent:
@@ -813,6 +832,7 @@ def assert_locates_like_the_reference(problem):
         assert str(got.value) == str(exc)
         return
     got = residue.diagonal_zeros(problem, K)
+    want = [(p, cf, scaled_to_integers(problem, K, ld)) for p, cf, ld in want]
     assert got == [(p, ld) for p, _, ld in want]
     for (p, ld), (want_p, _, want_ld) in zip(got, want):
         assert list(map(type, p.coords)) == list(map(type, want_p.coords))

@@ -49,6 +49,22 @@ def test_make_problem_rejects_bad_input():
         make_problem(Z, [zvar("z0"), zvar("z1"), zvar("z2")], MultiPoly.const(Z, 1))
 
 
+@pytest.mark.parametrize("variables, message", [
+    (("z0", "z0", "z2"), "field.vars contains duplicate names"),
+    (("x", "+", "y"), "variable '+' is not an identifier"),
+    (("x", "y", "2z"), "variable '2z' is not an identifier"),
+    (("x", "y", "z" + "é"), "variable 'zé' is not an identifier"),
+    (("x", "y", "a" * 50 + "+"), f"variable '{'a' * 40}'... (51 characters) is not an identifier"),
+])
+def test_make_problem_rejects_repeated_or_non_identifier_names(variables, message):
+    # A library caller's names are checked as a problem file's are: a repeated
+    # name would otherwise read as a degree-2 term much later.
+    z = [MultiPoly.variable(variables, v) for v in variables]
+    with pytest.raises(SchemaError) as raised:
+        make_problem(variables, [-3 * z[0], 2 * z[1], z[2]], z[2])
+    assert str(raised.value) == message
+
+
 def test_nonreduced_divisor_warns():
     with pytest.warns(UserWarning, match="non-reduced"):
         make_problem(Z, [zvar("z0"), zvar("z1"), 2 * zvar("z2")], zvar("z2") ** 2)

@@ -340,6 +340,27 @@ def test_exact_closed_forms_match_the_textbook_formulas(case):
         assert all(type(v) is Fraction for v in got if v is not None)
 
 
+def as_int_where_integral(v):
+    """v as an int where it is integral, else as it is."""
+    return int(v) if v.denominator == 1 else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_local_data(), st.integers(-12, 12).filter(bool))
+def test_closed_forms_do_not_depend_on_the_scale_of_the_field(case, s):
+    # diagonal_zeros hands closed_forms the integer data of q*V: s*V has trJ*s,
+    # detJ*s^n, k*s and detJD*s^(n-1), and every residue has degree 0 in V.
+    ld, p = case
+    n = len(p.coords)
+    levels = range(n if ld.detJD is not None else 1)
+    scales = (s, s**n, s, s ** (n - 1))
+    scaled = LocalData(*(None if v is None else as_int_where_integral(v * f)
+                         for v, f in zip(ld, scales)))
+    want, got = closed_forms(ld, p, levels)[0], closed_forms(scaled, p, levels)[0]
+    assert got == want
+    assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+
+
 def reference_closed_forms(ld, n, i):
     """The on-divisor closed forms as written before exact values went in as
     integer numerators; inexact records must keep these bits."""
