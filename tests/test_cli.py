@@ -321,7 +321,7 @@ ECHO_SITES = {
 
 @pytest.mark.parametrize("site", ECHO_SITES)
 def test_an_error_line_quotes_long_input_short(capsys, tmp_path, site):
-    # parse.quote: past 40 characters, the first 40 and the length.
+    # algebra.quote: past 40 characters, the first 40 and the length.
     code, out, err = run(capsys, *ECHO_SITES[site](tmp_path))
     assert (code, out, err.count("\n")) == (1, "", 1) and len(err.encode()) <= 160, err
 
