@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .foliation import ChartField, FoliationProblem, chart_fields, chern_totals, tangency_cofactor
+from .foliation import ChartField, FoliationProblem, chart_fields, chern_totals
 from .residue import (
     DivisorSingularAt,
     NonLinearField,
@@ -76,21 +76,22 @@ def zero_set(
 ) -> ZeroSet:
     """The zeros a run holds, and whether they are every zero of the field.
 
-    No points and not ``numeric``: ``diagonal_zeros``, complete.  Else the
-    given points (ValueError unless each chart lies in 0..n), classified, or
-    with ``numeric`` Newton's zeros in each chart, which keep the flags they
-    were found with (in a far chart the residual can pass the tolerance) and
-    are never complete; each kept once, in its lead chart, sorted by the
+    No points and not ``numeric``: ``diagonal_zeros``, complete, which tests
+    tangency itself (a diagonal field's by F's weights, with no division).
+    Else ``chart_fields`` divides once, and the given points (ValueError
+    unless each chart lies in 0..n), classified, or with ``numeric``
+    Newton's zeros in each chart, which keep the flags they were found with
+    (in a far chart the residual can pass the tolerance) and are never
+    complete; each kept once, in its lead chart, sorted by the
     strings of its homogeneous coordinates.  Given points are complete where
     they cover, to 6 decimals, ``diagonal_zeros`` over the same charts, which
     raises PositiveDimensional where a chart shows a line of zeros.  On any
     other field they are unless all are exact with det J != 0 (multiplicity 1)
     and fewer than sum_{k<=n} d^k: with multiplicity, isolated zeros number
     c_n(TP^n(d-1)), the h^n coefficient of (1 + d*h)^(n+1) / (1 + (d-1)*h)."""
-    K = tangency_cofactor(problem)
     if points is None and not numeric:
-        return ZeroSet(diagonal_zeros(problem, K), None, True)
-    fields = chart_fields(problem, K)
+        return ZeroSet(diagonal_zeros(problem), None, True)
+    fields = chart_fields(problem)
     raw = [p for cf in fields for p in discover_zeros_numeric(cf, cfg=cfg)] if numeric else points
     for p in raw:
         if not 0 <= p.chart < len(fields):
@@ -111,7 +112,7 @@ def zero_set(
     if numeric:
         return ZeroSet(pairs, fields, False)
     try:
-        zeros = diagonal_zeros(problem, K, fields)
+        zeros = diagonal_zeros(problem, fields)
         complete = {rounded(_normalized(z)[1]) for z, _ in zeros} <= set(map(rounded, seen))
     except NonLinearField:
         simple = all(p.exact and ld is not None and ld.detJ != 0 for p, ld in pairs)

@@ -5,6 +5,8 @@ cofactor extraction, and the expected Chern numbers the global identities
 are checked against.  ``tangency_cofactor`` divides once, K = V(F)/F, and
 chart c has the cofactor k_c = (K - m*V_c) at z_c = 1 by Euler's identity
 (proof there); only a field that is not tangent is divided chart by chart.
+Exact discovery of a diagonal field divides nothing: ``diagonal_zeros``
+reads K off F's weights, and calls ``tangency_cofactor`` only to raise.
 """
 
 from __future__ import annotations

@@ -264,15 +264,23 @@ def _split_top_level(text: str, column: int) -> list[tuple[str, int]]:
 def _parse_value(text: str, line: int, column: int, depth: int = 0):
     """A list, an object, or a scalar ``_Text`` (consumers interpret
     scalars), from ``text`` starting at ``column`` of ``line``, inside
-    ``depth`` lists and objects; at most MAX_NESTING of them nest."""
+    ``depth`` lists and objects; at most MAX_NESTING of them nest.  A list with
+    no bracket inside is split on its commas, and its scalars read in place."""
     column += len(text) - len(text.lstrip())
     text = text.strip()
     brackets = text[:1] + text[-1:]
     if brackets in ("[]", "{}") and depth == MAX_NESTING:
         raise ParseError(line, column, f"more than {MAX_NESTING} nested '[' and '{{'")
     if brackets == "[]":
-        return [_parse_value(part, line, col, depth + 1)
-                for part, col in _split_top_level(text[1:-1], column + 1)]
+        inner = text[1:-1]
+        if "[" in inner or "]" in inner or "{" in inner or "}" in inner:
+            return [_parse_value(part, line, col, depth + 1)
+                    for part, col in _split_top_level(inner, column + 1)]
+        items, column = [], column + 1
+        for part in inner.split(","):
+            items.append(_Text(part.strip(), column + len(part) - len(part.lstrip())))
+            column += len(part) + 1
+        return items if items[-1] else items[:-1]
     if brackets == "{}":
         obj = {}
         for part, col in _split_top_level(text[1:-1], column + 1):

@@ -4,9 +4,9 @@ A zero's data (``LocalData``) is four values: the Jacobian trace trJ and
 determinant detJ, the cofactor value k(p), and det J_D, None off the
 divisor D; trJD = trJ - k is computed where read.  ``local_data`` evaluates
 the components, f and their first partials at any zero, and exact discovery
-(``diagonal_zeros``) reads a diagonal field's zeros off the homogeneous
-term dicts.  At a zero p on D the determinants are tied, detJ = k(p)*detJD.
-Proof: differentiating v(f) = k*f at p, where v and f vanish, gives
+(``diagonal_zeros``) reads a diagonal field's zeros and its tangency off the
+homogeneous term dicts.  At a zero p on D, detJ = k(p)*detJD.  Proof:
+differentiating v(f) = k*f at p, where v and f vanish, gives
 J^T grad f = k(p) grad f, so J keeps the tangent space ker(grad f) and acts
 on the quotient line by k(p).  So ``local_data`` costs one elimination at a
 zero on D, of the bordered matrix behind det J_D.  Exactness (``is_exact``)
@@ -39,7 +39,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, clip, det_exact
-from .foliation import ChartField, FoliationProblem, check_level, dehomogenize_field
+from .foliation import (ChartField, FoliationProblem, check_level, dehomogenize_field,
+                        tangency_cofactor)
 
 
 def _at(coords) -> str:
@@ -532,23 +533,27 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 
 # -- zero discovery --------------------------------------------------------
 
-def diagonal_zeros(problem: FoliationProblem, K: MultiPoly, fields: list | None = None) -> list:
+def diagonal_zeros(problem: FoliationProblem, fields: list | None = None) -> list:
     """Exact zeros of a diagonal linear field (each term of V_j is z_j, so
     V_j = lam_j*z_j) or a constant one, each classified in its lead chart with
     its local data (None where D is singular), sorted by the strings of its
-    homogeneous coordinates.  A diagonal field's zeros e_c come off K = V(F)/F
-    and the term dicts, with no chart built, as the data of q*V, which has V's
-    residues (q the lcm of the denominators of the lam_j and of K's constant):
-    trJ = sum_{j != c}(lam_j - lam_c), detJ the product and k = K - m*lam_c
+    homogeneous coordinates.  A diagonal field's zeros e_c come off the term
+    dicts, with no chart built and nothing divided, as the data of q*V, which
+    has V's residues (q the lcm of the denominators of the lam_j, ints = q*lam):
+    trJ = sum_{j != c}(ints_j - ints_c), detJ the product and k = kq - m*ints_c
     (Bott 1967), all ints, and detJD = detJ/k one Fraction on D;
-    PositiveDimensional where a lam_c repeats.  F(e_c) is F's coefficient of
-    z_c^m, and D is smooth at e_c where some z_c^(m-1)*z_j has one, from one
-    pass over F's terms.  A constant field's zero [c_0:...:c_n] goes to
-    ``classify_point`` in its lead chart.  Any other field raises in the first
-    chart ``linear_zeros`` refuses (proof there).  Charts are read from
-    ``fields`` (one per chart) if given, else built."""
+    PositiveDimensional where a lam_c repeats.  V(z^e) = <lam, e>*z^e, so
+    V(F) = K*F, K of degree d - 1 = 0, exactly when F's terms share one weight
+    <ints, e> = kq, which is q*K; else ``tangency_cofactor`` raises NotTangent.
+    F(e_c) is F's coefficient of z_c^m, and D is smooth at e_c where some
+    z_c^(m-1)*z_j has one, from the same pass over F's terms.  A constant
+    field's zero [c_0:...:c_n] goes to ``classify_point`` in its lead chart.
+    Any other field raises in the first chart ``linear_zeros`` refuses (proof
+    there).  Charts are read from ``fields`` (one per chart) if given, else
+    built from ``tangency_cofactor``."""
     n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
     if not all(e[j] == sum(e) == 1 for j, v in enumerate(comps) for e in v.terms):
+        K = None if fields else tangency_cofactor(problem)
         if problem.d == 0:
             const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
             lead = next(j for j, v in enumerate(const) if v)
@@ -559,16 +564,23 @@ def diagonal_zeros(problem: FoliationProblem, K: MultiPoly, fields: list | None 
             linear_zeros(cf)
         raise AssertionError("every chart is diagonal, and so is the field")
     lam = [next(iter(v.terms.values()), 0) for v in comps]
+    q = math.lcm(*(v.denominator for v in lam))
+    ints = [v.numerator * (q // v.denominator) for v in lam]
     f_at, smooth = [0] * (n + 1), [False] * (n + 1)  # at e_c: F, and whether grad f != 0
+    weights = set()  # <ints, e> of F's terms z^e
     for e, coef in problem.divisor.terms.items():
+        weight = 0
         for c, e_c in enumerate(e):
+            weight += ints[c] * e_c
             if e_c == m:
                 f_at[c] = coef
             elif e_c == m - 1:  # a term z_c^(m-1)*z_j, j != c: df/dx_j at e_c
                 smooth[c] = True
-    kappa = K.terms.get((0,) * (n + 1), zero)  # K has degree d - 1
-    q = math.lcm(kappa.denominator, *(v.denominator for v in lam))
-    *ints, kq = (v.numerator * (q // v.denominator) for v in lam + [kappa])
+        weights.add(weight)
+    if len(weights) > 1:
+        tangency_cofactor(problem)
+        raise AssertionError("F's terms have two weights, and V(F) = K*F")
+    kq = weights.pop()
     if len(set(ints)) <= n:  # ints hash faster than Fractions
         raise PositiveDimensional(next(r for r in (ints.count(x) - 1 for x in ints) if r))
     zeros, coords = [], (zero,) * n

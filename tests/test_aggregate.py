@@ -664,14 +664,13 @@ def count_chart_work(monkeypatch, modules=()) -> tuple[Counter, Counter, Counter
 
 
 def test_verify_builds_no_chart_on_the_exact_path(monkeypatch):
-    # One homogeneous division; the zeros of a diagonal field and their local
+    # No division; tangency, the zeros of a diagonal field and their local
     # data are read off the homogeneous term dicts.
     problem = parse_problem((FIXTURES / "p3_example.fol").read_text()).problem
     fields, divisions, data, charts = count_chart_work(monkeypatch)
     report = verify_identities(problem)
     assert report.all_ok and len(report.checks[0].records) == 4
-    assert divisions == {problem.variables: 1}
-    assert fields == data == charts == {}
+    assert divisions == fields == data == charts == {}
 
 
 def test_verify_evaluates_no_polynomial_on_the_exact_path(monkeypatch):
@@ -691,11 +690,12 @@ CORNER = diag_problem((1, 2, 3), Z3)._replace(divisor=parse.parse_poly("z1*z2", 
 
 def test_verify_builds_no_chart_at_a_singular_point_of_the_divisor(monkeypatch):
     # z1*z2 is singular at [1:0:0]: diagonal_zeros found that, and verify
-    # raises from it, with no chart built and no local_data call.
+    # raises from it, with nothing divided, no chart built and no local_data
+    # call.
     fields, divisions, data, charts = count_chart_work(monkeypatch)
     with pytest.raises(residue.DivisorSingularAt, match=r"^divisor is singular at \(0, 0\);"):
         verify_identities(CORNER)
-    assert divisions == {Z3: 1} and fields == charts == data == {}
+    assert divisions == fields == charts == data == {}
 
 
 def test_verify_raises_at_a_given_singular_point_of_the_divisor(monkeypatch):
@@ -733,20 +733,18 @@ def test_diagonal_zeros_build_no_chart_when_given_the_chart_fields(monkeypatch):
     # The refusal walk over the Jordan field and a constant field's lead
     # chart both read the given chart fields.
     jordan = parse_problem((FIXTURES / "p2_jordan.fol").read_text()).problem
-    K = foliation.tangency_cofactor(jordan)
     with pytest.raises(residue.NonLinearField) as want:
-        residue.diagonal_zeros(jordan, K)
+        residue.diagonal_zeros(jordan)
     constant = make_problem(Z3, [MultiPoly.const(Z3, c) for c in (1, 2, 0)],
                             MultiPoly.variable(Z3, "z2"))
-    K0 = foliation.tangency_cofactor(constant)
-    [(point, ld)] = residue.diagonal_zeros(constant, K0)
+    [(point, ld)] = residue.diagonal_zeros(constant)
     assert (point.chart, point.coords, point.on_divisor) == (0, (2, 0), True)
-    fields, fields0 = foliation.chart_fields(jordan, K), foliation.chart_fields(constant, K0)
+    fields, fields0 = foliation.chart_fields(jordan), foliation.chart_fields(constant)
     *_, charts = count_chart_work(monkeypatch)
     with pytest.raises(residue.NonLinearField) as got:
-        residue.diagonal_zeros(jordan, K, fields)
+        residue.diagonal_zeros(jordan, fields)
     assert str(got.value) == str(want.value)
-    assert residue.diagonal_zeros(constant, K0, fields0) == [(point, ld)]
+    assert residue.diagonal_zeros(constant, fields0) == [(point, ld)]
     assert charts == {}
 
 
@@ -774,7 +772,7 @@ def test_linear_route_matches_classify_point(case):
     problem, planes = case
     K = foliation.tangency_cofactor(problem)
     fields = foliation.chart_fields(problem, K)
-    located = residue.diagonal_zeros(problem, K)
+    located = residue.diagonal_zeros(problem)
     assert len(located) == problem.n + 1
     assert any(p.simple is None for p, _ in located) == (planes == 2)
     for point, ld in located:
@@ -828,10 +826,10 @@ def assert_locates_like_the_reference(problem):
         want = reference_locate(foliation.chart_fields(problem, K))
     except DomainError as exc:
         with pytest.raises(type(exc)) as got:
-            residue.diagonal_zeros(problem, K)
+            residue.diagonal_zeros(problem)
         assert str(got.value) == str(exc)
         return
-    got = residue.diagonal_zeros(problem, K)
+    got = residue.diagonal_zeros(problem)
     want = [(p, cf, scaled_to_integers(problem, K, ld)) for p, cf, ld in want]
     assert got == [(p, ld) for p, _, ld in want]
     for (p, ld), (want_p, _, want_ld) in zip(got, want):
@@ -919,6 +917,52 @@ def test_diagonal_zeros_read_f_and_grad_f_off_the_coefficients(problem):
     # At e_c, F is the coefficient of z_c^m and dF/dz_j that of z_c^(m-1)*z_j,
     # whatever else of degree m the divisor holds.
     assert_locates_like_the_reference(problem)
+
+
+@st.composite
+def diagonal_fields_with_any_divisor(draw):
+    """A diagonal field on P^1..P^4 with distinct rational eigenvalues and a
+    divisor of degree m = 1..3 of random monomials with nonzero coefficients:
+    half the time all of one weight sum(e_j*lam_j), so invariant, else drawn
+    from every monomial of degree m, so mostly of two weights or more."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    zs = tuple(f"z{j}" for j in range(n + 1))
+    lam = draw(st.lists(st.integers(-4, 4).map(Fraction) | st.fractions(-4, 4, max_denominator=6),
+                        min_size=n + 1, max_size=n + 1, unique=True))
+    monomials = [e for e in itertools.product(range(m + 1), repeat=n + 1) if sum(e) == m]
+    seed = draw(st.sampled_from(monomials))
+    if draw(st.booleans()):
+        weight = sum(a * v for a, v in zip(seed, lam))
+        monomials = [e for e in monomials if sum(a * v for a, v in zip(e, lam)) == weight]
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction) | st.sampled_from([Fraction(-5, 2)])
+    terms = {e: draw(coeff) for e in [seed] + draw(st.lists(st.sampled_from(monomials), max_size=4))}
+    comps = tuple(MultiPoly(zs, {tuple(int(k == i) for k in range(n + 1)): v})
+                  for i, v in enumerate(lam))
+    return foliation.FoliationProblem(n, zs, comps, MultiPoly(zs, terms), 1, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_fields_with_any_divisor())
+def test_tangency_of_a_diagonal_field_is_read_off_the_weights_of_f(problem):
+    # diagonal_zeros divides nothing: F is invariant exactly when its terms
+    # share one weight, and that weight is q*K.  Where the division fails,
+    # the same NotTangent, chart and v(f), comes out of diagonal_zeros.
+    try:
+        K = foliation.tangency_cofactor(problem)
+    except foliation.NotTangent as exc:
+        with pytest.raises(foliation.NotTangent) as got:
+            residue.diagonal_zeros(problem)
+        assert (str(got.value), got.value.chart) == (str(exc), exc.chart)
+        assert got.value.applied == exc.applied
+        return
+    lam = [next(iter(v.terms.values()), 0) for v in problem.components]
+    q, K0 = math.lcm(*(v.denominator for v in lam)), K.terms.get((0,) * (problem.n + 1), 0)
+    located = residue.diagonal_zeros(problem)
+    assert len(located) == problem.n + 1
+    for point, ld in located:
+        if ld is not None:
+            assert ld.k_at_p == q * (K0 - problem.m * lam[point.chart])
+            assert type(ld.k_at_p) is int
 
 
 @settings(max_examples=80, deadline=None)

@@ -370,6 +370,41 @@ def test_field_vars_entries_must_be_identifiers(names, column, entry):
     assert exc.value.message == f"field.vars entry {entry!r} is not an identifier"
 
 
+@pytest.mark.parametrize("value", [
+    "[z0, z1, z2]",
+    "[z0, , z2]",
+    "[z0, z1, z2,]",
+    "[\tz0,\tz1 ,\t z2\t]",
+    "[z0, z1, z2]  # a comment, [with] {brackets}",
+    "[z0, 1x]",
+    "[ z0 ,1x, ] # [",
+])
+def test_a_flat_list_reads_as_a_nested_one_does(value):
+    # A list with no bracket inside is split and read in place.  With a last
+    # entry [] the same entries go through the bracket-counting split and one
+    # _parse_value each; they must read the same, at the same columns, and a
+    # problem file must report its error at the entry's column.
+    items, _, comment = value.partition("#")
+    inner = items.strip()[1:-1]
+    nested = f"[{inner}{'' if inner.rstrip().endswith(',') else ','}[]]"
+    flat_doc, nested_doc = (P2_SRC.replace("[z0, z1, z2]", v + (comment and "#" + comment))
+                            for v in (items.rstrip(), nested))
+    got, got_line, got_col = raw_document(flat_doc)["field.vars"]
+    want, want_line, want_col = raw_document(nested_doc)["field.vars"]
+    assert want[-1] == [] and (got_line, got_col) == (want_line, want_col)
+    assert got == want[:-1] and all(type(v) is parse._Text for v in got)
+    assert [v.column for v in got] == [v.column for v in want[:-1]]
+    bad = [v for v in want[:-1] if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v)]
+    if not bad and len(got) == 3:
+        assert parse_problem(flat_doc).problem.variables == tuple(want[:-1])
+        return
+    with pytest.raises((ParseError, SchemaError)) as exc:
+        parse_problem(flat_doc)
+    if bad:
+        assert (exc.value.line, exc.value.column) == (3, bad[0].column)
+        assert exc.value.message == f"field.vars entry {str(bad[0])!r} is not an identifier"
+
+
 def test_comments_and_blank_lines_ignored():
     doc = parse_problem("# header\n\n" + P2_SRC + "\n# trailing\n")
     assert doc.problem.n == 2
