@@ -85,7 +85,7 @@ def zero_set(
     complete; each kept once, in its lead chart, sorted by the
     strings of its homogeneous coordinates.  Given points are complete where
     they cover, to 6 decimals, ``diagonal_zeros`` over the same charts, which
-    raises PositiveDimensional where a chart shows a line of zeros.  On any
+    raises PositiveDimensional where any chart shows a line of zeros.  On any
     other field they are unless all are exact with det J != 0 (multiplicity 1)
     and fewer than sum_{k<=n} d^k: with multiplicity, isolated zeros number
     c_n(TP^n(d-1)), the h^n coefficient of (1 + d*h)^(n+1) / (1 + (d-1)*h)."""

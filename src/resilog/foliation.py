@@ -222,9 +222,9 @@ def tangency_cofactor(problem: FoliationProblem) -> MultiPoly:
     return K
 
 
-def chart_fields(problem: FoliationProblem, K: MultiPoly | None = None) -> list[ChartField]:
-    """Every chart's data with its cofactor, from K (divided here if not given)."""
-    K = tangency_cofactor(problem) if K is None else K
+def chart_fields(problem: FoliationProblem) -> list[ChartField]:
+    """Every chart's data with its cofactor, from one ``tangency_cofactor``."""
+    K = tangency_cofactor(problem)
     return [dehomogenize_field(problem, chart, K) for chart in range(problem.n + 1)]
 
 

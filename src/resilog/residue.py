@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .algebra import DomainError, MultiPoly, RatMatrix, clip, det_exact
-from .foliation import (ChartField, FoliationProblem, check_level, dehomogenize_field,
+from .foliation import (ChartField, FoliationProblem, chart_fields, check_level,
                         tangency_cofactor)
 
 
@@ -534,35 +534,32 @@ def perturbed_residue(cf: ChartField, p: SingularPoint, i: int,
 # -- zero discovery --------------------------------------------------------
 
 def diagonal_zeros(problem: FoliationProblem, fields: list | None = None) -> list:
-    """Exact zeros of a diagonal linear field (each term of V_j is z_j, so
-    V_j = lam_j*z_j) or a constant one, each classified in its lead chart with
-    its local data (None where D is singular), sorted by the strings of its
-    homogeneous coordinates.  A diagonal field's zeros e_c come off the term
-    dicts, with no chart built and nothing divided, as the data of q*V, which
-    has V's residues (q the lcm of the denominators of the lam_j, ints = q*lam):
+    """Exact zeros of a diagonal linear field, V_j = lam_j*z_j, each classified
+    in its lead chart with its local data (None where D is singular), sorted by
+    the strings of its homogeneous coordinates: the e_c, off the term dicts
+    with no chart built and nothing divided, as the data of q*V, which has V's
+    residues (q the lcm of the denominators of the lam_j, ints = q*lam):
     trJ = sum_{j != c}(ints_j - ints_c), detJ the product and k = kq - m*ints_c
     (Bott 1967), all ints, and detJD = detJ/k one Fraction on D;
     PositiveDimensional where a lam_c repeats.  V(z^e) = <lam, e>*z^e, so
     V(F) = K*F, K of degree d - 1 = 0, exactly when F's terms share one weight
     <ints, e> = kq, which is q*K; else ``tangency_cofactor`` raises NotTangent.
     F(e_c) is F's coefficient of z_c^m, and D is smooth at e_c where some
-    z_c^(m-1)*z_j has one, from the same pass over F's terms.  A constant
-    field's zero [c_0:...:c_n] goes to ``classify_point`` in its lead chart.
-    Any other field raises in the first chart ``linear_zeros`` refuses (proof
-    there).  Charts are read from ``fields`` (one per chart) if given, else
-    built from ``tangency_cofactor``."""
+    z_c^(m-1)*z_j has one, from the same pass over F's terms.  Other fields go
+    to ``linear_zeros`` in every chart, of ``fields`` if given, else of
+    ``chart_fields``: PositiveDimensional where any chart shows a line, else
+    the first NonLinearField, else (d = 0) the lead chart's zero (see there)."""
     n, m, zero, comps = problem.n, problem.m, Fraction(0), problem.components
     if not all(e[j] == sum(e) == 1 for j, v in enumerate(comps) for e in v.terms):
-        K = None if fields else tangency_cofactor(problem)
-        if problem.d == 0:
-            const = [v.terms.get((0,) * (n + 1), zero) for v in comps]
-            lead = next(j for j, v in enumerate(const) if v)
-            hom = [v / const[lead] for v in const]
-            cf = fields[lead] if fields else dehomogenize_field(problem, lead, K)
-            return [classify_point(cf, hom[:lead] + hom[lead + 1:])]
-        for cf in fields or (dehomogenize_field(problem, c, K) for c in range(n + 1)):
-            linear_zeros(cf)
-        raise AssertionError("every chart is diagonal, and so is the field")
+        found, refused = [], None
+        for cf in fields or chart_fields(problem):
+            try:
+                found.append(linear_zeros(cf))
+            except NonLinearField as err:
+                refused = refused or err
+        if refused or problem.d:
+            raise refused or AssertionError("no chart refused a field of degree d > 0")
+        return next(filter(None, found))
     lam = [next(iter(v.terms.values()), 0) for v in comps]
     q = math.lcm(*(v.denominator for v in lam))
     ints = [v.numerator * (q // v.denominator) for v in lam]
@@ -599,14 +596,17 @@ def diagonal_zeros(problem: FoliationProblem, fields: list | None = None) -> lis
 def linear_zeros(cf: ChartField) -> list[tuple[SingularPoint, LocalData | None]]:
     """Exact zeros of a diagonal chart field a_j = alpha_j*x_j + beta_j,
     classified by ``classify_point``: the reference ``diagonal_zeros`` is
-    tested against, and its error path.
+    tested against, and its route for every field that is not diagonal.
 
     Where every chart is affine-linear, the field is diagonal (d = 1),
     constant (d = 0) or g times the Euler field E, whose charts are 0.
     Proof: chart c's a_j is W = z_c*V_j - z_j*V_c at z_c = 1, of degree
     <= 1 only if W lies in z_c^d*(linear forms); as W = -(the W of chart j),
     it also lies in z_j^d*(linear forms), so for d >= 2 W = 0, V = g*E, and
-    for d = 1 W = w*z_c*z_j, so V_c = lam_c*z_c for every c.  One pass reads
+    for d = 1 W = w*z_c*z_j, so V_c = lam_c*z_c for every c.  A constant
+    field c has a_j = c_j - x_j*c_c, so no chart refuses; one below its lead
+    (the first c_c != 0) has alpha = 0, beta_lead != 0 and no zero, and the
+    lead chart the zero x_j = c_j/c_c.  One pass reads
     the terms; a term of degree > 1 in any component raises NonLinearField
     before a linear term in another variable does.  An alpha_j = 0 with
     beta_j != 0 leaves no zero; otherwise r zero alpha_j leave a zero set of

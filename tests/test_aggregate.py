@@ -417,6 +417,47 @@ def test_given_points_on_a_line_of_zeros_raise_like_discovery():
         verify_identities(problem, points=[SingularPoint(2, (Fraction(0), Fraction(0)))])
 
 
+@st.composite
+def permuted_linear_fields(draw):
+    """A linear field z -> A*z on P^2..P^3, entries of A in -2..2, whose row h
+    is diagonal so that the divisor z_h is invariant, and the same field and
+    divisor after the permutation sigma of the variables: z_j becomes
+    z_sigma(j), and the component V_i that of z_sigma(i)."""
+    n = draw(st.integers(2, 3))
+    zs = tuple(f"z{j}" for j in range(n + 1))
+    z = [MultiPoly.variable(zs, v) for v in zs]
+    h = draw(st.integers(0, n))
+    rows = [[draw(st.integers(-2, 2)) if i == j or i != h else 0 for j in range(n + 1)]
+            for i in range(n + 1)]
+    assume(any(map(any, rows)))
+    sigma = draw(st.permutations(range(n + 1)))
+    comps, moved = [], [None] * (n + 1)
+    for i, row in enumerate(rows):
+        comps.append(sum((a * z[j] for j, a in enumerate(row)), MultiPoly.zero(zs)))
+        moved[sigma[i]] = sum((a * z[sigma[j]] for j, a in enumerate(row)), MultiPoly.zero(zs))
+    return make_problem(zs, comps, z[h]), make_problem(zs, moved, z[sigma[h]])
+
+
+def discovery_outcome(problem):
+    """The type ``zero_set`` raises, or its number of zeros and the
+    ``verify_identities`` totals of every level."""
+    try:
+        zeros = aggregate.zero_set(problem)
+    except DomainError as exc:
+        return type(exc)
+    checks = verify_identities(problem).checks.values()
+    return len(zeros.pairs), [(c.ordinary_total, c.log_total, c.var_total) for c in checks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_linear_fields())
+def test_exact_discovery_does_not_depend_on_the_order_of_the_variables(pair):
+    # A permutation of the variables permutes the charts; the refusing
+    # component and the dimension can move with it, the outcome cannot.
+    problem, moved = pair
+    assert discovery_outcome(problem) == discovery_outcome(moved)
+
+
 def test_float_coordinates_give_a_numeric_level():
     report = verify_identities(P2, [SingularPoint(c, (0.0, 0.0)) for c in range(3)])
     assert report.level == "numeric" and report.complete and report.all_ok
@@ -730,8 +771,8 @@ def test_verify_given_points_of_a_non_diagonal_field_builds_each_chart_once(monk
 
 
 def test_diagonal_zeros_build_no_chart_when_given_the_chart_fields(monkeypatch):
-    # The refusal walk over the Jordan field and a constant field's lead
-    # chart both read the given chart fields.
+    # The chart walk reads the given chart fields, where it refuses (the
+    # Jordan field) and where it finds a constant field's zero.
     jordan = parse_problem((FIXTURES / "p2_jordan.fol").read_text()).problem
     with pytest.raises(residue.NonLinearField) as want:
         residue.diagonal_zeros(jordan)
@@ -771,7 +812,7 @@ def test_linear_route_matches_classify_point(case):
     # Its local data are those of q*V, ints but for det J_D.
     problem, planes = case
     K = foliation.tangency_cofactor(problem)
-    fields = foliation.chart_fields(problem, K)
+    fields = foliation.chart_fields(problem)
     located = residue.diagonal_zeros(problem)
     assert len(located) == problem.n + 1
     assert any(p.simple is None for p, _ in located) == (planes == 2)
@@ -806,11 +847,19 @@ def scaled_to_integers(problem, K, ld):
 def reference_locate(fields):
     """Exact discovery by normalizing: every chart's linear zeros scaled by
     ``homogeneous_representative``, the first chart kept for each point,
-    sorted by the strings of the homogeneous coordinates."""
-    seen = {}
+    sorted by the strings of the homogeneous coordinates.  Every chart is
+    read before any refusal: the first PositiveDimensional is raised, else
+    the first NonLinearField."""
+    seen, refusals = {}, []
     for cf in fields:
-        for p, ld in residue.linear_zeros(cf):
-            seen.setdefault(homogeneous_representative(p), (p, cf, ld))
+        try:
+            for p, ld in residue.linear_zeros(cf):
+                seen.setdefault(homogeneous_representative(p), (p, cf, ld))
+        except (residue.NonLinearField, PositiveDimensional) as exc:
+            refusals.append(exc)
+    lines = [exc for exc in refusals if isinstance(exc, PositiveDimensional)]
+    if refusals:
+        raise (lines or refusals)[0]
     return [v for _, v in sorted(seen.items(), key=lambda kv: tuple(map(str, kv[0])))]
 
 
@@ -823,7 +872,7 @@ def assert_locates_like_the_reference(problem):
     except foliation.NotTangent:
         return
     try:
-        want = reference_locate(foliation.chart_fields(problem, K))
+        want = reference_locate(foliation.chart_fields(problem))
     except DomainError as exc:
         with pytest.raises(type(exc)) as got:
             residue.diagonal_zeros(problem)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -639,6 +640,26 @@ def test_zeros_on_linear_charts_that_have_no_finite_zero_set_exit_2(
     fol.write_text(f"space.dim = 2\nfield.vars = [z0, z1, z2]\n"
                    f"field.components = {components}\ndivisor = z2\n")
     assert run(capsys, "zeros", str(fol)) == (2, "", f"error: {message}\n")
+
+
+LINE_FIELD = [{0: 1}, {0: 1, 1: 2}, {2: 1}]  # [z0, z0 + 2*z1, z2]: the line [a:-a:b]
+
+
+@pytest.mark.parametrize("sigma", itertools.permutations(range(3)),
+                         ids=lambda sigma: "".join(map(str, sigma)))
+@pytest.mark.parametrize("command", ["zeros", "verify"])
+def test_a_line_of_zeros_exits_2_in_every_order_of_the_variables(capsys, tmp_path, command,
+                                                                 sigma):
+    # z_j becomes z_sigma(j): every chart is read before a refusal, so the
+    # chart that shows the line is found wherever the permutation puts it.
+    components = [""] * 3
+    for i, row in enumerate(LINE_FIELD):
+        components[sigma[i]] = " + ".join(f"{a}*z{sigma[j]}" for j, a in row.items())
+    fol = tmp_path / "line.fol"
+    fol.write_text(f"space.dim = 2\nfield.vars = [z0, z1, z2]\n"
+                   f"field.components = [{', '.join(components)}]\ndivisor = z{sigma[2]}\n"
+                   f"points = [{{chart: {sigma[2]}, coords: [0, 0]}}]\n")
+    assert run(capsys, command, str(fol)) == (2, "", "error: zero set has dimension 1\n")
 
 
 FUZZ_FILES = ("p2_example.fol", "p3_example.fol", "not_tangent.fol", "malformed.fol",
