@@ -2,17 +2,20 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  Polynomials are sparse: a map from
-exponent tuples to nonzero rational coefficients.  Matrices carry exact
-rational entries; one fraction-free (Bareiss) row echelon routine on Python
-ints gives the determinant, the rank and exact linear solves, each caller
-clearing the rows' denominators with ``integer_rows``.  The ``MultiPoly``
-constructor checks outside input; ``MultiPoly._of`` trusts a term dict built
-here (exponent tuples of the right length, Fraction coefficients).
-``DomainError`` is the base of every exception that reports input outside
-the supported mathematics; ``SchemaError`` reports a malformed document.
+exponent tuples to nonzero rational coefficients.  A ``RatMatrix`` is the
+tuple of its rows, each a tuple of Fractions; one fraction-free (Bareiss) row
+echelon routine on Python ints gives the determinant, the rank and exact
+linear solves, each caller clearing the rows' denominators with
+``integer_rows``.  The ``MultiPoly`` constructor checks outside input;
+``MultiPoly._of`` trusts a term dict built here (exponent tuples of the right
+length, Fraction coefficients).  ``DomainError`` is the base of every exception
+that reports input outside the supported mathematics; ``SchemaError`` reports
+a malformed document.
 
 Everything here is immutable after construction and all operations are pure,
 but ``echelon``, which works in place on the integer rows it is given.
+``MultiPoly.terms`` is a plain dict that the package never writes after
+construction, but that nothing stops a caller from writing.
 """
 
 from __future__ import annotations
@@ -296,45 +299,21 @@ def exact_divide(p: MultiPoly, f: MultiPoly) -> MultiPoly | None:
     return MultiPoly._of(p.variables, quotient)
 
 
-class RatMatrix:
-    """Rectangular matrix of exact rationals."""
+class RatMatrix(tuple):
+    """Rectangular matrix of exact rationals: the tuple of its rows."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        rows = [[_as_fraction(x) for x in row] for row in entries]
+    def __new__(cls, entries: Sequence[Sequence[Scalar]]):
+        rows = [tuple(map(_as_fraction, row)) for row in entries]
         if not rows:
             raise ValueError("matrix needs at least one row")
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({self.entries!r})"
+        return super().__new__(cls, rows)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
+        return self == tuple(zip(*self))  # a non-square matrix has a transpose of other shape
 
 
 def integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
@@ -390,22 +369,22 @@ def back_substitute(a: list[list[int]]) -> tuple[list[int], int]:
 
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
+    if len(m) != len(m[0]):
         raise ValueError("determinant of a non-square matrix")
-    a, lcms = integer_rows(m.entries)
+    a, lcms = integer_rows(m)
     pivots, sign, _ = echelon(a)
-    return Fraction(sign * a[-1][-1], math.prod(lcms)) if len(pivots) == m.rows else Fraction(0)
+    return Fraction(sign * a[-1][-1], math.prod(lcms)) if len(pivots) == len(m) else Fraction(0)
 
 
 def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
     """Exact solution of m*x = rhs by elimination of the augmented matrix and
     ``back_substitute``."""
-    if m.rows != m.cols:
+    n = len(m)
+    if n != len(m[0]):
         raise ValueError("solve_linear needs a square matrix")
-    n = m.rows
     if len(rhs) != n:
         raise ValueError("right-hand side has the wrong length")
-    a, _ = integer_rows([row + [_as_fraction(b)] for row, b in zip(m.entries, rhs)])
+    a, _ = integer_rows([(*row, _as_fraction(b)) for row, b in zip(m, rhs)])
     pivots, _, _ = echelon(a)  # scaling a row of [A | b] leaves the solution as it is
     missing = next((k for k in range(n) if k not in pivots), None)
     if missing is not None:
@@ -416,4 +395,4 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Scalar]) -> list[Fraction]:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals: the number of echelon pivots."""
-    return len(echelon(integer_rows(m.entries)[0])[0])
+    return len(echelon(integer_rows(m)[0])[0])

@@ -65,12 +65,12 @@ def solve_discrepancies(problem: DiscrepancyProblem) -> DiscrepancyResult:
     M, I = problem
     if not M.is_symmetric():
         raise ValueError("intersection matrix must be symmetric")
-    fits = len(I) == M.rows and is_exact(I)  # else solve_linear raises, after the test
-    rhs = [-v for v in I] if fits else [0] * M.rows
-    rows, _ = integer_rows([row + [v] for row, v in zip(M.entries, rhs)])
+    fits = len(I) == len(M) and is_exact(I)  # else solve_linear raises, after the test
+    rhs = [-v for v in I] if fits else [0] * len(M)
+    rows, _ = integer_rows([(*row, v) for row, v in zip(M, rhs)])
     u = [row[:] for row in rows]  # echelon works in place; the round trip reads rows
     _, _, order = echelon(u)
-    for k in range(1, M.rows + 1):
+    for k in range(1, len(M) + 1):
         if order[k - 1] != k - 1 or (-1) ** k * u[k - 1][k - 1] <= 0:
             raise NotNegativeDefinite(k)
     if not fits:
@@ -91,14 +91,14 @@ def expected_exceptional_residues(M: RatMatrix, genera=None) -> list[Fraction]:
     """
     if not M.is_symmetric():
         raise ValueError("intersection matrix must be symmetric")
-    r = M.rows
+    r = len(M)
     genera = [0] * r if genera is None else list(genera)
     if len(genera) != r:
         raise ValueError("genera length must match the number of components")
     if any(g < 0 for g in genera):
         raise ValueError("genera must be non-negative")
     return [
-        Fraction(2 - 2 * genera[j]) - sum(M[j, k] for k in range(r) if k != j)
+        Fraction(2 - 2 * genera[j]) - sum(M[j][k] for k in range(r) if k != j)
         for j in range(r)
     ]
 

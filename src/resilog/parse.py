@@ -246,6 +246,8 @@ def _split_top_level(text: str, column: int) -> list[tuple[str, int]]:
     """The comma-separated parts of ``text`` outside brackets, each with the
     column where it starts, ``text`` starting at ``column``; an empty last
     part is dropped."""
+    if "," not in text:  # the loop's result, without a scan of every nested bracket
+        return [(text, column)] if text.strip() else []
     parts = []
     depth = start = 0
     for j, ch in enumerate(text):

@@ -190,7 +190,7 @@ def test_criterion_8_discrepancy_solver():
         assert result.a == (0, 0)
         assert result.classification == "canonical"
         # I = -M b, exactly
-        assert [sum(a * b for a, b in zip(row, result.b)) for row in M.entries] == [-1, -1]
+        assert [sum(a * b for a, b in zip(row, result.b)) for row in M] == [-1, -1]
         with pytest.raises(NotNegativeDefinite):
             solve_discrepancies(
                 DiscrepancyProblem(M=RatMatrix([[1]]), I=(Fraction(1),))

@@ -650,9 +650,8 @@ def test_records_are_immutable_and_the_frozen_ones_hashable():
     cyclic = cyclic_quotient_model(5)
     surface = surface_report(P2)
     hashable = [residue.NumericConfig(), record.point, residue.local_data(cf, record.point),
-                record, P2, cf]
-    others = [doc, poincare_check(P2), surface.rows[0], surface,
-              DiscrepancyProblem(cyclic.M, (Fraction(2),)), cyclic]
+                record, P2, cf, DiscrepancyProblem(cyclic.M, (Fraction(2),)), cyclic]
+    others = [doc, poincare_check(P2), surface.rows[0], surface]
     for value in hashable + others:
         with pytest.raises(AttributeError):
             setattr(value, value._fields[0], None)

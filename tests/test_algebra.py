@@ -22,7 +22,7 @@ VARS = ("x", "y", "z")
 
 def times(A: RatMatrix, x) -> list[Fraction]:
     """A*x, entry by entry."""
-    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in A.entries]
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in A]
 
 
 def random_poly(rng, variables=VARS, max_terms=5, max_exp=3):
@@ -53,6 +53,21 @@ def test_constructors_and_zero():
     assert x.degree() == 1
     with pytest.raises(ValueError):
         MultiPoly.variable(VARS, "w")
+
+
+X = MultiPoly.variable(VARS, "x")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultiPoly(VARS, {(1, 0): 1}), r"exponent vector \(1, 0\) has length 2, expected 3"),
+    (lambda: MultiPoly(VARS, {(1, -1, 0): 1}), r"negative exponent in \(1, -1, 0\)"),
+    (lambda: X ** -1, "exponent must be a non-negative integer"),
+    (lambda: X.partial("w"), "unknown variable 'w'"),
+    (lambda: X.eval([1, 2]), "point has 2 coordinates, expected 3"),
+])
+def test_multipoly_input_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_zero_coefficients_dropped():
@@ -276,8 +291,9 @@ def test_immutability():
     with pytest.raises(AttributeError):
         p.terms = {}
     m = RatMatrix([[1]])
-    with pytest.raises(AttributeError):
-        m.entries = []
+    with pytest.raises(TypeError):
+        m[0] = (Fraction(2),)
+    assert m == ((1,),) and hash(m) == hash(RatMatrix([[1]]))
 
 
 def test_det_small_cases():
@@ -296,7 +312,7 @@ def test_det_multiplicative(seed):
     B = RatMatrix([[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
     AB = RatMatrix(
         [
-            [sum(A[i, k] * B[k, j] for k in range(n)) for j in range(n)]
+            [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
     )
@@ -315,6 +331,15 @@ def test_solve_linear_roundtrip(seed):
             break
     x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
     assert solve_linear(A, times(A, x)) == x
+
+
+def test_non_square_matrices():
+    for m in (RatMatrix([[1, 2, 3], [4, 5, 6]]), RatMatrix([[-2, 1]])):
+        assert not m.is_symmetric()
+        with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+            det_exact(m)
+        with pytest.raises(ValueError, match="^solve_linear needs a square matrix$"):
+            solve_linear(m, [1, 1])
 
 
 def test_solve_linear_singular():

@@ -21,7 +21,7 @@ A2 = RatMatrix([[-2, 1], [1, -2]])
 def violation(M: RatMatrix):
     """The k of the NotNegativeDefinite that ``solve_discrepancies`` raises at M, or None."""
     try:
-        solve_discrepancies(DiscrepancyProblem(M, (Fraction(1),) * M.rows))
+        solve_discrepancies(DiscrepancyProblem(M, (Fraction(1),) * len(M)))
     except NotNegativeDefinite as exc:
         return exc.k
     return None
@@ -57,6 +57,16 @@ def test_a2_chain():
     assert result.classification == "canonical"
 
 
+def test_a_matrix_cannot_change_after_it_is_built():
+    m = RatMatrix([[-2, 1], [1, -2]])
+    with pytest.raises(TypeError):
+        m[0][0] = 5
+    assert det_exact(m) == 3
+    I = (Fraction(1), Fraction(1))
+    again = DiscrepancyProblem(RatMatrix([[-2, 1], [1, -2]]), I)
+    assert hash(DiscrepancyProblem(m, I)) == hash(again)
+
+
 def test_rejects_non_negative_definite():
     with pytest.raises(NotNegativeDefinite):
         solve_discrepancies(
@@ -73,6 +83,10 @@ def test_expected_residues_adjunction():
     assert expected_exceptional_residues(RatMatrix([[-3]]), genera=[1]) == [0]
     with pytest.raises(ValueError):
         expected_exceptional_residues(RatMatrix([[-2]]), genera=[1, 0])
+    with pytest.raises(ValueError, match="^intersection matrix must be symmetric$"):
+        expected_exceptional_residues(RatMatrix([[-2, 1], [0, -2]]))
+    with pytest.raises(ValueError, match="^genera must be non-negative$"):
+        expected_exceptional_residues(RatMatrix([[-2]]), genera=[-1])
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -95,8 +109,8 @@ def test_cyclic_quotient_rejects_small_order():
 
 def leading_minor_violation(M: RatMatrix):
     """The first k with (-1)^k * det(leading k-by-k block) <= 0, by definition."""
-    return next((k for k in range(1, M.rows + 1)
-                 if (-1) ** k * det_exact(RatMatrix([row[:k] for row in M.entries[:k]])) <= 0),
+    return next((k for k in range(1, len(M) + 1)
+                 if (-1) ** k * det_exact(RatMatrix([row[:k] for row in M[:k]])) <= 0),
                 None)
 
 
@@ -132,7 +146,7 @@ def test_sylvester_and_solve_match_the_leading_minor_definition(M, data):
     # One elimination of [M | -I] must find the violating minor the
     # definition finds, also where a zero minor makes echelon exchange rows.
     want = leading_minor_violation(M)
-    I = tuple(data.draw(st.fractions(-6, 6, max_denominator=4)) for _ in range(M.rows))
+    I = tuple(data.draw(st.fractions(-6, 6, max_denominator=4)) for _ in range(len(M)))
     if want is not None:
         with pytest.raises(NotNegativeDefinite) as caught:
             solve_discrepancies(DiscrepancyProblem(M, I))
@@ -170,7 +184,7 @@ def test_solve_discrepancies_runs_one_elimination(monkeypatch):
     M = RatMatrix([[-2, 1, 0, 0], [1, -3, 1, 0], [0, 1, -2, 1], [0, 0, 1, -5]])
     result = solve_discrepancies(DiscrepancyProblem(M, (Fraction(1),) * 4))
     assert calls == [4]
-    assert [sum(a * b for a, b in zip(row, result.b)) for row in M.entries] == [-1] * 4
+    assert [sum(a * b for a, b in zip(row, result.b)) for row in M] == [-1] * 4
 
 
 @pytest.mark.parametrize("M, I, error, message", [

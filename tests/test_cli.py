@@ -130,6 +130,7 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     ("m.json", '{"M": [], "I": []}', 1, "matrix needs at least one row"),
     ("m.json", '{"M": [[-2, 1], [1]], "I": [1, 1]}', 1, "ragged rows"),
     ("m.json", '{"M": [[-2, 1], 3], "I": [1, 1]}', 1, "a row of M must be a list, got 3"),
+    ("m.json", '{"M": [[-2, 1]], "I": [1]}', 1, "intersection matrix must be symmetric"),
     ("m.json", '{"M": [[-2.0, 1], [1, "-2"]], "I": ["1", "1"]}', 0, None),
     ("m.json", '{"M": [["x"]], "I": ["1"]}', 1,
      "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
@@ -139,6 +140,8 @@ def test_verify_points_file_builds_each_chart_field_and_local_data_once(
     ("p.fol", "numeric.eps_levels = [1e-3, 1e-5]", 0, None),
     ("p.fol", "space.dim = 0", 1, "space.dim must be at least 1, got 0"),
     ("p.fol", "field.vars = [z0, z0, z2]", 1, "field.vars contains duplicate names"),
+    ("p.fol", "divisor = z2 + 1", 1, "divisor must be a nonzero homogeneous polynomial"),
+    ("p.fol", "divisor = 0", 1, "divisor must be a nonzero homogeneous polynomial"),
     # A JSON number is read by its literal, and an exponent is no rational literal.
     ("m.json", '{"M": [[-2]], "I": [1e-5]}', 1,
      "bad rational literal '1e-5': Invalid literal for Fraction: '1e-5'"),

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,18 @@ def test_document_nesting_past_the_limit_is_a_parse_error_at_that_bracket(src):
     # and in the mixed value 50 "a: " keys too.
     column = 10 + 100 + (50 * len("a: ") if "{" in src else 0)
     assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.message == "more than 100 nested '[' and '{'"
+
+
+def test_a_400_kb_line_of_brackets_fails_within_a_second():
+    # Without a comma at any depth, no level scans its brackets one by one.
+    header = "".join(P2_SRC.splitlines(keepends=True)[1:5])  # space.dim to divisor
+    src = header + "points = " + "[" * 200000 + "]" * 200000
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        raw_document(src)
+    assert time.perf_counter() - start < 1
+    assert (exc.value.line, exc.value.column) == (5, 110)
     assert exc.value.message == "more than 100 nested '[' and '{'"
 
 

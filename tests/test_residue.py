@@ -197,11 +197,11 @@ def conjugated_diagonal_problem(rng, n):
     def linear(row):
         return sum((c * zv(z, zs) for c, z in zip(row, zs)), MultiPoly.zero(zs))
 
-    comps = [linear([sum(T[i, l] * eigs[l] * inv_cols[j][l] for l in range(n + 1))
+    comps = [linear([sum(T[i][l] * eigs[l] * inv_cols[j][l] for l in range(n + 1))
                      for j in range(n + 1)]) for i in range(n + 1)]
     k = rng.randrange(n + 1)
     divisor = linear([col[k] for col in inv_cols])
-    zeros = [[T[i, j] for i in range(n + 1)] for j in range(n + 1)]
+    zeros = [[T[i][j] for i in range(n + 1)] for j in range(n + 1)]
     return make_problem(zs, comps, divisor), zeros
 
 
